@@ -1,11 +1,21 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The graph is built dynamically: each operation returns a Tensor holding its
-result plus a closure that pushes gradients to its parents. Calling
-``backward()`` on a scalar walks the recorded graph once in reverse
-topological order. Arrays keep whatever float dtype they were created with,
-so the same graph code runs in float32 for training and float64 for the
-numerical test oracles.
+result plus a closure that takes the output gradient and pushes gradients to
+its parents. Calling ``backward()`` on a scalar walks the recorded graph once
+in reverse topological order. Arrays keep whatever float dtype they were
+created with, so the same graph code runs in float32 for training and float64
+for the numerical test oracles.
+
+Graph lifetime: a closure references its parents and the arrays it needs,
+never its own output node, so the graph holds no reference cycles and is
+freed by reference counting as soon as the last tensor of it is dropped,
+without waiting for the cyclic garbage collector. ``backward()`` consumes
+the graph: once a node's closure has run, the node drops its closure,
+parents and gradient and stops requiring grad, so its activations are freed
+while the rest of the backward pass runs. Afterwards only leaf tensors (the
+parameters and any input created with ``requires_grad=True``) hold
+``.grad``, and a second ``backward()`` on the same loss raises StateError.
 """
 
 from __future__ import annotations
@@ -119,9 +129,16 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # Popping releases the list's reference, so a consumed node is freed
+        # as soon as no later closure still needs its data.
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node._backward = None
+                node._parents = ()
+                node.grad = None
+                node.requires_grad = False
 
     # Operator sugar -------------------------------------------------------
 
@@ -175,11 +192,12 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    """Wrap `data` as the output of an op; `backward(g)` receives its gradient."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward(out)
+        out._backward = backward
     return out
 
 
@@ -199,14 +217,11 @@ def add(a, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data + b.data
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _acc(a, out.grad)
-            if b.requires_grad:
-                _acc(b, out.grad)
-
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _acc(a, g)
+        if b.requires_grad:
+            _acc(b, g)
 
     return _make(data, (a, b), bw)
 
@@ -216,17 +231,14 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data - b.data
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _acc(a, out.grad)
-            if b.requires_grad:
-                if out.grad.shape == b.data.shape:
-                    b.accumulate_grad(-out.grad, own=True)
-                else:
-                    b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape), own=True)
-
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _acc(a, g)
+        if b.requires_grad:
+            if g.shape == b.data.shape:
+                b.accumulate_grad(-g, own=True)
+            else:
+                b.accumulate_grad(-_unbroadcast(g, b.data.shape), own=True)
 
     return _make(data, (a, b), bw)
 
@@ -236,22 +248,19 @@ def mul(a, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data * b.data
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                g = out.grad * b.data
-                if g.shape == a.data.shape:
-                    a.accumulate_grad(g, own=True)
-                else:
-                    _acc(a, g)
-            if b.requires_grad:
-                g = out.grad * a.data
-                if g.shape == b.data.shape:
-                    b.accumulate_grad(g, own=True)
-                else:
-                    _acc(b, g)
-
-        return run
+    def bw(g):
+        if a.requires_grad:
+            ga = g * b.data
+            if ga.shape == a.data.shape:
+                a.accumulate_grad(ga, own=True)
+            else:
+                _acc(a, ga)
+        if b.requires_grad:
+            gb = g * a.data
+            if gb.shape == b.data.shape:
+                b.accumulate_grad(gb, own=True)
+            else:
+                _acc(b, gb)
 
     return _make(data, (a, b), bw)
 
@@ -261,12 +270,8 @@ def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
     data = a.data ** exponent
 
-    def bw(out):
-        def run():
-            a.accumulate_grad(out.grad * (exponent * a.data ** (exponent - 1.0)),
-                              own=True)
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g * (exponent * a.data ** (exponent - 1.0)), own=True)
 
     return _make(data, (a,), bw)
 
@@ -275,11 +280,8 @@ def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     data = np.exp(a.data)
 
-    def bw(out):
-        def run():
-            a.accumulate_grad(out.grad * out.data, own=True)
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g * data, own=True)
 
     return _make(data, (a,), bw)
 
@@ -288,11 +290,8 @@ def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     data = np.log(a.data)
 
-    def bw(out):
-        def run():
-            a.accumulate_grad(out.grad / a.data, own=True)
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g / a.data, own=True)
 
     return _make(data, (a,), bw)
 
@@ -302,13 +301,8 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
-    def bw(out):
-        mask = a.data > 0
-
-        def run():
-            a.accumulate_grad(out.grad * mask, own=True)
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g * (a.data > 0), own=True)
 
     return _make(data, (a,), bw)
 
@@ -329,14 +323,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     data = a.data @ b.data
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad @ b.data.T, own=True)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ out.grad, own=True)
-
-        return run
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T, own=True)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g, own=True)
 
     return _make(data, (a, b), bw)
 
@@ -348,15 +339,11 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bw(out):
-        def run():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            # Broadcasting += spreads the reduced gradient without a big temp.
-            a.accumulate_grad(g)
-
-        return run
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        # Broadcasting += spreads the reduced gradient without a big temp.
+        a.accumulate_grad(g)
 
     return _make(data, (a,), bw)
 
@@ -368,14 +355,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     )
     data = a.data.mean(axis=axis, keepdims=keepdims)
 
-    def bw(out):
-        def run():
-            g = out.grad / count
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(g)
-
-        return run
+    def bw(g):
+        g = g / count
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a.accumulate_grad(g)
 
     return _make(data, (a,), bw)
 
@@ -387,11 +371,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
 
-    def bw(out):
-        def run():
-            a.accumulate_grad(out.grad.reshape(a.data.shape))
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g.reshape(a.data.shape))
 
     return _make(data, (a,), bw)
 
@@ -399,19 +380,14 @@ def reshape(a: Tensor, shape) -> Tensor:
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
 
-    def bw(out):
-        sizes = [t.data.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
-
-        def run():
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    key = [slice(None)] * out.grad.ndim
-                    key[axis] = slice(lo, hi)
-                    t.accumulate_grad(out.grad[tuple(key)])
-
-        return run
+    def bw(g):
+        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                key = [slice(None)] * g.ndim
+                key[axis] = slice(lo, hi)
+                t.accumulate_grad(g[tuple(key)])
 
     return _make(data, ts, bw)
 
@@ -420,13 +396,10 @@ def slice_(a: Tensor, key) -> Tensor:
     a = _as_tensor(a)
     data = a.data[key]
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(a.data)
-            g[key] += out.grad
-            a.accumulate_grad(g, own=True)
-
-        return run
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[key] += g
+        a.accumulate_grad(full, own=True)
 
     return _make(data, (a,), bw)
 
@@ -437,15 +410,12 @@ def pad2d(a: Tensor, pad: tuple) -> Tensor:
     top, bottom, left, right = pad
     widths = [(0, 0)] * (a.data.ndim - 2) + [(top, bottom), (left, right)]
     data = np.pad(a.data, widths)
+    key = (*[slice(None)] * (a.data.ndim - 2),
+           slice(top, data.shape[-2] - bottom),
+           slice(left, data.shape[-1] - right))
 
-    def bw(out):
-        def run():
-            key = [slice(None)] * (a.data.ndim - 2)
-            key.append(slice(top, data.shape[-2] - bottom))
-            key.append(slice(left, data.shape[-1] - right))
-            a.accumulate_grad(out.grad[tuple(key)])
-
-        return run
+    def bw(g):
+        a.accumulate_grad(g[key])
 
     return _make(data, (a,), bw)
 
@@ -461,12 +431,9 @@ def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
     rows = np.arange(a.data.shape[0])
     data = a.data[rows, idx]
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(a.data)
-            np.add.at(g, (rows, idx), out.grad)
-            a.accumulate_grad(g, own=True)
-
-        return run
+    def bw(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, (rows, idx), g)
+        a.accumulate_grad(full, own=True)
 
     return _make(data, (a,), bw)

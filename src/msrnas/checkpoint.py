@@ -3,9 +3,11 @@
 Layout: 4 magic bytes "MSRN", little-endian u32 version, then a sequence of
 records, each: u32 name length, utf-8 name, u8 dtype code (0=f32, 1=f64),
 u32 ndim, ndim x u64 extents, raw row-major data. The checkpoint stores all
-parameter tensors (value, gradient, momentum), batchnorm running statistics,
+parameter tensors (value, momentum), batchnorm running statistics,
 power-iteration vectors, the epoch counter, and enough configuration scalars
-to rebuild the network from the file alone.
+to rebuild the network from the file alone. Gradients are not stored,
+because every step zeroes them before use; ``grad/*`` records in older files
+are ignored on load.
 """
 
 from __future__ import annotations
@@ -117,8 +119,6 @@ def checkpoint_tensors(net, epoch: int) -> dict[str, np.ndarray]:
     }
     for name, param in net.named_parameters():
         tensors[f"param/{name}"] = param.data
-        if param.grad is not None:
-            tensors[f"grad/{name}"] = param.grad
         tensors[f"momentum/{name}"] = param.momentum
     for name, buf in net.named_buffers():
         tensors[f"buffer/{name}"] = buf
@@ -177,9 +177,6 @@ def restore_into(net, tensors: dict[str, np.ndarray], origin: str = "checkpoint"
                 f"{param.data.shape}"
             )
         param.data[...] = stored
-        grad_key = f"grad/{name}"
-        if grad_key in tensors:
-            param.grad = tensors[grad_key].astype(param.data.dtype)
         mom_key = f"momentum/{name}"
         if mom_key in tensors:
             param.momentum = tensors[mom_key].astype(param.data.dtype)

@@ -8,7 +8,6 @@ dataset, supernet config, and hyperparameters from itself.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,8 +233,3 @@ def load_run_config(path) -> RunConfig:
 def config_from_text(text: str) -> RunConfig:
     return RunConfig(parse_config_text(text))
 
-
-def ensure_output_dir(cfg: RunConfig, override: str | None = None) -> str:
-    out = override or cfg["run.output_dir"]
-    os.makedirs(out, exist_ok=True)
-    return out

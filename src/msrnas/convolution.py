@@ -272,18 +272,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
     in_hw = x.data.shape[2:]
     data = conv2d_forward(x.data, spec)
 
-    def bw(out):
-        def run():
-            if x.requires_grad:
-                x.accumulate_grad(
-                    conv2d_transpose_forward(out.grad, spec, input_hw=in_hw),
-                    own=True,
-                )
-            if weight.requires_grad:
-                weight.accumulate_grad(
-                    conv2d_weight_grad(x.data, out.grad, spec), own=True
-                )
-
-        return run
+    def bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(
+                conv2d_transpose_forward(g, spec, input_hw=in_hw), own=True
+            )
+        if weight.requires_grad:
+            weight.accumulate_grad(conv2d_weight_grad(x.data, g, spec), own=True)
 
     return _make(data, (x, weight), bw)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _make
 from .convolution import ConvSpec, conv2d
 from .errors import DimensionError, NumericsError
 
@@ -192,31 +192,66 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
+        """Normalize per channel; records one graph node.
+
+        The output is computed with the same numpy operations in the same
+        order as the composite graph it replaces, so it is bit-identical to
+        it. The closed-form backward (Ioffe & Szegedy, 2015) keeps only x̂
+        and 1/σ; in eval mode the map is per-channel affine in x.
+        """
         if x.data.ndim != 4 or x.data.shape[1] != self.channels:
             raise DimensionError(
                 f"batchnorm over {self.channels} channels got shape {x.data.shape}"
             )
-        if self.training:
-            mu = ad.mean(x, axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = ad.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
+        shape = (1, self.channels, 1, 1)
+        training, affine = self.training, self.affine
+        if training:
+            mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
+            xhat = x.data - mu
+            var = (xhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
             # Track stats outside the graph.
             m = self.momentum
             self.running_mean *= 1.0 - m
-            self.running_mean += m * mu.data.reshape(-1)
+            self.running_mean += m * mu.reshape(-1)
             self.running_var *= 1.0 - m
-            self.running_var += m * var.data.reshape(-1)
+            self.running_var += m * var.reshape(-1)
         else:
-            shape = (1, self.channels, 1, 1)
-            mu = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            centered = x - mu
+            xhat = x.data - self.running_mean.reshape(shape)
+            var = self.running_var.reshape(shape)
         inv_std = (var + self.eps) ** -0.5
-        xhat = centered * inv_std
-        if not self.affine:
-            return xhat
-        shape = (1, self.channels, 1, 1)
-        return xhat * ad.reshape(self.gamma, shape) + ad.reshape(self.beta, shape)
+        xhat *= inv_std
+        if affine:
+            gamma, beta = self.gamma, self.beta
+            data = xhat * gamma.data.reshape(shape)
+            data += beta.data.reshape(shape)
+            parents = (x, gamma, beta)
+        else:
+            data = xhat
+            parents = (x,)
+        count = x.data.size // self.channels
+
+        def bw(g):
+            if affine or training:
+                gsum = g.sum(axis=(0, 2, 3), keepdims=True)
+                gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            if affine:
+                if beta.requires_grad:
+                    beta.accumulate_grad(gsum.reshape(-1), own=True)
+                if gamma.requires_grad:
+                    gamma.accumulate_grad(gxsum.reshape(-1), own=True)
+            if x.requires_grad:
+                scale = inv_std * gamma.data.reshape(shape) if affine else inv_std
+                if training:
+                    # dx = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
+                    gx = xhat * (gxsum / -count)
+                    gx += g
+                    gx -= gsum / count
+                    gx *= scale
+                else:
+                    gx = g * scale
+                x.accumulate_grad(gx, own=True)
+
+        return _make(data, parents, bw)
 
 
 class ReLU(Module):

@@ -56,9 +56,9 @@ def _seed_for(name: str, seed: int) -> list[int]:
 class ConvHandle:
     """Power-iteration state for one convolution at a fixed input size.
 
-    Holds the persistent iteration vector (warm start across training steps)
-    and the latest spectral-norm estimate. The referenced ConvSpec aliases the
-    layer's live weight array, so in-place weight updates are always visible.
+    Holds the persistent iteration vector (warm start across training steps).
+    The referenced ConvSpec aliases the layer's live weight array, so in-place
+    weight updates are always visible.
     """
 
     def __init__(self, spec: ConvSpec, in_hw: tuple[int, int], *,
@@ -67,7 +67,6 @@ class ConvHandle:
         self.in_hw = (int(in_hw[0]), int(in_hw[1]))
         self.name = name
         self.seed = seed
-        self.sigma_estimate: float | None = None
         self._vec: np.ndarray | None = None
 
     def _fresh_vector(self) -> np.ndarray:
@@ -89,7 +88,6 @@ class ConvHandle:
 
     def reset(self) -> None:
         self._vec = None
-        self.sigma_estimate = None
 
 
 def power_iteration(handle: ConvHandle, iterations: int) -> float:
@@ -132,9 +130,7 @@ def power_iteration(handle: ConvHandle, iterations: int) -> float:
         a /= na
         i += 1
     handle.vector = a
-    sigma = float(np.linalg.norm(conv2d_forward(a, spec)))
-    handle.sigma_estimate = sigma
-    return sigma
+    return float(np.linalg.norm(conv2d_forward(a, spec)))
 
 
 def spectral_norm_adjust(handle: ConvHandle, cfg: SpectralConfig) -> np.ndarray:
@@ -147,9 +143,6 @@ def spectral_norm_adjust(handle: ConvHandle, cfg: SpectralConfig) -> np.ndarray:
         )
     scale = cfg.target_norm / sigma
     handle.spec.weight *= scale
-    # Rescaling does not move the singular vectors, so the cached estimate
-    # scales exactly.
-    handle.sigma_estimate = cfg.target_norm
     return handle.spec.weight
 
 

@@ -263,7 +263,6 @@ class Supernet(_NetworkBase):
                  dtype=np.float32, seed: int = 0):
         super().__init__(cfg, dtype=dtype, seed=seed)
         self.spectral_cfg = spectral_cfg
-        self.enforce_adjustment = True
         self._step = 0
         self._adjusted_step = -1
         self.handles: list[ConvHandle] = []
@@ -313,8 +312,7 @@ class Supernet(_NetworkBase):
         self._adjusted_step = self._step
 
     def forward(self, x: Tensor) -> Tensor:
-        if (self.training and self.enforce_adjustment
-                and self._adjusted_step != self._step):
+        if self.training and self._adjusted_step != self._step:
             raise StateError(
                 "spectral adjustment has not been applied this step; call "
                 "adjust_all() after begin_step() and before the forward pass"
@@ -357,16 +355,6 @@ def build_supernet(cfg: SupernetConfig,
 def build_discrete_network(genotype: Genotype, cfg: SupernetConfig, *,
                            dtype=np.float32, seed: int = 0) -> DiscreteNetwork:
     return DiscreteNetwork(genotype, cfg, dtype=dtype, seed=seed)
-
-
-def mixed_edge_forward(edge: MixedEdge, x: Tensor) -> Tensor:
-    """Sum of the candidate-operator outputs on one edge."""
-    return edge(x)
-
-
-def supernet_forward(net: Supernet, batch: Tensor) -> Tensor:
-    """Logits for a batch; requires this step's spectral adjustment."""
-    return net(batch)
 
 
 def collect_rank_table(net: Supernet, cfg: SpectralConfig | None = None, *,

@@ -164,7 +164,8 @@ def _diagnose_non_finite(net, images: Tensor, labels: np.ndarray) -> str:
     """Re-run the forward with per-layer checks to name the first bad tensor."""
     layers.check_finite = True
     try:
-        loss = cross_entropy(net(images), labels)
+        with no_grad():
+            loss = cross_entropy(net(images), labels)
         if not np.isfinite(loss.data).all():
             return "loss"
     except NumericsError as exc:

@@ -1,4 +1,8 @@
-"""Gradient and semantics checks for the autodiff engine."""
+"""Gradient, semantics and graph-lifetime checks for the autodiff engine."""
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +10,9 @@ import pytest
 from msrnas import autodiff as ad
 from msrnas.autodiff import Tensor
 from msrnas.errors import DimensionError, StateError
+from msrnas.layers import cross_entropy
+from msrnas.spectral import SpectralConfig
+from msrnas.supernet import SupernetConfig, build_supernet
 
 from conftest import central_difference, relative_error
 
@@ -152,3 +159,72 @@ def test_deep_graph_backward_does_not_recurse(rng):
         y = y + 0.0
     y.backward()
     assert x.grad == 1.0
+
+
+# Graph lifetime ------------------------------------------------------------
+# tracemalloc counts every numpy buffer allocation, so these bounds are exact
+# byte counts of one fixed step, not timings.
+
+
+@pytest.fixture
+def tiny_step():
+    """A float32 tiny-config supernet ready for one training step.
+
+    One untraced step runs first, so that numpy's and the conv module's
+    one-time caches are filled before any test starts tracing.
+    """
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    rng = np.random.default_rng(0)
+    images = Tensor(rng.standard_normal((8, 3, 10, 10)).astype(np.float32))
+    labels = rng.integers(0, 4, size=8)
+    store = net.param_store()
+    net.begin_step()
+    net.adjust_all()
+    cross_entropy(net(images), labels).backward()
+    net.begin_step()
+    net.adjust_all()
+    store.zero_grad()
+    return net, store, images, labels
+
+
+def test_backward_frees_graph_as_it_runs(tiny_step):
+    net, store, images, labels = tiny_step
+    grad_bytes = sum(p.grad.nbytes for p in store)
+    tracemalloc.start()
+    try:
+        loss = cross_entropy(net(images), labels)
+        held_after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        held_after_backward, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held_after_forward
+    assert held_after_backward <= grad_bytes
+    assert np.abs(net.stem.conv.weight.grad).max() > 0.0
+
+
+def test_unconsumed_graph_freed_without_cycle_collector(tiny_step):
+    net, _, images, labels = tiny_step
+    gc.disable()
+    try:
+        logits = net(images)
+        loss = cross_entropy(logits, labels)
+        interior = weakref.ref(logits.data)
+        del logits, loss
+        assert interior() is None
+    finally:
+        gc.enable()
+
+
+def test_second_backward_raises_and_leaves_keep_grad(rng):
+    x = Tensor(rng.standard_normal(5), requires_grad=True)
+    hidden = ad.relu(x) * x
+    loss = ad.sum_(hidden)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * np.maximum(x.data, 0.0))
+    assert hidden.grad is None and not hidden.requires_grad
+    with pytest.raises(StateError):
+        loss.backward()

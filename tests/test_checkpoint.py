@@ -103,3 +103,24 @@ def test_checkpoint_missing_param_detected(tmp_path):
     save_tensors(path, tensors)
     with pytest.raises(FormatError, match="missing parameter"):
         load_checkpoint(path)
+
+
+def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    store = net.param_store()
+    store.zero_grad()
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=0)
+    tensors = load_tensors(path)
+    assert not any(k.startswith("grad/") for k in tensors)
+    # Files written before gradients were dropped carry grad/* records.
+    for name, param in store.items():
+        tensors[f"grad/{name}"] = np.ones_like(param.data)
+    save_tensors(path, tensors)
+    restored, _ = load_checkpoint(path)
+    originals = dict(net.named_parameters())
+    for name, param in restored.named_parameters():
+        np.testing.assert_array_equal(param.data, originals[name].data)
+        assert param.grad is None

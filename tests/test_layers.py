@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msrnas import autodiff as ad
 from msrnas.autodiff import Tensor
 from msrnas.errors import DimensionError
 from msrnas.layers import (
@@ -75,10 +76,43 @@ def test_batchnorm_channel_mismatch(rng):
         bn(Tensor(rng.standard_normal((2, 4, 3, 3))))
 
 
-def test_batchnorm_gradients_finite_difference(rng):
-    bn = BatchNorm2d(2, dtype=np.float64)
-    x = Tensor(rng.standard_normal((6, 2, 3, 3)), requires_grad=True)
-    weights = rng.standard_normal((6, 2, 3, 3))
+def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
+    """BatchNorm built from elementary graph ops, as the layer once was.
+
+    The reference for the layer's one-node forward and closed-form backward;
+    it reads the running statistics but does not update them.
+    """
+    shape = (1, bn.channels, 1, 1)
+    if bn.training:
+        mu = ad.mean(x, axis=(0, 2, 3), keepdims=True)
+        centered = x - mu
+        var = ad.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
+    else:
+        mu = Tensor(bn.running_mean.reshape(shape))
+        var = Tensor(bn.running_var.reshape(shape))
+        centered = x - mu
+    inv_std = (var + bn.eps) ** -0.5
+    xhat = centered * inv_std
+    if not bn.affine:
+        return xhat
+    return xhat * ad.reshape(bn.gamma, shape) + ad.reshape(bn.beta, shape)
+
+
+def _batchnorm_with_state(rng, affine: bool, training: bool, dtype=np.float64):
+    bn = BatchNorm2d(3, affine=affine, dtype=dtype)
+    if affine:
+        bn.gamma.data[:] = rng.standard_normal(3)
+        bn.beta.data[:] = rng.standard_normal(3)
+    bn.running_mean[:] = rng.standard_normal(3)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
+    if not training:
+        bn.eval()
+    return bn
+
+
+def _fd_check_batchnorm(bn: BatchNorm2d, rng) -> None:
+    x = Tensor(rng.standard_normal((6, bn.channels, 3, 3)), requires_grad=True)
+    weights = rng.standard_normal((6, bn.channels, 3, 3))
 
     def loss():
         return (bn(x) * weights).sum()
@@ -92,6 +126,38 @@ def test_batchnorm_gradients_finite_difference(rng):
             idx = np.unravel_index(c, t.data.shape)
             num = central_difference(lambda: float(loss().data), t.data, idx, 1e-6)
             assert relative_error(g[idx], num) < 1e-5
+
+
+def test_batchnorm_gradients_finite_difference(rng):
+    _fd_check_batchnorm(BatchNorm2d(2, dtype=np.float64), rng)
+
+
+def test_batchnorm_eval_gradients_finite_difference(rng):
+    _fd_check_batchnorm(_batchnorm_with_state(rng, affine=True, training=False), rng)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("affine", [True, False])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+def test_batchnorm_node_matches_composite_graph(rng, training, affine, dtype, tol):
+    bn = _batchnorm_with_state(rng, affine, training, dtype)
+    x = (rng.standard_normal((4, 3, 5, 5)) * 2.0 + 1.0).astype(dtype)
+    weights = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
+    params = (bn.gamma, bn.beta) if affine else ()
+
+    def run(forward):
+        for p in params:
+            p.zero_grad()
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = forward(xt)
+        (out * weights).sum().backward()
+        return out.data, [xt.grad] + [p.grad for p in params]
+
+    ref_out, ref_grads = run(lambda xt: composite_batchnorm(bn, xt))
+    out, grads = run(bn)
+    np.testing.assert_array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=tol * np.abs(ref).max())
 
 
 def test_cross_entropy_uniform_logits():

@@ -16,7 +16,6 @@ from msrnas.supernet import (
     build_supernet,
     collect_rank_table,
     conv_rank_report,
-    mixed_edge_forward,
 )
 
 
@@ -69,7 +68,7 @@ def test_mixed_edge_sums_operators(small_net):
     x = Tensor(rng.standard_normal((2, 8, 16, 16)).astype(np.float32))
     net.eval()
     with no_grad():
-        total = mixed_edge_forward(edge, x)
+        total = edge(x)
         parts = [op(x) for op in edge.ops]
     np.testing.assert_allclose(
         total.data, sum(p.data for p in parts), atol=1e-6
@@ -90,7 +89,7 @@ def test_mixed_edge_zeroed_ops_leave_remaining(small_net):
     x = Tensor(rng.standard_normal((2, 8, 16, 16)).astype(np.float32))
     net.eval()
     with no_grad():
-        total = mixed_edge_forward(edge, x)
+        total = edge(x)
         alone = edge.ops[0](x)
     np.testing.assert_allclose(total.data, alone.data, atol=1e-6)
     for bn, gamma, beta in saved:

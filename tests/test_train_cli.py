@@ -7,14 +7,17 @@ import os
 import numpy as np
 import pytest
 
+from msrnas.autodiff import Tensor
 from msrnas.cli import main
 from msrnas.config import config_from_text
 from msrnas.derive import Genotype, SelectionMode, derive_genotype, load_rank_table
 from msrnas.errors import ArgumentError, LockError, StateError
+from msrnas.layers import Linear, Module
 from msrnas.train import (
     EpochRecord,
     MetricsLog,
     RunDir,
+    _diagnose_non_finite,
     choose_epoch,
     load_epoch_table,
     run_eval,
@@ -219,3 +222,25 @@ def test_ranks_report_stable_across_invocations(tmp_path, one_epoch_run, capsys)
     assert main(["ranks", "--checkpoint", ck, "--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
     capsys.readouterr()
+
+
+
+def test_non_finite_diagnosis_names_layer_without_recording_graph():
+    class Net(Module):
+        def __init__(self):
+            super().__init__()
+            rng = np.random.default_rng(0)
+            self.fc1 = Linear(3, 3, rng=rng, dtype=np.float64)
+            self.fc2 = Linear(3, 2, rng=rng, dtype=np.float64)
+            self.assign_paths("net")
+
+        def forward(self, x):
+            self.hidden = self.fc1(x)
+            return self.fc2(self.hidden)
+
+    net = Net()
+    net.fc2.weight.data[0, 0] = np.inf
+    images = Tensor(np.ones((4, 3)), requires_grad=True)
+    culprit = _diagnose_non_finite(net, images, np.zeros(4, dtype=np.int64))
+    assert "net.fc2" in culprit
+    assert not net.hidden.requires_grad
