@@ -102,7 +102,8 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate gradients of every reachable tensor; requires a scalar."""
+        """Accumulate gradients into every reachable leaf, consuming the
+        graph (see the module docstring); requires a scalar."""
         if self.data.size != 1:
             raise StateError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"

@@ -192,12 +192,12 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Normalize per channel; records one graph node.
+        """Normalize per channel, recording one graph node.
 
-        The output is computed with the same numpy operations in the same
-        order as the composite graph it replaces, so it is bit-identical to
-        it. The closed-form backward (Ioffe & Szegedy, 2015) keeps only x̂
-        and 1/σ; in eval mode the map is per-channel affine in x.
+        The output takes the same numpy operations, in the same order, as
+        the composite-op reference in the tests, which requires it to be
+        bit-identical. The closed-form backward (Ioffe & Szegedy, 2015)
+        keeps only x̂ and 1/σ; in eval mode the map is per-channel affine.
         """
         if x.data.ndim != 4 or x.data.shape[1] != self.channels:
             raise DimensionError(
