@@ -4,11 +4,13 @@ The array-level routines work on plain numpy NCHW arrays; ``conv2d`` wraps the
 forward pass as a differentiable graph op. Compute is organized tap by tap:
 for each kernel position, a strided view of the (padded) input is contracted
 against that tap's weights, which keeps temporaries at activation size and
-turns the channel mixing into stacked GEMMs. The adjoint implemented by
-``conv2d_transpose_forward`` scatter-adds through the same views and is exact
-with respect to the forward map, including zero padding, striding, dilation
-and channel groups; the spectral-norm power iteration and the backward pass
-both rely on that.
+turns the channel mixing into stacked GEMMs. A 1x1 kernel without padding
+has a single tap: its forward and adjoint are one ``np.matmul`` over the
+channel groups and its groups-1 weight gradient one ``tensordot``. The
+adjoint implemented by ``conv2d_transpose_forward`` scatter-adds through the
+same views and is exact with respect to the forward map, including zero
+padding, striding, dilation and channel groups; the spectral-norm power
+iteration and the backward pass both rely on that.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ class ConvSpec:
             )
 
     @property
+    def is_pointwise(self) -> bool:
+        """1x1 kernel without padding: one channel mix per sampled pixel."""
+        return self.kernel_h == 1 and self.kernel_w == 1 and self.padding == 0
+
+    @property
     def is_depthwise(self) -> bool:
         return (self.groups == self.in_channels
                 and self.out_channels == self.in_channels)
@@ -120,6 +127,12 @@ def _tap_slices(spec: ConvSpec, k: int, l: int, ho: int, wo: int) -> tuple[slice
             slice(l * d, l * d + (wo - 1) * s + 1, s))
 
 
+def _pointwise_weight(spec: ConvSpec) -> np.ndarray:
+    """A 1x1 kernel as its per-group channel matrices, shape (g, out/g, in/g)."""
+    g = spec.groups
+    return spec.weight.reshape(g, spec.out_channels // g, spec.in_channels // g)
+
+
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
     if x.ndim != 4:
         raise DimensionError(f"conv input must be NCHW, got ndim={x.ndim}")
@@ -135,6 +148,11 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     _check_input(x, spec)
     n = x.shape[0]
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
+    if spec.is_pointwise:
+        g, s = spec.groups, spec.stride
+        xs = x[:, :, ::s, ::s].reshape(n, g, spec.in_channels // g, ho * wo)
+        out = np.matmul(_pointwise_weight(spec), xs)
+        return out.reshape(n, spec.out_channels, ho, wo).astype(x.dtype, copy=False)
     xp = _pad_input(x, spec.padding)
     w = spec.weight
     out = np.zeros((n, spec.out_channels, ho, wo), dtype=x.dtype)
@@ -187,6 +205,16 @@ def conv2d_transpose_forward(
         raise DimensionError(
             f"output extents {(ho, wo)} inconsistent with input extents {(h, w)}"
         )
+    if spec.is_pointwise:
+        g, s = spec.groups, spec.stride
+        yg = y.reshape(n, g, spec.out_channels // g, ho * wo)
+        xs = np.matmul(_pointwise_weight(spec).transpose(0, 2, 1), yg)
+        xs = xs.reshape(n, spec.in_channels, ho, wo).astype(y.dtype, copy=False)
+        if s == 1:
+            return xs
+        x = np.zeros((n, spec.in_channels, h, w), dtype=y.dtype)
+        x[:, :, ::s, ::s] = xs
+        return x
     p = spec.padding
     wk = spec.weight
     xp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=y.dtype)
@@ -227,6 +255,10 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
         raise DimensionError(
             f"weight-grad cotangent shape {gy.shape} != {(n, spec.out_channels, ho, wo)}"
         )
+    if spec.is_pointwise and spec.groups == 1:
+        s = spec.stride
+        gw = np.tensordot(gy, x[:, :, ::s, ::s], axes=([0, 2, 3], [0, 2, 3]))
+        return gw.reshape(spec.weight.shape).astype(spec.weight.dtype, copy=False)
     xp = _pad_input(x, spec.padding)
     gw = np.zeros_like(spec.weight)
     if spec.is_depthwise:

@@ -34,6 +34,10 @@ class ConstructionError(MsrnasError):
 class DegenerateOperatorError(MsrnasError):
     category = "degenerate-operator"
 
+    def __init__(self, message: str = "", *, handle=None):
+        super().__init__(message)
+        self.handle = handle  # the spectral handle at fault, when one is known
+
 
 class DegenerateInputError(MsrnasError):
     category = "degenerate-input"

@@ -3,8 +3,11 @@
 All four candidates are stacks of depthwise/pointwise convolutions in
 ReLU-Conv-BN order: separable convs apply the (depthwise, pointwise) pair
 twice with the stride on the first depthwise; dilated variants apply it once
-with dilation 2. The final pointwise convolution of each operator is the one
-whose stable rank scores the operator during derivation.
+with dilation 2. A candidate's first ReLU is not part of it: the cell applies
+it once to each state, and every candidate reading that state shares the
+result, so an operator's input is already rectified. The final pointwise
+convolution of each operator is the one whose stable rank scores the
+operator during derivation.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ class OpInstance(Module):
 
 
 class SepConv(OpInstance):
-    """(ReLU, depthwise kxk, pointwise 1x1, BN) applied twice."""
+    """(ReLU, depthwise kxk, pointwise 1x1, BN) applied twice; the input
+    arrives rectified, so only the second ReLU is applied here."""
 
     def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -85,12 +89,13 @@ class SepConv(OpInstance):
         self.conv_layers = [self.dw1, self.pw1, self.dw2, self.pw2]
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.pw1(self.dw1(ad.relu(x))))
+        out = self.bn1(self.pw1(self.dw1(x)))
         return self.bn2(self.pw2(self.dw2(ad.relu(out))))
 
 
 class DilConv(OpInstance):
-    """ReLU, dilated depthwise kxk (dilation 2), pointwise 1x1, BN."""
+    """ReLU, dilated depthwise kxk (dilation 2), pointwise 1x1, BN; the input
+    arrives rectified."""
 
     def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -111,7 +116,7 @@ class DilConv(OpInstance):
         self.conv_layers = [self.dw, self.pw]
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.pw(self.dw(ad.relu(x))))
+        return self.bn(self.pw(self.dw(x)))
 
 
 _KERNEL_SIZE = {

@@ -5,17 +5,31 @@ The power iteration alternates the convolution and its exact adjoint on a
 persistent unit vector; its estimate never exceeds the true spectral norm, so
 dividing by it is a safe normalizer and the resulting stable-rank figure is an
 over-estimate whose bias shrinks with the iteration count.
+
+Power iteration runs on groups of handles that share one geometry (channels,
+groups, kernel, stride, padding, dilation, input extents and dtype; see
+``conv_geometry``). A group of m convs is stacked as one block-diagonal conv
+with m times the output and input channels and m times the groups: member
+k's weights fill the k-th diagonal block and its vector the k-th channel
+slice of the input. One forward and one adjoint call of that conv advance
+every member by one iteration; norms and normalization stay per member, and
+so do the persistent vectors. A single handle is a group of one, so the
+stacked path is the only path. A grouped 1x1 stack is one batched matmul
+in ``convolution``; a depthwise stack is again depthwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
 from .errors import (
+    ArgumentError,
     CapacityError,
     ConfigError,
     DegenerateInputError,
@@ -67,6 +81,7 @@ class ConvHandle:
         self.in_hw = (int(in_hw[0]), int(in_hw[1]))
         self.name = name
         self.seed = seed
+        self.geometry = conv_geometry(spec, self.in_hw)
         self._vec: np.ndarray | None = None
 
     def _fresh_vector(self) -> np.ndarray:
@@ -90,60 +105,117 @@ class ConvHandle:
         self._vec = None
 
 
-def power_iteration(handle: ConvHandle, iterations: int) -> float:
-    """Estimate the spectral norm of the handle's conv by alternating the map
-    and its adjoint; returns ||c(a)|| for the final unit vector a.
+def conv_geometry(spec: ConvSpec, in_hw: tuple[int, int]) -> tuple:
+    """Everything but the weight values that fixes a conv's linear map."""
+    return (spec.out_channels, spec.in_channels, spec.groups, spec.kernel_h,
+            spec.kernel_w, spec.stride, spec.padding, spec.dilation,
+            (int(in_hw[0]), int(in_hw[1])), spec.weight.dtype.str)
 
-    The estimate is an under-estimate of the true norm and is non-decreasing
-    across iterations (Rayleigh-quotient ascent).
+
+def group_by_geometry(handles: Sequence[ConvHandle]) -> list[list[int]]:
+    """Indices of the handles grouped by geometry, groups and members in
+    first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for index, handle in enumerate(handles):
+        groups.setdefault(handle.geometry, []).append(index)
+    return list(groups.values())
+
+
+def _stacked_spec(handles: Sequence[ConvHandle]) -> ConvSpec:
+    """The block-diagonal conv whose k-th diagonal block is handle k's conv."""
+    spec = handles[0].spec
+    m = len(handles)
+    if m == 1:
+        return spec
+    return dataclasses.replace(
+        spec,
+        out_channels=m * spec.out_channels,
+        in_channels=m * spec.in_channels,
+        groups=m * spec.groups,
+        weight=np.concatenate([handle.spec.weight for handle in handles]),
+    )
+
+
+def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarray:
+    """Estimate the spectral norm of every handle's conv by alternating the
+    map and its adjoint; returns ||c(a)|| per handle for its final unit
+    vector a, as float64.
+
+    The handles must share one geometry. Their convs run stacked as one
+    block-diagonal conv, one forward and one adjoint call per iteration,
+    with norms taken per member, so each member's iterates are those of a
+    run on its own. Each estimate is an under-estimate of the true norm and
+    is non-decreasing across iterations (Rayleigh-quotient ascent).
     """
-    spec = handle.spec
-    if not np.any(spec.weight):
-        raise DegenerateOperatorError(
-            f"all-zero kernel in {handle.name}: spectral norm undefined for "
-            "power iteration"
-        )
-    a = handle.vector
-    restarted = False
+    first = handles[0]
+    for handle in handles:
+        if handle.geometry != first.geometry:
+            raise ArgumentError(
+                f"power iteration group mixes the geometries of {first.name} "
+                f"and {handle.name}"
+            )
+        if not np.any(handle.spec.weight):
+            raise DegenerateOperatorError(
+                f"all-zero kernel in {handle.name}: spectral norm undefined for "
+                "power iteration", handle=handle,
+            )
+    m = len(handles)
+    spec = _stacked_spec(handles)
+    vec_shape = (1, first.spec.in_channels) + first.in_hw
+    in_shape = (1, spec.in_channels) + first.in_hw
+    out_shape = (1, spec.out_channels) + spec.out_hw(*first.in_hw)
+    # Row k of a (and of b) is member k's iterate.
+    a = np.concatenate([handle.vector.reshape(1, -1) for handle in handles])
+    restarted: set[int] = set()
     i = 0
     while i < iterations:
-        b = conv2d_forward(a, spec)
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            # a landed in the null space; one reseed is enough for any
-            # nonzero kernel outside measure-zero cases.
-            if restarted:
-                raise DegenerateOperatorError(
-                    f"power iteration collapsed twice in {handle.name}"
-                )
-            handle.reset()
-            a = handle.vector
-            restarted = True
+        b = conv2d_forward(a.reshape(in_shape), spec).reshape(m, -1)
+        nb = np.linalg.norm(b, axis=1)
+        collapsed = np.flatnonzero(nb == 0.0)
+        if collapsed.size:
+            # a member's vector landed in its null space; one reseed is enough
+            # for any nonzero kernel outside measure-zero cases. The others
+            # keep their iterates and repeat this iteration unchanged.
+            for k in collapsed:
+                if k in restarted:
+                    raise DegenerateOperatorError(
+                        f"power iteration collapsed twice in {handles[k].name}",
+                        handle=handles[k],
+                    )
+                handles[k].reset()
+                a[k] = handles[k].vector.reshape(-1)
+                restarted.add(k)
             continue
-        b /= nb
-        a = conv2d_transpose_forward(b, spec, input_hw=handle.in_hw)
-        na = np.linalg.norm(a)
-        if na == 0.0:
+        b /= nb[:, None]
+        a = conv2d_transpose_forward(b.reshape(out_shape), spec,
+                                     input_hw=first.in_hw).reshape(m, -1)
+        na = np.linalg.norm(a, axis=1)
+        for k in np.flatnonzero(na == 0.0):
             raise DegenerateOperatorError(
-                f"adjoint iterate vanished in {handle.name}"
+                f"adjoint iterate vanished in {handles[k].name}", handle=handles[k]
             )
-        a /= na
+        a /= na[:, None]
         i += 1
-    handle.vector = a
-    return float(np.linalg.norm(conv2d_forward(a, spec)))
+    for k, handle in enumerate(handles):
+        handle.vector = a[k].reshape(vec_shape)
+    out = conv2d_forward(a.reshape(in_shape), spec).reshape(m, -1)
+    return np.linalg.norm(out, axis=1).astype(np.float64)
 
 
-def spectral_norm_adjust(handle: ConvHandle, cfg: SpectralConfig) -> np.ndarray:
-    """Rescale the conv's weight in place so its spectral norm estimate equals
-    the configured constant; returns the adjusted weight array."""
-    sigma = power_iteration(handle, cfg.iterations)
-    if sigma == 0.0:
-        raise DegenerateOperatorError(
-            f"zero spectral-norm estimate in {handle.name}"
-        )
-    scale = cfg.target_norm / sigma
-    handle.spec.weight *= scale
-    return handle.spec.weight
+def spectral_norm_adjust(handles: ConvHandle | Sequence[ConvHandle],
+                         cfg: SpectralConfig) -> None:
+    """Rescale each conv's weight in place so its spectral-norm estimate
+    equals the configured constant. A single handle is a group of one."""
+    if isinstance(handles, ConvHandle):
+        handles = [handles]
+    sigmas = power_iteration(handles, cfg.iterations)
+    for handle, sigma in zip(handles, sigmas):
+        if sigma == 0.0:
+            raise DegenerateOperatorError(
+                f"zero spectral-norm estimate in {handle.name}", handle=handle
+            )
+    for handle, sigma in zip(handles, sigmas):
+        handle.spec.weight *= cfg.target_norm / float(sigma)
 
 
 def frobenius_norm_of_map(spec: ConvSpec, input_hw: tuple[int, int],
@@ -176,26 +248,45 @@ def frobenius_norm_of_map(spec: ConvSpec, input_hw: tuple[int, int],
     return float(np.sqrt(total))
 
 
-def stable_rank(spec: ConvSpec, input_hw: tuple[int, int],
-                cfg: SpectralConfig) -> float:
-    """Squared Frobenius over squared spectral norm of the matrix view.
+def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int],
+                cfg: SpectralConfig) -> tuple[list[float | None], np.ndarray]:
+    """Squared Frobenius over squared spectral norm of the matrix view of each
+    conv, for convs of one geometry at input extents ``input_hw``.
 
-    Uses a cold-start power iteration with the config seed so repeated calls
-    are deterministic. The raw ratio over-estimates the true stable rank
-    (the spectral norm is under-estimated); in matrix mode the result is
-    clipped to the feasible range [1, min(rows, cols)], which can only
-    reduce the estimation error.
+    Returns the stable ranks, None for a degenerate conv, and the spectral
+    norm estimates they divide by, NaN for a degenerate conv. The estimates
+    come from one grouped cold-start power iteration in which every probe
+    starts from the same config-seeded vector, so repeated calls are
+    deterministic and a conv's result does not depend on its group. A
+    degenerate conv leaves the group and the rest are iterated again. The
+    raw ratio over-estimates the true stable rank (the spectral norm is
+    under-estimated); in matrix mode the result is clipped to the feasible
+    range [1, min(rows, cols)], which can only reduce the estimation error.
     """
-    handle = ConvHandle(spec, input_hw, seed=cfg.seed, name="stable-rank-probe")
-    sigma = power_iteration(handle, cfg.rank_iterations)
-    if sigma == 0.0:
-        raise DegenerateOperatorError("zero spectral-norm estimate")
-    fro = frobenius_norm_of_map(spec, input_hw, mode=cfg.frobenius_mode)
-    ratio = (fro / sigma) ** 2
-    if cfg.frobenius_mode == FROBENIUS_KERNEL:
-        return float(ratio)
-    rows, cols = spec.matrix_shape(*input_hw)
-    return float(min(max(ratio, 1.0), float(min(rows, cols))))
+    probes = [ConvHandle(spec, input_hw, seed=cfg.seed, name="stable-rank-probe")
+              for spec in specs]
+    sigmas = np.full(len(probes), np.nan)
+    live = list(range(len(probes)))
+    while live:
+        try:
+            sigmas[live] = power_iteration([probes[k] for k in live],
+                                           cfg.rank_iterations)
+            break
+        except DegenerateOperatorError as exc:
+            live.remove(probes.index(exc.handle))
+    ranks: list[float | None] = []
+    for spec, sigma in zip(specs, sigmas):
+        if not sigma > 0.0:
+            ranks.append(None)
+            continue
+        fro = frobenius_norm_of_map(spec, input_hw, mode=cfg.frobenius_mode)
+        ratio = (fro / float(sigma)) ** 2
+        if cfg.frobenius_mode == FROBENIUS_KERNEL:
+            ranks.append(float(ratio))
+            continue
+        rows, cols = spec.matrix_shape(*input_hw)
+        ranks.append(float(min(max(ratio, 1.0), float(min(rows, cols)))))
+    return ranks, sigmas
 
 
 def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],

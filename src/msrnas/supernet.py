@@ -20,7 +20,6 @@ from .autodiff import Tensor, no_grad
 from .derive import CELL_TYPES, Genotype, RankTable, cell_edges, intermediate_nodes
 from .errors import (
     ConstructionError,
-    DegenerateOperatorError,
     DimensionError,
     GenotypeError,
     StateError,
@@ -34,7 +33,14 @@ from .operators import (
     ReLUConvBN,
     build_operator,
 )
-from .spectral import ConvHandle, SpectralConfig, spectral_norm_adjust, stable_rank
+from .spectral import (
+    ConvHandle,
+    SpectralConfig,
+    frobenius_norm_of_map,
+    group_by_geometry,
+    spectral_norm_adjust,
+    stable_rank,
+)
 
 STEM_MULTIPLIER = 3
 
@@ -80,9 +86,7 @@ class FinTag:
 
 
 class MixedEdge(Module):
-    """Sum of all candidate operators with immutable unit mixing weights."""
-
-    ALPHA = 1.0  # fixed; candidate mixing is not learned
+    """Unit-weight sum of all candidate operators; mixing is not learned."""
 
     def __init__(self, channels: int, stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -94,11 +98,8 @@ class MixedEdge(Module):
             self.add_module(f"op_{kind.value}", op)
             self.ops.append(op)
 
-    @property
-    def alpha(self) -> float:
-        return self.ALPHA
-
     def forward(self, x: Tensor) -> Tensor:
+        """``x`` is the ReLU of the edge's source state (see MixedCell)."""
         total = self.ops[0](x)
         for op in self.ops[1:]:
             total = total + op(x)
@@ -142,13 +143,20 @@ class MixedCell(Module):
         self.out_channels = channels * cfg.multiplier
 
     def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
+        # Every op starts with a ReLU of its source state; it is applied once
+        # per state and shared by every edge leaving it. The last state feeds
+        # only the output concat.
         states = [self.pre0(s0), self.pre1(s1)]
+        relu_states = [ad.relu(s) for s in states]
+        last = intermediate_nodes(self.nodes)[-1]
         for j in intermediate_nodes(self.nodes):
             total = None
             for i in range(j):
-                contribution = self.edges[(i, j)](states[i])
+                contribution = self.edges[(i, j)](relu_states[i])
                 total = contribution if total is None else total + contribution
             states.append(total)
+            if j != last:
+                relu_states.append(ad.relu(total))
         return ad.concat(states[2:], axis=1)
 
 
@@ -186,10 +194,18 @@ class DiscreteCell(Module):
         self.out_channels = channels * cfg.multiplier
 
     def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
+        # As in MixedCell: one ReLU per state that some pick reads.
         states = [self.pre0(s0), self.pre1(s1)]
+        relu_states: dict[int, Tensor] = {}
+
+        def relu_of(i: int) -> Tensor:
+            if i not in relu_states:
+                relu_states[i] = ad.relu(states[i])
+            return relu_states[i]
+
         for node_ops in self.picks:
             (i_a, op_a), (i_b, op_b) = node_ops
-            states.append(op_a(states[i_a]) + op_b(states[i_b]))
+            states.append(op_a(relu_of(i_a)) + op_b(relu_of(i_b)))
         return ad.concat(states[2:], axis=1)
 
 
@@ -268,6 +284,13 @@ class Supernet(_NetworkBase):
         self.handles: list[ConvHandle] = []
         self.fin_tags: list[FinTag] = []
         self._register_handles()
+        # Power iteration runs once per geometry group (see spectral.py).
+        self.handle_groups: list[list[ConvHandle]] = [
+            [self.handles[i] for i in group]
+            for group in group_by_geometry(self.handles)
+        ]
+        self.fin_groups: list[list[int]] = group_by_geometry(
+            [tag.handle for tag in self.fin_tags])
 
     def _register_handles(self) -> None:
         for name, module in self._walk_convs():
@@ -307,8 +330,8 @@ class Supernet(_NetworkBase):
                 rank_iterations=max(cfg.rank_iterations, iterations),
                 seed=cfg.seed, frobenius_mode=cfg.frobenius_mode,
             )
-        for handle in self.handles:
-            spectral_norm_adjust(handle, cfg)
+        for group in self.handle_groups:
+            spectral_norm_adjust(group, cfg)
         self._adjusted_step = self._step
 
     def forward(self, x: Tensor) -> Tensor:
@@ -364,22 +387,34 @@ def collect_rank_table(net: Supernet, cfg: SpectralConfig | None = None, *,
     Degenerate convolutions flag their whole (type, edge, operator) entry.
     Also records the per-cell values on the table for reporting.
     """
-    cfg = cfg or net.spectral_cfg
+    return _measure_fin_convs(net, cfg or net.spectral_cfg, epoch)[0]
+
+
+def _measure_fin_convs(net: Supernet, cfg: SpectralConfig,
+                       epoch: int) -> tuple[RankTable, np.ndarray]:
+    """The rank table and the spectral-norm estimate of every final conv
+    (NaN where degenerate, in ``fin_tags`` order), from one cold grouped
+    pass per geometry group."""
     present = {cell.cell_type for cell in net.cells}
     missing = [t for t in CELL_TYPES if t not in present]
     if missing:
         raise StateError(
             f"cannot build a complete rank table: no cells of type {missing}"
         )
-    groups: dict[tuple[str, tuple[int, int], str], list[tuple[int, float | None]]] = {}
+    ranks: list[float | None] = [None] * len(net.fin_tags)
+    sigmas = np.full(len(net.fin_tags), np.nan)
     with no_grad():
-        for tag in net.fin_tags:
-            key = (tag.cell_type, tag.edge, tag.kind.value)
-            try:
-                value = stable_rank(tag.handle.spec, tag.handle.in_hw, cfg)
-            except DegenerateOperatorError:
-                value = None
-            groups.setdefault(key, []).append((tag.cell_index, value))
+        for group in net.fin_groups:
+            handles = [net.fin_tags[i].handle for i in group]
+            values, estimates = stable_rank([h.spec for h in handles],
+                                            handles[0].in_hw, cfg)
+            for i, value, sigma in zip(group, values, estimates):
+                ranks[i] = value
+                sigmas[i] = sigma
+    groups: dict[tuple[str, tuple[int, int], str], list[tuple[int, float | None]]] = {}
+    for tag, value in zip(net.fin_tags, ranks):
+        key = (tag.cell_type, tag.edge, tag.kind.value)
+        groups.setdefault(key, []).append((tag.cell_index, value))
     table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=cfg.seed,
                       rank_iterations=cfg.rank_iterations, per_cell={})
     for key, cells in groups.items():
@@ -390,42 +425,33 @@ def collect_rank_table(net: Supernet, cfg: SpectralConfig | None = None, *,
             table.set(*key, float(np.mean(values)))
         table.per_cell[key] = sorted(cells)
     table.require_complete()
-    return table
+    return table, sigmas
 
 
 def conv_rank_report(net: Supernet, cfg: SpectralConfig | None = None, *,
                      epoch: int = 0) -> str:
-    """Structured text report: averaged and per-cell ranks, fresh spectral-norm
-    estimates and Frobenius norms for every candidate's final conv."""
-    from .spectral import ConvHandle as _Handle
-    from .spectral import frobenius_norm_of_map, power_iteration
-
+    """Structured text report: averaged and per-cell ranks, spectral-norm
+    estimates and Frobenius norms for every candidate's final conv. The
+    estimates are those the rank table divides by."""
     cfg = cfg or net.spectral_cfg
-    table = collect_rank_table(net, cfg, epoch=epoch)
+    table, sigmas = _measure_fin_convs(net, cfg, epoch)
     lines = [
         "# msrnas conv rank report",
         f"meta epoch {epoch}",
         f"meta rank_iterations {cfg.rank_iterations}",
     ]
     detail: dict[tuple, list[str]] = {}
-    with no_grad():
-        for tag in net.fin_tags:
-            probe = _Handle(tag.handle.spec, tag.handle.in_hw, seed=cfg.seed,
-                            name="report-probe")
-            try:
-                sigma = power_iteration(probe, cfg.rank_iterations)
-            except DegenerateOperatorError:
-                sigma = float("nan")
-            fro = frobenius_norm_of_map(tag.handle.spec, tag.handle.in_hw,
-                                        mode=cfg.frobenius_mode)
-            key = (tag.cell_type, tag.edge, tag.kind.value)
-            ranks = dict(table.per_cell[key])
-            rank = ranks.get(tag.cell_index)
-            rank_text = "degenerate" if rank is None else f"{rank:.6g}"
-            detail.setdefault(key, []).append(
-                f"  cell={tag.cell_index} rank={rank_text} "
-                f"sigma={sigma:.6g} fro={fro:.6g}"
-            )
+    for tag, sigma in zip(net.fin_tags, sigmas):
+        fro = frobenius_norm_of_map(tag.handle.spec, tag.handle.in_hw,
+                                    mode=cfg.frobenius_mode)
+        key = (tag.cell_type, tag.edge, tag.kind.value)
+        ranks = dict(table.per_cell[key])
+        rank = ranks.get(tag.cell_index)
+        rank_text = "degenerate" if rank is None else f"{rank:.6g}"
+        detail.setdefault(key, []).append(
+            f"  cell={tag.cell_index} rank={rank_text} "
+            f"sigma={sigma:.6g} fro={fro:.6g}"
+        )
     for cell_type in CELL_TYPES:
         for edge in cell_edges(net.cfg.nodes):
             for kind in OPERATOR_ORDER:

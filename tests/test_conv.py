@@ -189,3 +189,72 @@ def test_weight_grad_matches_matrix_form(rng):
                       spec.groups, weight=w_minus)
         num = ((conv2d_forward(x, sp) - conv2d_forward(x, sm)) * gy).sum() / (2 * eps)
         assert abs(gw[idx] - num) < 1e-6 * max(1.0, abs(num))
+
+
+# (out, in, groups, stride, h, w): the single-matmul 1x1 path, with channel
+# groups, stride 2 and odd extents whose last row/column is not sampled.
+POINTWISE_CASES = [
+    (6, 4, 2, 2, 7, 5),
+    (3, 5, 1, 2, 9, 7),
+    (9, 6, 3, 1, 5, 3),
+    (4, 4, 4, 3, 7, 8),
+]
+
+
+@pytest.mark.parametrize("case", POINTWISE_CASES)
+def test_pointwise_matches_naive_and_matrix_transpose(rng, case):
+    o, c, g, s, h, w = case
+    spec = ConvSpec(o, c, 1, 1, stride=s, groups=g,
+                    weight=rng.standard_normal((o, c // g, 1, 1)))
+    assert spec.is_pointwise
+    x = rng.standard_normal((3, c, h, w))
+    np.testing.assert_allclose(conv2d_forward(x, spec), naive_conv2d(x, spec),
+                               atol=1e-12)
+    m = materialize_conv_matrix(spec, (h, w))
+    b = rng.standard_normal((3, o) + spec.out_hw(h, w))
+    expected = (m.T @ b.reshape(3, -1).T).T.reshape(3, c, h, w)
+    np.testing.assert_allclose(conv2d_transpose_forward(b, spec, input_hw=(h, w)),
+                               expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", POINTWISE_CASES)
+def test_pointwise_gradients_match_finite_differences(rng, case):
+    from conftest import central_difference, relative_error
+
+    o, c, g, s, h, w = case
+    x = Tensor(rng.standard_normal((2, c, h, w)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((o, c // g, 1, 1)), requires_grad=True)
+    target = rng.standard_normal((2, o, (h - 1) // s + 1, (w - 1) // s + 1))
+
+    def loss_tensor():
+        diff = conv2d(x, weight, stride=s, groups=g) - target
+        return (diff * diff).sum()
+
+    loss_tensor().backward()
+    for t in (x, weight):
+        for flat in rng.choice(t.data.size, size=min(8, t.data.size), replace=False):
+            idx = np.unravel_index(flat, t.data.shape)
+            num = central_difference(lambda: float(loss_tensor().data), t.data, idx, 1e-6)
+            assert relative_error(t.grad[idx], num) < 1e-5
+
+
+def test_pointwise_float32_matches_tap_loop(rng):
+    # The same map through the tap loop: a 1x1 kernel zero-padded to 3x3
+    # with padding 1 and the centre tap carrying the weights.
+    w1 = rng.standard_normal((8, 6, 1, 1)).astype(np.float32)
+    w3 = np.zeros((8, 6, 3, 3), dtype=np.float32)
+    w3[:, :, 1, 1] = w1[:, :, 0, 0]
+    pw = ConvSpec(8, 6, 1, 1, stride=2, weight=w1)
+    tap = ConvSpec(8, 6, 3, 3, stride=2, padding=1, weight=w3)
+    x = rng.standard_normal((4, 6, 9, 9)).astype(np.float32)
+    y = conv2d_forward(x, pw)
+    assert y.dtype == np.float32
+    np.testing.assert_allclose(y, conv2d_forward(x, tap), rtol=1e-5, atol=1e-5)
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    np.testing.assert_allclose(conv2d_transpose_forward(gy, pw, input_hw=(9, 9)),
+                               conv2d_transpose_forward(gy, tap, input_hw=(9, 9)),
+                               rtol=1e-5, atol=1e-5)
+    gw = conv2d_weight_grad(x, gy, pw)
+    assert gw.shape == w1.shape and gw.dtype == np.float32
+    np.testing.assert_allclose(gw[:, :, 0, 0], conv2d_weight_grad(x, gy, tap)[:, :, 1, 1],
+                               rtol=1e-4, atol=1e-4)

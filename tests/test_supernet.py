@@ -98,12 +98,68 @@ def test_mixed_edge_zeroed_ops_leave_remaining(small_net):
     net.train()
 
 
-def test_mixed_edge_alpha_fixed(small_net):
+def test_mixed_edge_unit_weights(small_net):
+    # A stride-2 edge of the reduction cell: the output is the plain sum of
+    # the candidates' outputs, each with weight one, in operator order.
     _, net = small_net
-    edge = net.cells[0].edges[(0, 2)]
-    assert edge.alpha == 1.0
-    with pytest.raises(AttributeError):
-        edge.alpha = 0.5
+    rng = np.random.default_rng(6)
+    edge = net.cells[1].edges[(0, 2)]
+    assert edge.stride == 2
+    x = Tensor(rng.standard_normal((2, 16, 16, 16)).astype(np.float32))
+    net.eval()
+    with no_grad():
+        total = edge(x)
+        parts = [op(x).data for op in edge.ops]
+    net.train()
+    expected = parts[0]
+    for part in parts[1:]:
+        expected = expected + part
+    np.testing.assert_array_equal(total.data, expected)
+
+
+def relu_inputs(out: Tensor) -> list[Tensor]:
+    """Input tensor of every ReLU node in the graph that produced ``out``."""
+    seen, stack, inputs = set(), [out], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backward is not None and t._backward.__qualname__.startswith("relu."):
+            inputs.append(t._parents[0])
+        stack.extend(t._parents)
+    return inputs
+
+
+def test_cells_apply_one_relu_per_state(small_net):
+    from msrnas.derive import Genotype, intermediate_nodes
+
+    _, net = small_net
+    rng = np.random.default_rng(7)
+    cell = net.cells[0]
+    s0 = Tensor(rng.standard_normal((2, 24, 16, 16)).astype(np.float32),
+                requires_grad=True)
+    s1 = Tensor(rng.standard_normal((2, 24, 16, 16)).astype(np.float32),
+                requires_grad=True)
+    inputs = relu_inputs(cell(s0, s1))
+    assert len({id(t) for t in inputs}) == len(inputs)
+    # 2 preprocessing ReLUs, one per state read by an edge (x0, x1, x2), and
+    # the inner ReLU of the two separable convs on each of the 5 edges.
+    assert len(inputs) == 2 + 3 + 2 * 5
+
+    cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(16, 16))
+    rows = [[("sep3", 0), ("dil3", 1)] for _ in intermediate_nodes(5)]
+    geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                    normal=[list(r) for r in rows], reduce=[list(r) for r in rows])
+    disc = build_discrete_network(geno, cfg, dtype=np.float32, seed=9)
+    s = Tensor(rng.standard_normal((2, 12, 16, 16)).astype(np.float32),
+               requires_grad=True)
+    t = Tensor(rng.standard_normal((2, 12, 16, 16)).astype(np.float32),
+               requires_grad=True)
+    inputs = relu_inputs(disc.cells[0](s, t))
+    assert len({id(t) for t in inputs}) == len(inputs)
+    # 2 preprocessing, x0 and x1 once each, one inner ReLU per sep3 pick.
+    assert len(inputs) == 2 + 2 + 2
 
 
 def test_forward_requires_adjustment_each_step(small_net):
@@ -236,10 +292,22 @@ def test_rank_table_mean_of_identical_cells():
 def test_rank_table_degenerate_entry_flagged():
     cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(8, 8))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=4)
+    intact = collect_rank_table(net)
     tag = net.fin_tags[0]
+    # The zeroed conv shares its geometry group with the cell's other final
+    # convs; only its own entry may change.
+    assert len(next(g for g in net.fin_groups if 0 in g)) > 1
     tag.handle.spec.weight[...] = 0.0
     table = collect_rank_table(net)
-    assert table.entries[(tag.cell_type, tag.edge, tag.kind.value)] is None
+    key = (tag.cell_type, tag.edge, tag.kind.value)
+    assert table.entries[key] is None
+    assert dict(table.per_cell[key])[tag.cell_index] is None
+    for other, cells in table.per_cell.items():
+        for (cell, value), (_, before) in zip(cells, intact.per_cell[other]):
+            if (other, cell) != (key, tag.cell_index):
+                assert value == pytest.approx(before, rel=1e-12)
+        if other != key:
+            assert table.entries[other] == pytest.approx(intact.entries[other], rel=1e-12)
     geno = derive_genotype(table, mode=SelectionMode.MIN_STABLE_RANK)
     geno.validate()
 
@@ -267,7 +335,7 @@ def test_spectral_constraint_after_adjustment(small_net):
         probe_cfg = SpectralConfig(seed=123)
         from msrnas.spectral import ConvHandle
         probe = ConvHandle(handle.spec, handle.in_hw, seed=99, name="probe")
-        sigma = power_iteration(probe, 50)
+        sigma = power_iteration([probe], 50)[0]
         assert abs(sigma - cfg.target_norm) <= 0.01 * cfg.target_norm
 
 
