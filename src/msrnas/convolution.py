@@ -1,38 +1,33 @@
 """Dense 2-d convolution (cross-correlation), its exact adjoint, and shape math.
 
 The array-level routines work on plain numpy NCHW arrays; ``conv2d`` wraps the
-forward pass as a differentiable graph op. Compute is organized tap by tap:
-for each kernel position, a strided view of the (padded) input is contracted
-against that tap's weights, which keeps temporaries at activation size and
-turns the channel mixing into stacked GEMMs. A 1x1 kernel without padding
-has a single tap: its forward and adjoint are one ``np.matmul`` over the
-channel groups and its groups-1 weight gradient one ``tensordot``. The
-adjoint implemented by ``conv2d_transpose_forward`` scatter-adds through the
-same views and is exact with respect to the forward map, including zero
-padding, striding, dilation and channel groups; the spectral-norm power
-iteration and the backward pass both rely on that.
+forward pass as a differentiable graph op. A 1x1 kernel without padding is one
+``np.matmul`` over the channel groups (its weight gradient one batched
+``matmul`` over the batch, then a sum over it). Every other conv, with ``g``
+groups of ``cg`` inputs and ``og`` outputs, padded width ``wp``, stride ``s``
+and dilation ``d``, runs as one batched GEMM per kernel row k (row-band GEMM):
+the padded input rows ``y*s + k*d``, copied out as ``A_k`` (g, n*ho, cg*wp),
+meet the band matrix ``T_k`` (g, cg*wp, og*wo) whose only nonzeros are
+``T_k[(c, x*s + l*d), (o, x)] = w[o, c, k, l]``, kernel row k repeated down
+the diagonals. The forward is ``sum_k A_k @ T_k``; the adjoint adds
+``G @ T_k^T`` back onto rows ``y*s + k*d``; the weight gradient sums the band
+diagonals of ``A_k^T @ G`` over x. A row's copy is about the input's size,
+not kh*kw times it. ``T_k`` has ``g*cg*og*wp*wo`` entries, which stays small
+because the only dense kxk conv in the network is the 3-channel stem (the
+depthwise convs have cg = og = 1). The adjoint is exact with respect to the
+forward map, including padding, striding, dilation and groups; the power
+iteration and the backward pass rely on that. Every routine returns a
+C-contiguous array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .autodiff import Tensor, _make
 from .errors import ConstructionError, DimensionError
-
-
-@lru_cache(maxsize=512)
-def _einsum_path(equation: str, *shapes: tuple):
-    dummies = [np.empty(s, dtype=np.float32) for s in shapes]
-    return np.einsum_path(equation, *dummies, optimize="optimal")[0]
-
-
-def _einsum(equation: str, *operands: np.ndarray) -> np.ndarray:
-    path = _einsum_path(equation, *(op.shape for op in operands))
-    return np.einsum(equation, *operands, optimize=path)
 
 
 @dataclass
@@ -121,16 +116,54 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _tap_slices(spec: ConvSpec, k: int, l: int, ho: int, wo: int) -> tuple[slice, slice]:
-    s, d = spec.stride, spec.dilation
-    return (slice(k * d, k * d + (ho - 1) * s + 1, s),
-            slice(l * d, l * d + (wo - 1) * s + 1, s))
-
-
 def _pointwise_weight(spec: ConvSpec) -> np.ndarray:
     """A 1x1 kernel as its per-group channel matrices, shape (g, out/g, in/g)."""
     g = spec.groups
     return spec.weight.reshape(g, spec.out_channels // g, spec.in_channels // g)
+
+
+def _input_rows(x: np.ndarray, spec: ConvSpec, ho: int):
+    """Yield ``A_k`` for k = 0, 1, ...: the padded input rows ``y*s + k*d``
+    (y < ho) as (g, n*ho, cg*wp), in one buffer reused across k."""
+    xp = _pad_input(x, spec.padding)
+    n, c, _, wp = xp.shape
+    g, s = spec.groups, spec.stride
+    rows = np.empty((g, n, ho, c // g, wp), dtype=x.dtype)
+    for k in range(spec.kernel_h):
+        start = k * spec.dilation
+        view = xp[:, :, start: start + (ho - 1) * s + 1: s]
+        rows[...] = view.reshape(n, g, c // g, ho, wp).transpose(1, 0, 3, 2, 4)
+        yield rows.reshape(g, n * ho, c // g * wp)
+
+
+def _output_rows(y: np.ndarray, groups: int) -> np.ndarray:
+    """An (n, O, ho, wo) output or cotangent as the (g, n*ho, og*wo) GEMM
+    operand (a copy)."""
+    n, o, ho, wo = y.shape
+    yg = y.reshape(n, groups, o // groups, ho, wo).transpose(1, 0, 3, 2, 4)
+    return np.ascontiguousarray(yg).reshape(groups, n * ho, o // groups * wo)
+
+
+def _band_index(spec: ConvSpec, wo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output columns x, shape (wo,), and the padded input column
+    ``x*s + l*d`` that tap l reads at each, shape (kw, wo)."""
+    cols = np.arange(wo)
+    taps = cols * spec.stride + np.arange(spec.kernel_w)[:, None] * spec.dilation
+    return cols, taps
+
+
+def _band_matrices(spec: ConvSpec, wp: int, wo: int, dtype) -> np.ndarray:
+    """``T_k`` for every kernel row k, shape (kh, g, cg*wp, og*wo), with
+    ``T_k[grp, (c, x*s + l*d), (o, x)] = w[grp*og + o, c, k, l]`` and zeros
+    elsewhere."""
+    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    cols, taps = _band_index(spec, wo)
+    band = np.zeros((kh, g, cg, wp, og, wo), dtype=dtype)
+    # Indexed this way the band's entries come out as (kw, wo, kh, g, cg, og).
+    taps_first = spec.weight.reshape(g, og, cg, kh, kw).transpose(4, 3, 0, 2, 1)
+    band[:, :, :, taps, :, cols] = taps_first[:, None]
+    return band.reshape(kh, g, cg * wp, og * wo)
 
 
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
@@ -148,37 +181,23 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     _check_input(x, spec)
     n = x.shape[0]
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
+    g = spec.groups
     if spec.is_pointwise:
-        g, s = spec.groups, spec.stride
+        s = spec.stride
         xs = x[:, :, ::s, ::s].reshape(n, g, spec.in_channels // g, ho * wo)
         out = np.matmul(_pointwise_weight(spec), xs)
         return out.reshape(n, spec.out_channels, ho, wo).astype(x.dtype, copy=False)
-    xp = _pad_input(x, spec.padding)
-    w = spec.weight
-    out = np.zeros((n, spec.out_channels, ho, wo), dtype=x.dtype)
-    if spec.is_depthwise:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                out += xp[:, :, sh, sw] * w[:, 0, k, l][None, :, None, None]
-    elif spec.groups == 1:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                out += _einsum("ncyx,oc->noyx", xp[:, :, sh, sw], w[:, :, k, l])
-    else:
-        g = spec.groups
-        cg = spec.in_channels // g
-        og = spec.out_channels // g
-        wg = w.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
-        outg = out.reshape(n, g, og, ho, wo)
-        xpg = xp.reshape(n, g, cg, *xp.shape[2:])
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                outg += _einsum("ngcyx,goc->ngoyx", xpg[:, :, :, sh, sw],
-                                wg[:, :, :, k, l])
-    return out
+    og = spec.out_channels // g
+    band = _band_matrices(spec, x.shape[3] + 2 * spec.padding, wo, x.dtype)
+    acc = np.empty((g, n * ho, og * wo), dtype=x.dtype)
+    prod = np.empty_like(acc)
+    for k, rows in enumerate(_input_rows(x, spec, ho)):
+        np.matmul(rows, band[k], out=acc if k == 0 else prod)
+        if k:
+            acc += prod
+    del rows, prod  # free before the output copy, to bound the peak
+    out = acc.reshape(g, n, ho, og, wo).transpose(1, 0, 3, 2, 4)
+    return np.ascontiguousarray(out).reshape(n, spec.out_channels, ho, wo)
 
 
 def conv2d_transpose_forward(
@@ -205,8 +224,9 @@ def conv2d_transpose_forward(
         raise DimensionError(
             f"output extents {(ho, wo)} inconsistent with input extents {(h, w)}"
         )
+    g = spec.groups
     if spec.is_pointwise:
-        g, s = spec.groups, spec.stride
+        s = spec.stride
         yg = y.reshape(n, g, spec.out_channels // g, ho * wo)
         xs = np.matmul(_pointwise_weight(spec).transpose(0, 2, 1), yg)
         xs = xs.reshape(n, spec.in_channels, ho, wo).astype(y.dtype, copy=False)
@@ -215,34 +235,21 @@ def conv2d_transpose_forward(
         x = np.zeros((n, spec.in_channels, h, w), dtype=y.dtype)
         x[:, :, ::s, ::s] = xs
         return x
-    p = spec.padding
-    wk = spec.weight
-    xp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=y.dtype)
-    if spec.is_depthwise:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                xp[:, :, sh, sw] += y * wk[:, 0, k, l][None, :, None, None]
-    elif spec.groups == 1:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                xp[:, :, sh, sw] += _einsum("noyx,oc->ncyx", y, wk[:, :, k, l])
-    else:
-        g = spec.groups
-        cg = spec.in_channels // g
-        og = spec.out_channels // g
-        wg = wk.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
-        yg = y.reshape(n, g, og, ho, wo)
-        xpg = xp.reshape(n, g, cg, *xp.shape[2:])
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                xpg[:, :, :, sh, sw] += _einsum("ngoyx,goc->ngcyx", yg,
-                                                wg[:, :, :, k, l])
-    if p == 0:
-        return xp
-    return np.ascontiguousarray(xp[:, :, p: p + h, p: p + w])
+    p, s, d = spec.padding, spec.stride, spec.dilation
+    hp, wp = h + 2 * p, w + 2 * p
+    cg = spec.in_channels // g
+    band = _band_matrices(spec, wp, wo, y.dtype)
+    gy = _output_rows(y, g)
+    # Accumulated group-major, as (g, n, hp, cg*wp), so that each row-band
+    # product lands on a plain slice of rows.
+    xg = np.zeros((g, n, hp, cg * wp), dtype=y.dtype)
+    prod = np.empty((g, n * ho, cg * wp), dtype=y.dtype)
+    for k in range(spec.kernel_h):
+        np.matmul(gy, band[k].transpose(0, 2, 1), out=prod)
+        xg[:, :, k * d: k * d + (ho - 1) * s + 1: s] += prod.reshape(g, n, ho, cg * wp)
+    del gy, prod
+    x = xg.reshape(g, n, hp, cg, wp)[:, :, p: p + h, :, p: p + w].transpose(1, 0, 3, 2, 4)
+    return np.ascontiguousarray(x).reshape(n, spec.in_channels, h, w)
 
 
 def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -255,52 +262,31 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
         raise DimensionError(
             f"weight-grad cotangent shape {gy.shape} != {(n, spec.out_channels, ho, wo)}"
         )
-    if spec.is_pointwise and spec.groups == 1:
+    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    if spec.is_pointwise:
         s = spec.stride
-        gw = np.tensordot(gy, x[:, :, ::s, ::s], axes=([0, 2, 3], [0, 2, 3]))
-        return gw.reshape(spec.weight.shape).astype(spec.weight.dtype, copy=False)
-    xp = _pad_input(x, spec.padding)
-    gw = np.zeros_like(spec.weight)
-    if spec.is_depthwise:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                gw[:, 0, k, l] = (gy * xp[:, :, sh, sw]).sum(axis=(0, 2, 3))
-    elif spec.groups == 1:
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                gw[:, :, k, l] = _einsum("noyx,ncyx->oc", gy, xp[:, :, sh, sw])
-    else:
-        g = spec.groups
-        cg = spec.in_channels // g
-        og = spec.out_channels // g
-        gwg = gw.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
-        yg = gy.reshape(n, g, og, ho, wo)
-        xpg = xp.reshape(n, g, cg, *xp.shape[2:])
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                sh, sw = _tap_slices(spec, k, l, ho, wo)
-                gwg[:, :, :, k, l] = _einsum("ngoyx,ngcyx->goc", yg,
-                                             xpg[:, :, :, sh, sw])
-    return gw
+        xs = x[:, :, ::s, ::s].reshape(n, g, cg, ho * wo)
+        gw = np.matmul(gy.reshape(n, g, og, ho * wo), xs.transpose(0, 1, 3, 2))
+        return gw.sum(axis=0).reshape(spec.weight.shape).astype(
+            spec.weight.dtype, copy=False)
+    wp = x.shape[3] + 2 * spec.padding
+    cols, taps = _band_index(spec, wo)
+    gyr = _output_rows(gy, g)
+    gw = np.empty((kh, kw, g, cg, og), dtype=spec.weight.dtype)
+    for k, rows in enumerate(_input_rows(x, spec, ho)):
+        full = np.matmul(rows.transpose(0, 2, 1), gyr).reshape(g, cg, wp, og, wo)
+        # The band entries of row k, as (kw, wo, g, cg, og), summed over x.
+        gw[k] = full[:, :, taps, :, cols].sum(axis=1)
+    return np.ascontiguousarray(gw.transpose(2, 4, 3, 0, 1)).reshape(spec.weight.shape)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1, groups: int = 1) -> Tensor:
     """Differentiable convolution; weight layout [out, in/groups, kh, kw]."""
     out_channels, cg, kh, kw = weight.data.shape
-    spec = ConvSpec(
-        out_channels=out_channels,
-        in_channels=cg * groups,
-        kernel_h=kh,
-        kernel_w=kw,
-        stride=stride,
-        padding=padding,
-        dilation=dilation,
-        groups=groups,
-        weight=weight.data,
-    )
+    spec = ConvSpec(out_channels, cg * groups, kh, kw, stride, padding, dilation,
+                    groups, weight=weight.data)
     in_hw = x.data.shape[2:]
     data = conv2d_forward(x.data, spec)
 

@@ -3,9 +3,9 @@
 All four candidates are stacks of depthwise/pointwise convolutions in
 ReLU-Conv-BN order: separable convs apply the (depthwise, pointwise) pair
 twice with the stride on the first depthwise; dilated variants apply it once
-with dilation 2. A candidate's first ReLU is not part of it: the cell applies
-it once to each state, and every candidate reading that state shares the
-result, so an operator's input is already rectified. The final pointwise
+with dilation 2. Neither a candidate's first ReLU nor a preprocessing block's
+is part of it: the cell rectifies each state once and the network each stem
+and cell output once, and every reader shares the result. The final pointwise
 convolution of each operator is the one whose stable rank scores the
 operator during derivation.
 """
@@ -137,7 +137,8 @@ def build_operator(kind: OperatorKind, channels: int, stride: int,
 
 
 class ReLUConvBN(Module):
-    """ReLU -> kxk conv -> BN; channel-matching preprocessing block."""
+    """kxk conv -> BN on a rectified input; channel-matching preprocessing
+    block (perfbench's metric ``operators.ReLUConvBN.fwd_s`` keys its name)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -150,7 +151,7 @@ class ReLUConvBN(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(ad.relu(x)))
+        return self.bn(self.conv(x))
 
 
 class FactorizedReduce(Module):
@@ -169,7 +170,6 @@ class FactorizedReduce(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = ad.relu(x)
         # Second branch samples the grid shifted by one pixel.
         shifted = ad.pad2d(x, (0, 1, 0, 1))[:, :, 1:, 1:]
         return self.bn(ad.concat([self.conv_a(x), self.conv_b(shifted)], axis=1))

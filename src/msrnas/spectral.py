@@ -15,7 +15,7 @@ slice of the input. One forward and one adjoint call of that conv advance
 every member by one iteration; norms and normalization stay per member, and
 so do the persistent vectors. A single handle is a group of one, so the
 stacked path is the only path. A grouped 1x1 stack is one batched matmul
-in ``convolution``; a depthwise stack is again depthwise.
+in ``convolution``, any other stack one batched band GEMM per kernel row.
 """
 
 from __future__ import annotations
@@ -265,6 +265,10 @@ def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int],
     """
     probes = [ConvHandle(spec, input_hw, seed=cfg.seed, name="stable-rank-probe")
               for spec in specs]
+    # Same name and seed, hence the same start vector: draw it once.
+    start = probes[0].vector
+    for probe in probes[1:]:
+        probe.vector = start
     sigmas = np.full(len(probes), np.nan)
     live = list(range(len(probes)))
     while live:

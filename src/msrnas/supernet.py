@@ -260,10 +260,12 @@ class _NetworkBase(Module):
         self.assign_paths("net")
 
     def forward_features(self, x: Tensor) -> Tensor:
-        s0 = s1 = self.stem(x)
-        for cell in self.cells:
-            s0, s1 = s1, cell(s0, s1)
-        return s1
+        # The stem output and each cell output but the last are rectified once
+        # for both cells that read them; the classifier reads the last as is.
+        s0 = s1 = ad.relu(self.stem(x))
+        for cell in self.cells[:-1]:
+            s0, s1 = s1, ad.relu(cell(s0, s1))
+        return self.cells[-1](s0, s1)
 
     def logits(self, x: Tensor) -> Tensor:
         return self.classifier(global_avg_pool(self.forward_features(x)))

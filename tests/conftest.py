@@ -33,6 +33,71 @@ def naive_conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return out
 
 
+def _tap_slices(spec: ConvSpec, k: int, l: int, ho: int, wo: int) -> tuple[slice, slice]:
+    s, d = spec.stride, spec.dilation
+    return (slice(k * d, k * d + (ho - 1) * s + 1, s),
+            slice(l * d, l * d + (wo - 1) * s + 1, s))
+
+
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+
+
+def tap_conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Tap-loop reference forward: one strided view of the padded input per
+    kernel tap, contracted against that tap's weights."""
+    n = x.shape[0]
+    ho, wo = spec.out_hw(x.shape[2], x.shape[3])
+    g = spec.groups
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    xp = _pad(x, spec.padding)
+    xpg = xp.reshape(n, g, cg, *xp.shape[2:])
+    wg = spec.weight.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
+    out = np.zeros((n, g, og, ho, wo), dtype=x.dtype)
+    for k in range(spec.kernel_h):
+        for l in range(spec.kernel_w):
+            sh, sw = _tap_slices(spec, k, l, ho, wo)
+            out += np.einsum("ngcyx,goc->ngoyx", xpg[:, :, :, sh, sw],
+                             wg[:, :, :, k, l], optimize=True)
+    return out.reshape(n, spec.out_channels, ho, wo)
+
+
+def tap_conv2d_transpose(y: np.ndarray, spec: ConvSpec,
+                         input_hw: tuple[int, int]) -> np.ndarray:
+    """Tap-loop reference adjoint: scatter-adds through the same views."""
+    n, _, ho, wo = y.shape
+    h, w = input_hw
+    p, g = spec.padding, spec.groups
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    wg = spec.weight.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
+    yg = y.reshape(n, g, og, ho, wo)
+    xpg = np.zeros((n, g, cg, h + 2 * p, w + 2 * p), dtype=y.dtype)
+    for k in range(spec.kernel_h):
+        for l in range(spec.kernel_w):
+            sh, sw = _tap_slices(spec, k, l, ho, wo)
+            xpg[:, :, :, sh, sw] += np.einsum("ngoyx,goc->ngcyx", yg,
+                                              wg[:, :, :, k, l], optimize=True)
+    return xpg[:, :, :, p: p + h, p: p + w].reshape(n, spec.in_channels, h, w)
+
+
+def tap_conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Tap-loop reference weight gradient: one contraction per kernel tap."""
+    n = x.shape[0]
+    ho, wo = gy.shape[2:]
+    g = spec.groups
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    xp = _pad(x, spec.padding)
+    xpg = xp.reshape(n, g, cg, *xp.shape[2:])
+    yg = gy.reshape(n, g, og, ho, wo)
+    gw = np.zeros((g, og, cg, spec.kernel_h, spec.kernel_w), dtype=spec.weight.dtype)
+    for k in range(spec.kernel_h):
+        for l in range(spec.kernel_w):
+            sh, sw = _tap_slices(spec, k, l, ho, wo)
+            gw[:, :, :, k, l] = np.einsum("ngoyx,ngcyx->goc", yg, xpg[:, :, :, sh, sw],
+                                          optimize=True)
+    return gw.reshape(spec.weight.shape)
+
+
 def central_difference(f, theta: np.ndarray, index: tuple, h: float) -> float:
     """Two-sided finite difference of scalar f at one coordinate of theta."""
     orig = theta[index]

@@ -1,5 +1,8 @@
 """Convolution forward/adjoint checks against hand values, a naive loop
-reference, and the dense matrix oracle."""
+reference, the tap-loop reference and the dense matrix oracle."""
+
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +17,24 @@ from msrnas.convolution import (
     conv2d_transpose_forward,
     conv2d_weight_grad,
 )
+from msrnas.derive import Genotype
 from msrnas.errors import ConstructionError, DimensionError
-from msrnas.spectral import materialize_conv_matrix
+from msrnas.layers import Conv2d
+from msrnas.spectral import SpectralConfig, conv_geometry, materialize_conv_matrix
+from msrnas.supernet import SupernetConfig, build_discrete_network, build_supernet
 
-from conftest import fitting_input_hw, naive_conv2d, random_conv_spec
+from conftest import (
+    central_difference,
+    fitting_input_hw,
+    naive_conv2d,
+    random_conv_spec,
+    relative_error,
+    tap_conv2d_forward,
+    tap_conv2d_transpose,
+    tap_conv2d_weight_grad,
+)
+
+GENOTYPE_7NODE = pathlib.Path(__file__).parents[1] / "perfbench" / "genotype_min_7node.json"
 
 
 def spec_1x1(value: float) -> ConvSpec:
@@ -140,8 +157,6 @@ def test_output_size_formula(rng):
 
 
 def test_conv_gradients_match_finite_differences(rng):
-    from conftest import central_difference, relative_error
-
     spec = random_conv_spec(rng)
     h, w = fitting_input_hw(spec, rng)
     x = Tensor(rng.standard_normal((2, spec.in_channels, h, w)), requires_grad=True)
@@ -168,27 +183,147 @@ def test_conv_gradients_match_finite_differences(rng):
             assert relative_error(t.grad[idx], num) < 1e-5
 
 
-def test_weight_grad_matches_matrix_form(rng):
-    spec = random_conv_spec(rng, allow_groups=False)
-    h, w = fitting_input_hw(spec, rng)
-    x = rng.standard_normal((1, spec.in_channels, h, w))
-    gy = rng.standard_normal((1, spec.out_channels) + spec.out_hw(h, w))
-    gw = conv2d_weight_grad(x, gy, spec)
-    # Independent check: d/dW <conv(x; W), gy> via one finite difference per entry.
-    eps = 1e-6
-    for idx in [(0, 0, 0, 0), tuple(np.unravel_index(spec.weight.size - 1, spec.weight.shape))]:
-        w_plus = spec.weight.copy()
-        w_plus[idx] += eps
-        w_minus = spec.weight.copy()
-        w_minus[idx] -= eps
-        sp = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel_h,
-                      spec.kernel_w, spec.stride, spec.padding, spec.dilation,
-                      spec.groups, weight=w_plus)
-        sm = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel_h,
-                      spec.kernel_w, spec.stride, spec.padding, spec.dilation,
-                      spec.groups, weight=w_minus)
-        num = ((conv2d_forward(x, sp) - conv2d_forward(x, sm)) * gy).sum() / (2 * eps)
-        assert abs(gw[idx] - num) < 1e-6 * max(1.0, abs(num))
+def wide_conv_spec(rng: np.random.Generator, kind: str) -> ConvSpec:
+    """Random float64 spec of one kind ("dense", "grouped" or "depthwise"):
+    non-square kernels up to 5, stride up to 3, dilation up to 2 and padding
+    up to one past the kernel's reach."""
+    kh, kw = (int(v) for v in rng.integers(1, 6, size=2))
+    dilation = int(rng.integers(1, 3))
+    reach = (max(kh, kw) - 1) * dilation
+    if kind == "depthwise":
+        groups = c_in = c_out = int(rng.integers(1, 5))
+    elif kind == "grouped":
+        groups = int(rng.integers(2, 4))
+        c_in, c_out = (groups * int(v) for v in rng.integers(1, 3, size=2))
+    else:
+        groups = 1
+        c_in, c_out = (int(v) for v in rng.integers(1, 4, size=2))
+    return ConvSpec(c_out, c_in, kh, kw, stride=int(rng.integers(1, 4)),
+                    padding=int(rng.integers(0, reach + 2)), dilation=dilation,
+                    groups=groups,
+                    weight=rng.standard_normal((c_out, c_in // groups, kh, kw)))
+
+
+def wide_input_hw(spec: ConvSpec, rng: np.random.Generator) -> tuple[int, int]:
+    """Input extents from the smallest the kernel fits up to 4 more."""
+    lo = [max(1, (k - 1) * spec.dilation + 1 - 2 * spec.padding)
+          for k in (spec.kernel_h, spec.kernel_w)]
+    return tuple(int(rng.integers(v, v + 5)) for v in lo)
+
+
+WIDE_KINDS = ("dense", "grouped", "depthwise")
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_wide_corpus_matches_naive_and_matrix_oracles(kind):
+    rng = np.random.default_rng(WIDE_KINDS.index(kind))
+    for _ in range(15):
+        spec = wide_conv_spec(rng, kind)
+        h, w = wide_input_hw(spec, rng)
+        x = rng.standard_normal((2, spec.in_channels, h, w))
+        y = conv2d_forward(x, spec)
+        assert y.flags.c_contiguous
+        np.testing.assert_allclose(y, naive_conv2d(x, spec), atol=1e-10)
+        m = materialize_conv_matrix(spec, (h, w))
+        b = rng.standard_normal(y.shape)
+        adj = conv2d_transpose_forward(b, spec, input_hw=(h, w))
+        assert adj.flags.c_contiguous
+        expected = (m.T @ b.reshape(2, -1).T).T.reshape(x.shape)
+        np.testing.assert_allclose(adj, expected, atol=1e-10)
+
+
+def test_weight_grad_matches_matrix_form():
+    # The conv is linear in the kernel, so a central difference of
+    # <conv(x; W), gy> is exact up to rounding; every entry is checked.
+    rng = np.random.default_rng(10)
+    for kind in WIDE_KINDS * 15:
+        spec = wide_conv_spec(rng, kind)
+        h, w = wide_input_hw(spec, rng)
+        x = rng.standard_normal((2, spec.in_channels, h, w))
+        gy = rng.standard_normal((2, spec.out_channels) + spec.out_hw(h, w))
+        gw = conv2d_weight_grad(x, gy, spec)
+        assert gw.flags.c_contiguous and gw.shape == spec.weight.shape
+        for idx in np.ndindex(spec.weight.shape):
+            num = central_difference(
+                lambda: float((conv2d_forward(x, spec) * gy).sum()), spec.weight, idx, 0.5)
+            assert abs(gw[idx] - num) < 1e-10 * max(1.0, abs(num))
+
+
+def workload_conv_geometries() -> list[tuple]:
+    """One (spec, in_hw) per distinct conv geometry in the two perfbench
+    workload networks: the 3/5/8/16 supernet and the 8/7/16/16 network of
+    the committed 7-node genotype."""
+    supernet = build_supernet(
+        SupernetConfig(cells=3, nodes=5, initial_channels=8, num_classes=4,
+                       input_hw=(16, 16)), SpectralConfig(), seed=0)
+    genotype = Genotype.from_json_str(GENOTYPE_7NODE.read_text(encoding="utf-8"))
+    discrete = build_discrete_network(
+        genotype, SupernetConfig(cells=8, nodes=7, initial_channels=16,
+                                 num_classes=4, input_hw=(16, 16)), seed=0)
+    found = {}
+    for net in (supernet, discrete):
+        for module in net.modules():
+            if isinstance(module, Conv2d):
+                found.setdefault(conv_geometry(module.spec, module.in_hw),
+                                 (module.spec, module.in_hw))
+    return list(found.values())
+
+
+def _assert_float32_close(got, want, terms):
+    # Set before any comparison ran: 16 eps * sqrt(terms summed per entry),
+    # relative to the largest reference entry.
+    tol = 16 * np.finfo(np.float32).eps * np.sqrt(terms)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("batch", [64, 16])
+def test_kernels_match_tap_loop_on_workload_geometries(batch):
+    rng = np.random.default_rng(batch)
+    geometries = workload_conv_geometries()
+    assert sum(not spec.is_pointwise for spec, _ in geometries) >= 8
+    for spec, (h, w) in geometries:
+        x = rng.standard_normal((batch, spec.in_channels, h, w)).astype(np.float32)
+        taps = spec.kernel_h * spec.kernel_w
+        y = conv2d_forward(x, spec)
+        _assert_float32_close(y, tap_conv2d_forward(x, spec),
+                              spec.in_channels // spec.groups * taps)
+        gy = rng.standard_normal(y.shape).astype(np.float32)
+        _assert_float32_close(conv2d_transpose_forward(gy, spec, input_hw=(h, w)),
+                              tap_conv2d_transpose(gy, spec, (h, w)),
+                              spec.out_channels // spec.groups * taps)
+        _assert_float32_close(conv2d_weight_grad(x, gy, spec),
+                              tap_conv2d_weight_grad(x, gy, spec),
+                              batch * y.shape[2] * y.shape[3])
+
+
+# (channels in, out, groups, kernel, padding, dilation) at batch 64 on 16x16:
+# the 5x5 depthwise conv of SepConv and of DilConv, and the dense stem.
+MEMORY_CASES = [(8, 8, 8, 5, 2, 1), (8, 8, 8, 5, 4, 2), (3, 24, 1, 3, 1, 1)]
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES)
+def test_kernel_transient_memory_bound(case):
+    # Peak allocation of each kernel call, result included, stays within 4x
+    # the larger of its padded input and its output.
+    c, o, g, k, p, d = case
+    rng = np.random.default_rng(0)
+    spec = ConvSpec(o, c, k, k, padding=p, dilation=d, groups=g,
+                    weight=rng.standard_normal((o, c // g, k, k)).astype(np.float32))
+    x = rng.standard_normal((64, c, 16, 16)).astype(np.float32)
+    gy = rng.standard_normal((64, o, 16, 16)).astype(np.float32)
+    bound = 4 * max(64 * c * (16 + 2 * p) ** 2, gy.size) * 4
+    calls = [lambda: conv2d_forward(x, spec),
+             lambda: conv2d_transpose_forward(gy, spec, input_hw=(16, 16)),
+             lambda: conv2d_weight_grad(x, gy, spec)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 # (out, in, groups, stride, h, w): the single-matmul 1x1 path, with channel
@@ -219,8 +354,6 @@ def test_pointwise_matches_naive_and_matrix_transpose(rng, case):
 
 @pytest.mark.parametrize("case", POINTWISE_CASES)
 def test_pointwise_gradients_match_finite_differences(rng, case):
-    from conftest import central_difference, relative_error
-
     o, c, g, s, h, w = case
     x = Tensor(rng.standard_normal((2, c, h, w)), requires_grad=True)
     weight = Tensor(rng.standard_normal((o, c // g, 1, 1)), requires_grad=True)
@@ -249,12 +382,12 @@ def test_pointwise_float32_matches_tap_loop(rng):
     x = rng.standard_normal((4, 6, 9, 9)).astype(np.float32)
     y = conv2d_forward(x, pw)
     assert y.dtype == np.float32
-    np.testing.assert_allclose(y, conv2d_forward(x, tap), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(y, tap_conv2d_forward(x, tap), rtol=1e-5, atol=1e-5)
     gy = rng.standard_normal(y.shape).astype(np.float32)
     np.testing.assert_allclose(conv2d_transpose_forward(gy, pw, input_hw=(9, 9)),
-                               conv2d_transpose_forward(gy, tap, input_hw=(9, 9)),
+                               tap_conv2d_transpose(gy, tap, (9, 9)),
                                rtol=1e-5, atol=1e-5)
     gw = conv2d_weight_grad(x, gy, pw)
     assert gw.shape == w1.shape and gw.dtype == np.float32
-    np.testing.assert_allclose(gw[:, :, 0, 0], conv2d_weight_grad(x, gy, tap)[:, :, 1, 1],
+    np.testing.assert_allclose(gw[:, :, 0, 0], tap_conv2d_weight_grad(x, gy, tap)[:, :, 1, 1],
                                rtol=1e-4, atol=1e-4)

@@ -143,9 +143,10 @@ def test_cells_apply_one_relu_per_state(small_net):
                 requires_grad=True)
     inputs = relu_inputs(cell(s0, s1))
     assert len({id(t) for t in inputs}) == len(inputs)
-    # 2 preprocessing ReLUs, one per state read by an edge (x0, x1, x2), and
-    # the inner ReLU of the two separable convs on each of the 5 edges.
-    assert len(inputs) == 2 + 3 + 2 * 5
+    # One per state read by an edge (x0, x1, x2) and the inner ReLU of the
+    # two separable convs on each of the 5 edges; the preprocessing blocks'
+    # inputs arrive rectified.
+    assert len(inputs) == 3 + 2 * 5
 
     cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(16, 16))
     rows = [[("sep3", 0), ("dil3", 1)] for _ in intermediate_nodes(5)]
@@ -158,8 +159,18 @@ def test_cells_apply_one_relu_per_state(small_net):
                requires_grad=True)
     inputs = relu_inputs(disc.cells[0](s, t))
     assert len({id(t) for t in inputs}) == len(inputs)
-    # 2 preprocessing, x0 and x1 once each, one inner ReLU per sep3 pick.
-    assert len(inputs) == 2 + 2 + 2
+    # x0 and x1 once each, one inner ReLU per sep3 pick.
+    assert len(inputs) == 2 + 2
+
+    # The whole network rectifies the stem output and the first two cell
+    # outputs once each, not once per preprocessing block that reads them,
+    # and hands the last cell output to the classifier unrectified.
+    x = Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
+    features = disc.forward_features(x)
+    inputs = relu_inputs(features)
+    assert len({id(t) for t in inputs}) == len(inputs)
+    assert len(inputs) == 3 + 3 * 4
+    assert features._backward.__qualname__.startswith("concat.")
 
 
 def test_forward_requires_adjustment_each_step(small_net):
