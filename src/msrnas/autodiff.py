@@ -77,12 +77,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate_grad(self, g: np.ndarray, own: bool = False) -> None:
         """Add `g` (broadcastable to this shape) into the gradient.
 

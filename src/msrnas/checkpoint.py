@@ -23,7 +23,6 @@ MAGIC = b"MSRN"
 VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_FOR_KIND = {"f4": 0, "f8": 1}
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:

@@ -43,10 +43,6 @@ class Dataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-    @property
-    def hw(self) -> tuple[int, int]:
-        return self.images.shape[2], self.images.shape[3]
-
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         """View onto selected samples; inherits the parent's statistics."""
         return Dataset(
@@ -88,21 +84,6 @@ def read_cifar_batch(path) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 0].copy()
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).copy()
     return labels, pixels
-
-
-def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:
-    """Serialize (labels, pixels) back to the binary record format."""
-    labels = np.asarray(labels, dtype=np.uint8)
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.shape[1:] != (3, 32, 32) or labels.shape[0] != pixels.shape[0]:
-        raise FormatError(
-            f"cannot serialize labels {labels.shape} with pixels {pixels.shape}"
-        )
-    records = np.concatenate(
-        [labels[:, None], pixels.reshape(len(labels), -1)], axis=1
-    )
-    with open(path, "wb") as fh:
-        fh.write(records.astype(np.uint8).tobytes())
 
 
 def load_cifar10(dir_path, dtype=np.float32) -> tuple[Dataset, Dataset]:

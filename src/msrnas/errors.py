@@ -39,14 +39,6 @@ class DegenerateOperatorError(MsrnasError):
         self.handle = handle  # the spectral handle at fault, when one is known
 
 
-class DegenerateInputError(MsrnasError):
-    category = "degenerate-input"
-
-
-class CapacityError(MsrnasError):
-    category = "capacity"
-
-
 class DerivationError(MsrnasError):
     category = "derivation"
 

@@ -44,23 +44,8 @@ class ParamStore:
     def __init__(self, named_params):
         self._params: dict[str, Parameter] = dict(named_params)
 
-    def __len__(self):
-        return len(self._params)
-
     def __iter__(self):
         return iter(self._params.values())
-
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self):
-        return self._params.keys()
-
-    def items(self):
-        return self._params.items()
 
     def zero_grad(self) -> None:
         """Reset every gradient to zeros (unreached parameters stay zero)."""
@@ -252,11 +237,6 @@ class BatchNorm2d(Module):
                 x.accumulate_grad(gx, own=True)
 
         return _make(data, parents, bw)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ad.relu(x)
 
 
 class Linear(Module):

@@ -1,5 +1,5 @@
 """Spectral-norm estimation and adjustment, Frobenius norms and stable rank of
-the convolution matrix view, noise sensitivity, and dense test oracles.
+the convolution matrix view.
 
 The power iteration alternates the convolution and its exact adjoint on a
 persistent unit vector; its estimate never exceeds the true spectral norm, so
@@ -28,15 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    ConfigError,
-    DegenerateInputError,
-    DegenerateOperatorError,
-)
-
-DENSE_MATRIX_CAP = 4096 * 4096  # max rows*cols a materialized matrix may hold
+from .errors import ArgumentError, ConfigError, DegenerateOperatorError
 
 FROBENIUS_MATRIX = "matrix"  # Frobenius norm of the full matrix view
 FROBENIUS_KERNEL = "kernel"  # Frobenius norm of the raw kernel tensor
@@ -291,73 +283,3 @@ def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int],
         rows, cols = spec.matrix_shape(*input_hw)
         ranks.append(float(min(max(ratio, 1.0), float(min(rows, cols)))))
     return ranks, sigmas
-
-
-def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],
-                            cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
-    """Dense matrix M with column j = vec(conv(e_j)); exact linear-map view."""
-    h, w = input_hw
-    rows, cols = spec.matrix_shape(h, w)
-    if rows * cols > cap:
-        raise CapacityError(
-            f"dense matrix {rows}x{cols} exceeds cap of {cap} entries"
-        )
-    basis = np.eye(cols, dtype=np.float64).reshape(cols, spec.in_channels, h, w)
-    out = conv2d_forward(basis, ConvSpec(
-        out_channels=spec.out_channels,
-        in_channels=spec.in_channels,
-        kernel_h=spec.kernel_h,
-        kernel_w=spec.kernel_w,
-        stride=spec.stride,
-        padding=spec.padding,
-        dilation=spec.dilation,
-        groups=spec.groups,
-        weight=spec.weight.astype(np.float64),
-    ))
-    return out.reshape(cols, rows).T.copy()
-
-
-def exact_singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All singular values in descending order (LAPACK dense SVD)."""
-    return np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
-
-
-def noise_sensitivity_stats(spec: ConvSpec, x: np.ndarray, samples: int,
-                            seed: int = 0, chunk: int = 256) -> tuple[float, float]:
-    """Monte-Carlo mean and standard error of the relative output perturbation
-    E[ ||c(x + eta*||x||) - c(x)||^2 / ||c(x)||^2 ] under eta ~ N(0, I)."""
-    if samples < 1:
-        raise DegenerateInputError("noise sensitivity needs samples >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[None]
-    base = conv2d_forward(x, spec)
-    base_sq = float((base ** 2).sum())
-    if base_sq == 0.0:
-        raise DegenerateInputError("c(x) is zero: noise sensitivity undefined")
-    xn = float(np.linalg.norm(x))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ratios = np.empty(samples, dtype=np.float64)
-    done = 0
-    spec64 = ConvSpec(
-        out_channels=spec.out_channels, in_channels=spec.in_channels,
-        kernel_h=spec.kernel_h, kernel_w=spec.kernel_w, stride=spec.stride,
-        padding=spec.padding, dilation=spec.dilation, groups=spec.groups,
-        weight=spec.weight.astype(np.float64),
-    )
-    while done < samples:
-        n = min(chunk, samples - done)
-        eta = rng.standard_normal((n,) + x.shape[1:])
-        perturbed = conv2d_forward(x + eta * xn, spec64)
-        diff = perturbed - base
-        ratios[done:done + n] = (diff ** 2).sum(axis=(1, 2, 3)) / base_sq
-        done += n
-    mean = float(ratios.mean())
-    stderr = float(ratios.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
-
-
-def noise_sensitivity(spec: ConvSpec, x: np.ndarray, samples: int,
-                      seed: int = 0) -> float:
-    """Monte-Carlo noise sensitivity of the conv at input x (see stats variant)."""
-    return noise_sensitivity_stats(spec, x, samples, seed)[0]

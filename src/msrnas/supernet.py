@@ -7,11 +7,20 @@ candidate operators with fixed unit mixing weights; reduction cells sit at
 one and two thirds of the depth and stride-2 only on edges leaving the input
 nodes. Every convolution registers a spectral handle; the final pointwise
 conv of each candidate is additionally tagged for rank measurement.
+
+Both networks share one cell body (``_Cell``): the preprocessing of the two
+input states, the output geometry, the stride/extent rule for an edge leaving
+state ``i`` and the forward, which sums each intermediate node's ``(source
+state, module)`` inputs and rectifies each state it reads once. ``MixedCell``
+and ``DiscreteCell`` only build those input lists: a ``MixedEdge`` per DAG
+edge, or the genotype's two picks per node.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from .errors import (
     GenotypeError,
     StateError,
 )
-from .layers import BatchNorm2d, Conv2d, Linear, Module, cross_entropy, global_avg_pool
+from .layers import BatchNorm2d, Conv2d, Linear, Module, global_avg_pool
 from .operators import (
     OPERATOR_ORDER,
     FactorizedReduce,
@@ -99,7 +108,7 @@ class MixedEdge(Module):
             self.ops.append(op)
 
     def forward(self, x: Tensor) -> Tensor:
-        """``x`` is the ReLU of the edge's source state (see MixedCell)."""
+        """``x`` is the ReLU of the edge's source state (see _Cell)."""
         total = self.ops[0](x)
         for op in self.ops[1:]:
             total = total + op(x)
@@ -113,100 +122,90 @@ def _preprocess(in_channels: int, out_channels: int, in_hw: tuple[int, int],
     return ReLUConvBN(in_channels, out_channels, 1, 1, in_hw, rng=rng, dtype=dtype)
 
 
-class MixedCell(Module):
-    """One supernet cell: preprocessing plus a full mixed edge per DAG edge."""
+class _Cell(Module):
+    """The cell body both networks share: preprocessing of the two input
+    states, output geometry, the edge stride/extent rule and the forward.
+
+    Subclasses fill ``inputs`` with, per intermediate node, the ``(source
+    state, module)`` pairs whose outputs the node sums.
+    """
 
     def __init__(self, cfg: SupernetConfig, index: int, channels: int,
                  prev_channels: int, prev_prev_channels: int,
-                 in_hw_pp: tuple[int, int], in_hw_p: tuple[int, int],
-                 prev_reduced: bool, reduction: bool, *,
+                 in_hw_pp: tuple[int, int], in_hw_p: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.index = index
-        self.reduction = reduction
-        self.cell_type = "reduce" if reduction else "normal"
-        self.nodes = cfg.nodes
+        self.reduction = index in cfg.reduction_indices
+        self.cell_type = "reduce" if self.reduction else "normal"
         self.in_hw = in_hw_p
         h, w = in_hw_p
-        self.out_hw = ((h + 1) // 2, (w + 1) // 2) if reduction else in_hw_p
+        self.out_hw = ((h + 1) // 2, (w + 1) // 2) if self.reduction else in_hw_p
+        self.channels = channels
+        self.out_channels = channels * cfg.multiplier
         self.pre0 = _preprocess(prev_prev_channels, channels, in_hw_pp,
-                                prev_reduced, rng=rng, dtype=dtype)
+                                index - 1 in cfg.reduction_indices,
+                                rng=rng, dtype=dtype)
         self.pre1 = _preprocess(prev_channels, channels, in_hw_p, False,
                                 rng=rng, dtype=dtype)
-        self.edges: dict[tuple[int, int], MixedEdge] = {}
-        for (i, j) in cell_edges(cfg.nodes):
-            stride = 2 if (reduction and i < 2) else 1
-            edge_in_hw = in_hw_p if (not reduction or i < 2) else self.out_hw
-            edge = MixedEdge(channels, stride, edge_in_hw, rng=rng, dtype=dtype)
-            self.add_module(f"edge_{i}_{j}", edge)
-            self.edges[(i, j)] = edge
-        self.out_channels = channels * cfg.multiplier
+        self.inputs: list[list[tuple[int, Module]]] = []
+
+    def edge_geometry(self, i: int) -> tuple[int, tuple[int, int]]:
+        """Stride and input extents of an op on an edge leaving state ``i``:
+        a reduction cell strides only the edges leaving its input states."""
+        if self.reduction and i < 2:
+            return 2, self.in_hw
+        return 1, self.out_hw
 
     def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
         # Every op starts with a ReLU of its source state; it is applied once
-        # per state and shared by every edge leaving it. The last state feeds
-        # only the output concat.
-        states = [self.pre0(s0), self.pre1(s1)]
-        relu_states = [ad.relu(s) for s in states]
-        last = intermediate_nodes(self.nodes)[-1]
-        for j in intermediate_nodes(self.nodes):
-            total = None
-            for i in range(j):
-                contribution = self.edges[(i, j)](relu_states[i])
-                total = contribution if total is None else total + contribution
-            states.append(total)
-            if j != last:
-                relu_states.append(ad.relu(total))
-        return ad.concat(states[2:], axis=1)
-
-
-class DiscreteCell(Module):
-    """Genotype-pruned cell: two retained (operator, predecessor) edges per node."""
-
-    def __init__(self, cfg: SupernetConfig, genotype: Genotype, index: int,
-                 channels: int, prev_channels: int, prev_prev_channels: int,
-                 in_hw_pp: tuple[int, int], in_hw_p: tuple[int, int],
-                 prev_reduced: bool, reduction: bool, *,
-                 rng: np.random.Generator, dtype=np.float32):
-        super().__init__()
-        self.index = index
-        self.reduction = reduction
-        self.cell_type = "reduce" if reduction else "normal"
-        self.nodes = cfg.nodes
-        h, w = in_hw_p
-        self.out_hw = ((h + 1) // 2, (w + 1) // 2) if reduction else in_hw_p
-        self.pre0 = _preprocess(prev_prev_channels, channels, in_hw_pp,
-                                prev_reduced, rng=rng, dtype=dtype)
-        self.pre1 = _preprocess(prev_channels, channels, in_hw_p, False,
-                                rng=rng, dtype=dtype)
-        self.picks: list[list[tuple[int, OpInstance]]] = []
-        rows = genotype.rows(self.cell_type)
-        for j, pairs in zip(intermediate_nodes(cfg.nodes), rows):
-            node_ops = []
-            for op_name, i in pairs:
-                stride = 2 if (reduction and i < 2) else 1
-                edge_in_hw = in_hw_p if (not reduction or i < 2) else self.out_hw
-                op = build_operator(OperatorKind(op_name), channels, stride,
-                                    edge_in_hw, rng=rng, dtype=dtype)
-                self.add_module(f"node{j}_from{i}_{op_name}", op)
-                node_ops.append((i, op))
-            self.picks.append(node_ops)
-        self.out_channels = channels * cfg.multiplier
-
-    def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
-        # As in MixedCell: one ReLU per state that some pick reads.
+        # per state that some input reads and shared by all of them.
         states = [self.pre0(s0), self.pre1(s1)]
         relu_states: dict[int, Tensor] = {}
-
-        def relu_of(i: int) -> Tensor:
-            if i not in relu_states:
-                relu_states[i] = ad.relu(states[i])
-            return relu_states[i]
-
-        for node_ops in self.picks:
-            (i_a, op_a), (i_b, op_b) = node_ops
-            states.append(op_a(relu_of(i_a)) + op_b(relu_of(i_b)))
+        for node_inputs in self.inputs:
+            total = None
+            for i, module in node_inputs:
+                if i not in relu_states:
+                    relu_states[i] = ad.relu(states[i])
+                contribution = module(relu_states[i])
+                total = contribution if total is None else total + contribution
+            states.append(total)
         return ad.concat(states[2:], axis=1)
+
+
+class MixedCell(_Cell):
+    """One supernet cell: a full mixed edge per DAG edge."""
+
+    def __init__(self, cfg: SupernetConfig, *args, rng: np.random.Generator,
+                 dtype=np.float32):
+        super().__init__(cfg, *args, rng=rng, dtype=dtype)
+        self.edges: dict[tuple[int, int], MixedEdge] = {}
+        for j in intermediate_nodes(cfg.nodes):
+            node_inputs = []
+            for i in range(j):
+                edge = MixedEdge(self.channels, *self.edge_geometry(i),
+                                 rng=rng, dtype=dtype)
+                self.add_module(f"edge_{i}_{j}", edge)
+                self.edges[(i, j)] = edge
+                node_inputs.append((i, edge))
+            self.inputs.append(node_inputs)
+
+
+class DiscreteCell(_Cell):
+    """Genotype-pruned cell: two retained (operator, predecessor) edges per node."""
+
+    def __init__(self, cfg: SupernetConfig, *args, genotype: Genotype,
+                 rng: np.random.Generator, dtype=np.float32):
+        super().__init__(cfg, *args, rng=rng, dtype=dtype)
+        rows = genotype.rows(self.cell_type)
+        for j, pairs in zip(intermediate_nodes(cfg.nodes), rows):
+            node_inputs = []
+            for op_name, i in pairs:
+                op = build_operator(OperatorKind(op_name), self.channels,
+                                    *self.edge_geometry(i), rng=rng, dtype=dtype)
+                self.add_module(f"node{j}_from{i}_{op_name}", op)
+                node_inputs.append((i, op))
+            self.inputs.append(node_inputs)
 
 
 class Stem(Module):
@@ -227,8 +226,7 @@ class Stem(Module):
 class _NetworkBase(Module):
     """Shared stem/cells/classifier plumbing for both network variants."""
 
-    def __init__(self, cfg: SupernetConfig, *, dtype, seed: int,
-                 genotype: Genotype | None = None):
+    def __init__(self, cfg: SupernetConfig, make_cell, *, dtype, seed: int):
         super().__init__()
         self.cfg = cfg
         self.dtype = dtype
@@ -236,26 +234,19 @@ class _NetworkBase(Module):
         stem_channels = STEM_MULTIPLIER * cfg.initial_channels
         self.stem = Stem(cfg.input_channels, stem_channels, cfg.input_hw,
                          rng=rng, dtype=dtype)
-        self.cells: list[Module] = []
+        self.cells: list[_Cell] = []
         c_pp, c_p = stem_channels, stem_channels
         hw_pp, hw_p = cfg.input_hw, cfg.input_hw
         channels = cfg.initial_channels
-        prev_reduced = False
         for index in range(cfg.cells):
-            reduction = index in cfg.reduction_indices
-            if reduction:
+            if index in cfg.reduction_indices:
                 channels *= 2
-            cell_cls_args = (cfg,) if genotype is None else (cfg, genotype)
-            cell_cls = MixedCell if genotype is None else DiscreteCell
-            cell = cell_cls(*cell_cls_args, index, channels, c_p, c_pp,
-                            hw_pp, hw_p, prev_reduced, reduction,
-                            rng=rng, dtype=dtype)
+            cell = make_cell(cfg, index, channels, c_p, c_pp, hw_pp, hw_p,
+                             rng=rng, dtype=dtype)
             self.add_module(f"cell{index}", cell)
             self.cells.append(cell)
             c_pp, c_p = c_p, cell.out_channels
             hw_pp, hw_p = hw_p, cell.out_hw
-            prev_reduced = reduction
-        self.final_hw = hw_p
         self.classifier = Linear(c_p, cfg.num_classes, rng=rng, dtype=dtype)
         self.assign_paths("net")
 
@@ -270,16 +261,13 @@ class _NetworkBase(Module):
     def logits(self, x: Tensor) -> Tensor:
         return self.classifier(global_avg_pool(self.forward_features(x)))
 
-    def loss(self, x: Tensor, labels: np.ndarray) -> Tensor:
-        return cross_entropy(self.logits(x), labels)
-
 
 class Supernet(_NetworkBase):
     """Mixed-edge supernet with spectral handles on every convolution."""
 
     def __init__(self, cfg: SupernetConfig, spectral_cfg: SpectralConfig, *,
                  dtype=np.float32, seed: int = 0):
-        super().__init__(cfg, dtype=dtype, seed=seed)
+        super().__init__(cfg, MixedCell, dtype=dtype, seed=seed)
         self.spectral_cfg = spectral_cfg
         self._step = 0
         self._adjusted_step = -1
@@ -327,11 +315,9 @@ class Supernet(_NetworkBase):
         """Spectral-norm adjust every registered conv (before the forward pass)."""
         cfg = self.spectral_cfg
         if iterations is not None and iterations != cfg.iterations:
-            cfg = SpectralConfig(
-                target_norm=cfg.target_norm, iterations=iterations,
-                rank_iterations=max(cfg.rank_iterations, iterations),
-                seed=cfg.seed, frobenius_mode=cfg.frobenius_mode,
-            )
+            cfg = dataclasses.replace(
+                cfg, iterations=iterations,
+                rank_iterations=max(cfg.rank_iterations, iterations))
         for group in self.handle_groups:
             spectral_norm_adjust(group, cfg)
         self._adjusted_step = self._step
@@ -349,12 +335,6 @@ class Supernet(_NetworkBase):
             )
         return self.logits(x)
 
-    def edge_handle_count(self, cell_index: int) -> int:
-        return sum(len(op.conv_layers)
-                   for mixed in self.cells[cell_index].edges.values()
-                   for op in mixed.ops)
-
-
 class DiscreteNetwork(_NetworkBase):
     """Genotype-pruned network trained from scratch; no spectral machinery."""
 
@@ -365,7 +345,8 @@ class DiscreteNetwork(_NetworkBase):
                 f"genotype built for {genotype.nodes} nodes, config has {cfg.nodes}"
             )
         genotype.validate()
-        super().__init__(cfg, dtype=dtype, seed=seed, genotype=genotype)
+        super().__init__(cfg, partial(DiscreteCell, genotype=genotype),
+                         dtype=dtype, seed=seed)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.logits(x)

@@ -1,11 +1,18 @@
-"""Search-stage and evaluation-stage training loops with run-dir artifacts.
+"""Search-stage and evaluation-stage training with run-dir artifacts.
 
 A run directory owns: a config echo, a lock file, metrics.csv (deterministic
 columns only), log.txt (human lines including wall time), per-epoch
-checkpoints, and per-epoch rank tables. The search loop adjusts every
-registered convolution's spectral norm before each forward pass; the
-evaluation loop trains the derived architecture from scratch with no
-spectral machinery.
+checkpoints, and per-epoch rank tables.
+
+Both stages run one epoch loop (``_train_epochs``): shuffle, batches, loss,
+backward, momentum SGD, the held-out loss, metrics.csv and the log line. A
+stage differs only in its shuffle salt and two hooks. The search stage's
+pre-step hook adjusts every registered convolution's spectral norm after the
+batch is drawn and before the forward pass; its end-of-epoch hook saves the
+rank table and checkpoint, as it does once for epoch 0 before training. The
+evaluation stage trains the derived architecture from scratch with no-op
+hooks, then reports test loss and error. ``_in_locked_run`` holds the run
+directory's lock and writes the config echo around either stage.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -129,9 +137,6 @@ class RunDir:
     def rank_table_path(self, epoch: int) -> str:
         return os.path.join(self.ranks, f"epoch_{epoch:04d}.txt")
 
-    def genotype_path(self, mode: str) -> str:
-        return os.path.join(self.root, f"genotype_{mode}.json")
-
     def acquire_lock(self) -> None:
         lock = os.path.join(self.root, "lock")
         try:
@@ -200,62 +205,29 @@ def _accuracy(net, ds: Dataset, batch_size: int) -> float:
     return hits / len(ds)
 
 
-@dataclass
-class SearchResult:
-    run_dir: RunDir
-    metrics: MetricsLog
-    final_table: RankTable
-    net: Supernet
+def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
+                  train_ds: Dataset, held_out: Dataset, held_out_label: str, *,
+                  salt: int, before_step, end_epoch) -> MetricsLog:
+    """The epoch loop both stages share.
 
-
-def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
-    """Train the supernet, snapshotting checkpoint + rank table per epoch."""
-    run = RunDir(out_dir or cfg["run.output_dir"])
-    run.acquire_lock()
-    try:
-        return _run_search_locked(cfg, run)
-    finally:
-        run.release_lock()
-
-
-def _run_search_locked(cfg: RunConfig, run: RunDir) -> SearchResult:
-    hyper = cfg.make_train_hyper()
-    net_cfg = cfg.make_supernet_config()
-    spectral_cfg = cfg.make_spectral_config()
-    with open(run.config_path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
-
-    corpus, _ = cfg.make_datasets()
-    train_ds, val_ds = split_train_val(corpus, cfg.make_split_spec())
-    net = build_supernet(net_cfg, spectral_cfg, dtype=cfg.dtype,
-                         seed=int(cfg["run.seed"]))
+    ``before_step()`` runs after each training batch is drawn and before
+    its forward pass; ``end_epoch(epoch)`` runs after the held-out loss.
+    metrics.csv is rewritten each epoch (header only before the first).
+    """
     store = net.param_store()
-    run.log_line(
-        f"search start: {len(train_ds)} train / {len(val_ds)} val samples, "
-        f"{len(net.handles)} spectral handles, {hyper.epochs} epochs"
-    )
-
-    # Precise initial normalization so training starts on the constraint
-    # surface; per-step upkeep then only needs the short warm-started loop.
-    net.begin_step()
-    net.adjust_all(iterations=spectral_cfg.rank_iterations)
-
     metrics = MetricsLog()
-    table = collect_rank_table(net, epoch=0)
-    save_checkpoint(run.checkpoint_path(0), net, 0)
-    save_rank_table(run.rank_table_path(0), table)
-
+    with open(run.metrics_path, "w", encoding="utf-8") as fh:
+        fh.write(metrics.to_csv())
     for epoch in range(1, hyper.epochs + 1):
         t0 = time.time()
         lr = cosine_lr(epoch - 1, hyper.epochs, hyper.initial_lr)
-        shuffle_seed = _epoch_shuffle_seed(int(cfg["run.seed"]), epoch, 0xBA7C)
+        shuffle_seed = _epoch_shuffle_seed(int(cfg["run.seed"]), epoch, salt)
         total_loss = 0.0
         seen = 0
         for imgs, labels in batches(train_ds, hyper.batch_size,
                                     shuffle_seed=shuffle_seed,
                                     augment=bool(cfg["data.augment"])):
-            net.begin_step()
-            net.adjust_all()
+            before_step()
             store.zero_grad()
             images = Tensor(imgs)
             loss = cross_entropy(net(images), labels)
@@ -269,24 +241,82 @@ def _run_search_locked(cfg: RunConfig, run: RunDir) -> SearchResult:
             total_loss += float(loss.data) * len(labels)
             seen += len(labels)
         train_loss = total_loss / seen
-        val_loss = _mean_loss(net, val_ds, hyper.batch_size)
+        held_out_loss = _mean_loss(net, held_out, hyper.batch_size)
         record = EpochRecord(epoch=epoch, train_loss=train_loss,
-                             val_loss=val_loss, lr=lr,
+                             val_loss=held_out_loss, lr=lr,
                              wall_time=time.time() - t0)
         metrics.append(record)
-        table = collect_rank_table(net, epoch=epoch)
-        save_checkpoint(run.checkpoint_path(epoch), net, epoch)
-        save_rank_table(run.rank_table_path(epoch), table)
+        end_epoch(epoch)
         with open(run.metrics_path, "w", encoding="utf-8") as fh:
             fh.write(metrics.to_csv())
         run.log_line(
             f"epoch {epoch}: train_loss={train_loss:.4f} "
-            f"val_loss={val_loss:.4f} lr={lr:.5f} "
+            f"{held_out_label}_loss={held_out_loss:.4f} lr={lr:.5f} "
             f"wall={record.wall_time:.1f}s"
         )
-    if not metrics.records:
-        with open(run.metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_csv())
+    return metrics
+
+
+def _in_locked_run(cfg: RunConfig, out_dir: str | None, stage):
+    """Run ``stage(run, hyper)`` holding the run directory's lock, after
+    checking the training hyperparameters and writing the config echo."""
+    run = RunDir(out_dir or cfg["run.output_dir"])
+    run.acquire_lock()
+    try:
+        hyper = cfg.make_train_hyper()
+        with open(run.config_path, "w", encoding="utf-8") as fh:
+            fh.write(cfg.to_text())
+        return stage(run, hyper)
+    finally:
+        run.release_lock()
+
+
+def _no_op(*_args) -> None:
+    pass
+
+
+@dataclass
+class SearchResult:
+    run_dir: RunDir
+    metrics: MetricsLog
+    final_table: RankTable
+    net: Supernet
+
+
+def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
+    """Train the supernet, snapshotting checkpoint + rank table per epoch."""
+    return _in_locked_run(cfg, out_dir, partial(_search, cfg))
+
+
+def _search(cfg: RunConfig, run: RunDir, hyper: TrainHyper) -> SearchResult:
+    spectral_cfg = cfg.make_spectral_config()
+    corpus, _ = cfg.make_datasets()
+    train_ds, val_ds = split_train_val(corpus, cfg.make_split_spec())
+    net = build_supernet(cfg.make_supernet_config(), spectral_cfg,
+                         dtype=cfg.dtype, seed=int(cfg["run.seed"]))
+    run.log_line(
+        f"search start: {len(train_ds)} train / {len(val_ds)} val samples, "
+        f"{len(net.handles)} spectral handles, {hyper.epochs} epochs"
+    )
+    table = None
+
+    def snapshot(epoch: int) -> None:
+        nonlocal table
+        table = collect_rank_table(net, epoch=epoch)
+        save_checkpoint(run.checkpoint_path(epoch), net, epoch)
+        save_rank_table(run.rank_table_path(epoch), table)
+
+    def adjust() -> None:
+        net.begin_step()
+        net.adjust_all()
+
+    # Precise initial normalization so training starts on the constraint
+    # surface; per-step upkeep then only needs the short warm-started loop.
+    net.begin_step()
+    net.adjust_all(iterations=spectral_cfg.rank_iterations)
+    snapshot(0)
+    metrics = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
+                            salt=0xBA7C, before_step=adjust, end_epoch=snapshot)
     return SearchResult(run_dir=run, metrics=metrics, final_table=table, net=net)
 
 
@@ -326,62 +356,20 @@ class EvalResult:
 def run_eval(cfg: RunConfig, genotype: Genotype,
              out_dir: str | None = None) -> EvalResult:
     """Train the derived architecture from scratch and report test metrics."""
-    run = RunDir(out_dir or cfg["run.output_dir"])
-    run.acquire_lock()
-    try:
-        return _run_eval_locked(cfg, genotype, run)
-    finally:
-        run.release_lock()
+    return _in_locked_run(cfg, out_dir, partial(_eval, cfg, genotype))
 
 
-def _run_eval_locked(cfg: RunConfig, genotype: Genotype, run: RunDir) -> EvalResult:
-    hyper = cfg.make_train_hyper()
-    net_cfg = cfg.make_supernet_config()
-    with open(run.config_path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
+def _eval(cfg: RunConfig, genotype: Genotype, run: RunDir,
+          hyper: TrainHyper) -> EvalResult:
     train_ds, test_ds = cfg.make_datasets()
-    net = build_discrete_network(genotype, net_cfg, dtype=cfg.dtype,
-                                 seed=int(cfg["run.seed"]))
-    store = net.param_store()
+    net = build_discrete_network(genotype, cfg.make_supernet_config(),
+                                 dtype=cfg.dtype, seed=int(cfg["run.seed"]))
     run.log_line(
         f"eval start: {len(train_ds)} train / {len(test_ds)} test samples, "
         f"genotype mode={genotype.mode}, {hyper.epochs} epochs"
     )
-    metrics = MetricsLog()
-    for epoch in range(1, hyper.epochs + 1):
-        t0 = time.time()
-        lr = cosine_lr(epoch - 1, hyper.epochs, hyper.initial_lr)
-        shuffle_seed = _epoch_shuffle_seed(int(cfg["run.seed"]), epoch, 0xE7A1)
-        total_loss = 0.0
-        seen = 0
-        for imgs, labels in batches(train_ds, hyper.batch_size,
-                                    shuffle_seed=shuffle_seed,
-                                    augment=bool(cfg["data.augment"])):
-            store.zero_grad()
-            images = Tensor(imgs)
-            loss = cross_entropy(net(images), labels)
-            if not np.isfinite(loss.data).all():
-                culprit = _diagnose_non_finite(net, images, labels)
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}; first bad tensor: {culprit}"
-                )
-            loss.backward()
-            sgd_momentum_step(store, lr, hyper)
-            total_loss += float(loss.data) * len(labels)
-            seen += len(labels)
-        train_loss = total_loss / seen
-        test_loss = _mean_loss(net, test_ds, hyper.batch_size)
-        record = EpochRecord(epoch=epoch, train_loss=train_loss,
-                             val_loss=test_loss, lr=lr,
-                             wall_time=time.time() - t0)
-        metrics.append(record)
-        with open(run.metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_csv())
-        run.log_line(
-            f"epoch {epoch}: train_loss={train_loss:.4f} "
-            f"test_loss={test_loss:.4f} lr={lr:.5f} "
-            f"wall={record.wall_time:.1f}s"
-        )
+    metrics = _train_epochs(cfg, hyper, run, net, train_ds, test_ds, "test",
+                            salt=0xE7A1, before_step=_no_op, end_epoch=_no_op)
     test_loss = _mean_loss(net, test_ds, hyper.batch_size)
     test_error = 1.0 - _accuracy(net, test_ds, hyper.batch_size)
     run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")

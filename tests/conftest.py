@@ -1,9 +1,12 @@
-"""Shared fixtures and independent numerical oracles for the test suite."""
+"""Shared fixtures, independent numerical oracles and file writers for the
+test suite."""
 
 import numpy as np
 import pytest
 
-from msrnas.convolution import ConvSpec
+from msrnas.convolution import ConvSpec, conv2d_forward
+
+DENSE_MATRIX_CAP = 4096 * 4096  # max rows*cols a materialized matrix may hold
 
 
 def naive_conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -96,6 +99,39 @@ def tap_conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.
             gw[:, :, :, k, l] = np.einsum("ngoyx,ngcyx->goc", yg, xpg[:, :, :, sh, sw],
                                           optimize=True)
     return gw.reshape(spec.weight.shape)
+
+
+def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],
+                            cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
+    """Dense matrix M with column j = vec(conv(e_j)); exact linear-map view."""
+    h, w = input_hw
+    rows, cols = spec.matrix_shape(h, w)
+    if rows * cols > cap:
+        raise ValueError(f"dense matrix {rows}x{cols} exceeds cap of {cap} entries")
+    basis = np.eye(cols, dtype=np.float64).reshape(cols, spec.in_channels, h, w)
+    out = conv2d_forward(basis, ConvSpec(
+        out_channels=spec.out_channels,
+        in_channels=spec.in_channels,
+        kernel_h=spec.kernel_h,
+        kernel_w=spec.kernel_w,
+        stride=spec.stride,
+        padding=spec.padding,
+        dilation=spec.dilation,
+        groups=spec.groups,
+        weight=spec.weight.astype(np.float64),
+    ))
+    return out.reshape(cols, rows).T.copy()
+
+
+def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:
+    """Serialize (labels, pixels) to the CIFAR-10 binary record format."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    if pixels.shape[1:] != (3, 32, 32) or labels.shape[0] != pixels.shape[0]:
+        raise ValueError(f"cannot serialize labels {labels.shape} with pixels {pixels.shape}")
+    records = np.concatenate([labels[:, None], pixels.reshape(len(labels), -1)], axis=1)
+    with open(path, "wb") as fh:
+        fh.write(records.tobytes())
 
 
 def central_difference(f, theta: np.ndarray, index: tuple, h: float) -> float:

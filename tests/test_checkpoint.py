@@ -116,7 +116,7 @@ def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):
     tensors = load_tensors(path)
     assert not any(k.startswith("grad/") for k in tensors)
     # Files written before gradients were dropped carry grad/* records.
-    for name, param in store.items():
+    for name, param in net.named_parameters():
         tensors[f"grad/{name}"] = np.ones_like(param.data)
     save_tensors(path, tensors)
     restored, _ = load_checkpoint(path)

@@ -20,12 +20,13 @@ from msrnas.convolution import (
 from msrnas.derive import Genotype
 from msrnas.errors import ConstructionError, DimensionError
 from msrnas.layers import Conv2d
-from msrnas.spectral import SpectralConfig, conv_geometry, materialize_conv_matrix
+from msrnas.spectral import SpectralConfig, conv_geometry
 from msrnas.supernet import SupernetConfig, build_discrete_network, build_supernet
 
 from conftest import (
     central_difference,
     fitting_input_hw,
+    materialize_conv_matrix,
     naive_conv2d,
     random_conv_spec,
     relative_error,

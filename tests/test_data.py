@@ -16,9 +16,10 @@ from msrnas.data import (
     read_cifar_batch,
     split_train_val,
     synth_dataset,
-    write_cifar_batch,
 )
 from msrnas.errors import ArgumentError, ConfigError, FormatError
+
+from conftest import write_cifar_batch
 
 
 def fake_batch_bytes(rng, n=10):

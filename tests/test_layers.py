@@ -220,7 +220,9 @@ def test_param_store_collection(rng):
 
     net = Small()
     store = net.param_store()
-    assert set(store.names()) == {"conv.weight", "bn.gamma", "bn.beta"}
+    named = dict(net.named_parameters())
+    assert set(named) == {"conv.weight", "bn.gamma", "bn.beta"}
+    assert [id(p) for p in store] == [id(p) for p in named.values()]
     store.zero_grad()
     for p in store:
         assert p.grad.shape == p.data.shape

@@ -1,6 +1,8 @@
-"""The benchmark's tracer (perfbench/spans.py) replaces msrnas functions by
-name; a refactor that drops or renames one must fail here, not in every
-traced benchmark run. Only reads perfbench/."""
+"""The benchmark replaces msrnas functions by name: its tracer
+(perfbench/spans.py) the traced ones, its recorder (perfbench/bench.py) the
+two step clocks. A refactor that drops or renames one, or changes how the
+training loop calls them, must fail here, not in every benchmark run. Only
+reads perfbench/."""
 
 import importlib.util
 import os
@@ -8,7 +10,9 @@ import os
 import numpy as np
 import pytest
 
-from msrnas import convolution, spectral, supernet, train
+from msrnas import autodiff, convolution, layers, spectral, supernet, train
+from msrnas.config import config_from_text
+from msrnas.derive import derive_genotype
 from msrnas.spectral import SpectralConfig
 from msrnas.supernet import SupernetConfig, build_supernet
 
@@ -28,7 +32,9 @@ def patched_names():
     return (spectral.power_iteration, spectral.conv2d_forward,
             spectral.conv2d_transpose_forward, convolution.conv2d_forward,
             convolution.conv2d_weight_grad, supernet.stable_rank,
-            supernet.Supernet.adjust_all, train.collect_rank_table)
+            supernet.Supernet.adjust_all, train.collect_rank_table,
+            train.save_checkpoint, train.sgd_momentum_step,
+            autodiff.Tensor.backward, layers.Module.__call__)
 
 
 def test_tracer_installs_and_uninstalls(spans_module):
@@ -62,3 +68,62 @@ def test_traced_adjust_runs_one_power_iteration_per_group(spans_module):
     assert counts["spectral.stable_rank"] == len(net.fin_groups)
     assert counts["spectral.power_iteration"] == (
         len(net.handle_groups) + len(net.fin_groups))
+
+
+TINY = """
+data.classes = 3
+data.samples_per_class = 10
+data.test_samples_per_class = 5
+data.height = 10
+data.width = 10
+net.cells = 3
+net.nodes = 5
+net.channels = 4
+train.epochs = 1
+train.batch_size = 8
+spectral.rank_iterations = 10
+data.augment = true
+"""
+
+
+def test_training_loop_keeps_the_recorder_contract(monkeypatch, tmp_path):
+    """The recorder wraps ``train.batches`` and ``train.sgd_momentum_step``:
+    a step runs from a training batch request (``shuffle_seed=`` given as a
+    keyword, not None) to the SGD return, and held-out passes, which pass
+    ``shuffle_seed=None``, are not steps. Search's spectral adjust must fall
+    inside the step."""
+    events = []
+    batches, sgd = train.batches, train.sgd_momentum_step
+    adjust_all = supernet.Supernet.adjust_all
+
+    def recording_batches(*args, **kwargs):
+        assert "shuffle_seed" in kwargs
+        training = kwargs["shuffle_seed"] is not None
+        events.append("epoch" if training else "held_out")
+        for item in batches(*args, **kwargs):
+            if training:
+                events.append("batch")
+            yield item
+
+    def recording_sgd(*args, **kwargs):
+        out = sgd(*args, **kwargs)
+        events.append("sgd")
+        return out
+
+    def recording_adjust(net, *args, **kwargs):
+        events.append("adjust")
+        return adjust_all(net, *args, **kwargs)
+
+    monkeypatch.setattr(train, "batches", recording_batches)
+    monkeypatch.setattr(train, "sgd_momentum_step", recording_sgd)
+    monkeypatch.setattr(supernet.Supernet, "adjust_all", recording_adjust)
+
+    cfg = config_from_text(TINY)
+    result = train.run_search(cfg, str(tmp_path / "search"))
+    # 24 training samples in batches of 8; one validation pass.
+    assert events == ["adjust"] + ["epoch"] + ["batch", "adjust", "sgd"] * 3 + ["held_out"]
+
+    events.clear()
+    train.run_eval(cfg, derive_genotype(result.final_table), str(tmp_path / "eval"))
+    # 30 training samples; one test pass per epoch, then test loss and error.
+    assert events == ["epoch"] + ["batch", "sgd"] * 4 + ["held_out"] * 3

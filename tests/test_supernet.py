@@ -42,7 +42,8 @@ def test_paper_scale_topology_counts():
     for cell in net.cells:
         assert len(cell.edges) == 14
         assert sum(len(e.ops) for e in cell.edges.values()) == 56
-    assert net.edge_handle_count(0) == 168
+    assert sum(len(op.conv_layers) for e in net.cells[0].edges.values()
+               for op in e.ops) == 168
 
 
 def test_small_topology_counts(small_net):

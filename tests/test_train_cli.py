@@ -153,6 +153,52 @@ def test_search_epochs_zero_emits_init_only(tmp_path):
     with pytest.raises(ArgumentError):
         choose_epoch(out, None, "min_val_loss")
 
+    # A 0-epoch eval shares the loop: a header-only metrics.csv, then the
+    # test metrics of the untrained network.
+    geno = derive_genotype(result.final_table, mode=SelectionMode.MIN_STABLE_RANK)
+    evaluated = run_eval(tiny_cfg(str(tmp_path / "zero_eval"), epochs=0), geno)
+    out = evaluated.run_dir.root
+    assert evaluated.metrics.records == []
+    with open(os.path.join(out, "metrics.csv")) as fh:
+        assert fh.read().strip() == "epoch,train_loss,val_loss,lr"
+    assert os.path.exists(os.path.join(out, "result.txt"))
+
+
+def run_dir_bytes(root: str, names: list[str]) -> dict[str, bytes]:
+    """Contents of the named files and of every file in the named
+    subdirectories, keyed by path relative to ``root``."""
+    found = {}
+    for name in names:
+        path = os.path.join(root, name)
+        paths = ([os.path.join(path, f) for f in sorted(os.listdir(path))]
+                 if os.path.isdir(path) else [path])
+        for p in paths:
+            with open(p, "rb") as fh:
+                found[os.path.relpath(p, root)] = fh.read()
+    return found
+
+
+def test_same_seed_runs_write_identical_run_dirs(tmp_path, one_epoch_run):
+    searched = []
+    for name in ("a", "b"):
+        out = str(tmp_path / f"search_{name}")
+        run_search(tiny_cfg(out, epochs=2))
+        searched.append(run_dir_bytes(out, ["metrics.csv", "ranks", "checkpoints"]))
+    assert len(searched[0]) == 1 + 3 + 3
+    assert searched[0] == searched[1]
+
+    _, _, result = one_epoch_run
+    geno = derive_genotype(result.final_table, mode=SelectionMode.MIN_STABLE_RANK)
+    evaluated = []
+    for name in ("a", "b"):
+        cfg = tiny_cfg(str(tmp_path / f"eval_{name}"), epochs=2,
+                       extra="data.augment = true\n")
+        run_eval(cfg, geno)
+        evaluated.append(run_dir_bytes(cfg["run.output_dir"],
+                                       ["metrics.csv", "result.txt"]))
+    assert evaluated[0] == evaluated[1]
+    assert evaluated[0]["metrics.csv"].count(b"\n") == 3
+
 
 def test_cli_full_pipeline(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
