@@ -6,8 +6,8 @@ u32 ndim, ndim x u64 extents, raw row-major data. The checkpoint stores all
 parameter tensors (value, momentum), batchnorm running statistics,
 power-iteration vectors, the epoch counter, and enough configuration scalars
 to rebuild the network from the file alone. Gradients are not stored,
-because every step zeroes them before use; ``grad/*`` records in older files
-are ignored on load.
+because every step zeroes them before use; ``grad/*`` records and the
+``meta/spectral/frobenius_kernel`` scalar of older files are ignored on load.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ def checkpoint_tensors(net, epoch: int) -> dict[str, np.ndarray]:
         "meta/spectral/iterations": _meta_scalar(scfg.iterations),
         "meta/spectral/rank_iterations": _meta_scalar(scfg.rank_iterations),
         "meta/spectral/seed": _meta_scalar(scfg.seed),
-        "meta/spectral/frobenius_kernel": _meta_scalar(
-            0 if scfg.frobenius_mode == "matrix" else 1
-        ),
     }
     for name, param in net.named_parameters():
         tensors[f"param/{name}"] = param.data
@@ -155,7 +152,6 @@ def load_checkpoint(path):
         iterations=int(meta("spectral/iterations")),
         rank_iterations=int(meta("spectral/rank_iterations")),
         seed=int(meta("spectral/seed")),
-        frobenius_mode="kernel" if meta("spectral/frobenius_kernel") else "matrix",
     )
     dtype = np.float32 if meta("dtype") == 0 else np.float64
     net = build_supernet(cfg, scfg, dtype=dtype, seed=0)

@@ -77,7 +77,6 @@ SCHEMA: dict[str, tuple] = {
     "spectral.iterations": (int, 5),
     "spectral.rank_iterations": (int, 50),
     "spectral.seed": (int, 0),
-    "spectral.frobenius_mode": (str, "matrix"),
     "run.seed": (int, 0),
     "run.output_dir": (str, "run"),
     "run.dtype": (str, "float32"),
@@ -199,7 +198,6 @@ class RunConfig:
             iterations=int(self["spectral.iterations"]),
             rank_iterations=int(self["spectral.rank_iterations"]),
             seed=int(self["spectral.seed"]),
-            frobenius_mode=self["spectral.frobenius_mode"],
         )
 
     def make_split_spec(self) -> SplitSpec:

@@ -53,7 +53,6 @@ class RankTable:
     )
     epoch: int = 0
     seed: int = 0
-    rank_iterations: int = 0
     # Per-cell detail [(cell_index, rank-or-None), ...] kept only on freshly
     # computed tables for reporting; not serialized.
     per_cell: dict | None = field(default=None, repr=False, compare=False)
@@ -244,7 +243,6 @@ def rank_table_to_text(table: RankTable) -> str:
         f"meta nodes {table.nodes}",
         f"meta epoch {table.epoch}",
         f"meta seed {table.seed}",
-        f"meta rank_iterations {table.rank_iterations}",
     ]
     for cell_type in CELL_TYPES:
         for edge in cell_edges(table.nodes):
@@ -264,6 +262,7 @@ def rank_table_from_text(text: str) -> RankTable:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "meta" and len(parts) == 3:
+            # Unknown keys, such as older tables' rank_iterations, are ignored.
             meta[parts[1]] = int(parts[2])
         elif parts[0] == "rank" and len(parts) == 6:
             cell_type, i, j, op, value = parts[1], int(parts[2]), int(parts[3]), parts[4], parts[5]
@@ -281,7 +280,6 @@ def rank_table_from_text(text: str) -> RankTable:
         entries=entries,
         epoch=meta.get("epoch", 0),
         seed=meta.get("seed", 0),
-        rank_iterations=meta.get("rank_iterations", 0),
     )
 
 

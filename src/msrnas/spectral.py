@@ -1,10 +1,12 @@
-"""Spectral-norm estimation and adjustment, Frobenius norms and stable rank of
-the convolution matrix view.
+"""Spectral-norm estimation and adjustment, and the exact stable rank of a
+1x1 conv's matrix view.
 
 The power iteration alternates the convolution and its exact adjoint on a
 persistent unit vector; its estimate never exceeds the true spectral norm, so
-dividing by it is a safe normalizer and the resulting stable-rank figure is an
-over-estimate whose bias shrinks with the iteration count.
+dividing by it is a safe normalizer for the training-time adjustment. The
+stable rank needs no estimate: every rank-scored conv is a padding-0 1x1
+conv, whose spectral and Frobenius norms have a closed form in its weight
+matrix (``stable_rank``).
 
 Power iteration runs on groups of handles that share one geometry (channels,
 groups, kernel, stride, padding, dilation, input extents and dtype; see
@@ -30,17 +32,12 @@ import numpy as np
 from .convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
 from .errors import ArgumentError, ConfigError, DegenerateOperatorError
 
-FROBENIUS_MATRIX = "matrix"  # Frobenius norm of the full matrix view
-FROBENIUS_KERNEL = "kernel"  # Frobenius norm of the raw kernel tensor
-
-
 @dataclass
 class SpectralConfig:
     target_norm: float = 1.0      # constant every conv's spectral norm is set to
     iterations: int = 5           # power iterations per training-time adjustment
-    rank_iterations: int = 50     # cold-start iterations for rank measurement
+    rank_iterations: int = 50     # iterations of the initial cold adjust
     seed: int = 0
-    frobenius_mode: str = FROBENIUS_MATRIX
 
     def __post_init__(self):
         if self.target_norm <= 0:
@@ -49,10 +46,6 @@ class SpectralConfig:
             raise ConfigError("iterations must be at least 1")
         if self.rank_iterations < self.iterations:
             raise ConfigError("rank_iterations must be >= iterations")
-        if self.frobenius_mode not in (FROBENIUS_MATRIX, FROBENIUS_KERNEL):
-            raise ConfigError(
-                f"frobenius_mode must be '{FROBENIUS_MATRIX}' or '{FROBENIUS_KERNEL}'"
-            )
 
 
 def _seed_for(name: str, seed: int) -> list[int]:
@@ -210,76 +203,33 @@ def spectral_norm_adjust(handles: ConvHandle | Sequence[ConvHandle],
         handle.spec.weight *= cfg.target_norm / float(sigma)
 
 
-def frobenius_norm_of_map(spec: ConvSpec, input_hw: tuple[int, int],
-                          mode: str = FROBENIUS_MATRIX) -> float:
-    """Frobenius norm of the conv's dense matrix view at the given input size,
-    computed from in-bounds kernel-tap counts without storing the matrix.
-
-    ``mode='kernel'`` returns the plain kernel-tensor norm instead.
-    """
-    if mode == FROBENIUS_KERNEL:
-        return float(np.linalg.norm(spec.weight))
-    h, w = input_hw
-    ho, wo = spec.out_hw(h, w)
-    p, s, d = spec.padding, spec.stride, spec.dilation
-    # count_h[k] = number of output rows whose k-th kernel tap lands inside
-    # the real (unpadded) input; every matrix entry is one weight value, so
-    # ||M||_F^2 = sum_kl count_h[k]*count_w[l]*sum_oc w[o,c,k,l]^2.
-    positions_h = np.arange(ho) * s - p
-    positions_w = np.arange(wo) * s - p
-    count_h = np.array([
-        int(np.count_nonzero((positions_h + k * d >= 0) & (positions_h + k * d < h)))
-        for k in range(spec.kernel_h)
-    ])
-    count_w = np.array([
-        int(np.count_nonzero((positions_w + l * d >= 0) & (positions_w + l * d < w)))
-        for l in range(spec.kernel_w)
-    ])
-    per_tap = (spec.weight.astype(np.float64) ** 2).sum(axis=(0, 1))
-    total = float((count_h[:, None] * count_w[None, :] * per_tap).sum())
-    return float(np.sqrt(total))
-
-
-def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int],
-                cfg: SpectralConfig) -> tuple[list[float | None], np.ndarray]:
+def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int]
+                ) -> tuple[list[float | None], np.ndarray]:
     """Squared Frobenius over squared spectral norm of the matrix view of each
-    conv, for convs of one geometry at input extents ``input_hw``.
+    conv, for padding-0 ungrouped 1x1 convs of one geometry at input extents
+    ``input_hw``.
 
-    Returns the stable ranks, None for a degenerate conv, and the spectral
-    norm estimates they divide by, NaN for a degenerate conv. The estimates
-    come from one grouped cold-start power iteration in which every probe
-    starts from the same config-seeded vector, so repeated calls are
-    deterministic and a conv's result does not depend on its group. A
-    degenerate conv leaves the group and the rest are iterated again. The
-    raw ratio over-estimates the true stable rank (the spectral norm is
-    under-estimated); in matrix mode the result is clipped to the feasible
-    range [1, min(rows, cols)], which can only reduce the estimation error.
+    Returns the stable ranks, None for an all-zero weight, and the spectral
+    norms they divide by, NaN for an all-zero weight, both exact in float64.
+    Such a conv's matrix view is ``W ⊗ S``, where ``S`` picks the sampled
+    pixels and has orthonormal rows, so its spectral norm is ``||W||_2`` and
+    its squared Frobenius norm ``ho*wo*||W||_F^2``; one batched SVD of the
+    stacked weights gives every ``||W||_2`` (Sedghi, Gupta & Long, "The
+    Singular Values of Convolutional Layers", ICLR 2019).
     """
-    probes = [ConvHandle(spec, input_hw, seed=cfg.seed, name="stable-rank-probe")
-              for spec in specs]
-    # Same name and seed, hence the same start vector: draw it once.
-    start = probes[0].vector
-    for probe in probes[1:]:
-        probe.vector = start
-    sigmas = np.full(len(probes), np.nan)
-    live = list(range(len(probes)))
-    while live:
-        try:
-            sigmas[live] = power_iteration([probes[k] for k in live],
-                                           cfg.rank_iterations)
-            break
-        except DegenerateOperatorError as exc:
-            live.remove(probes.index(exc.handle))
-    ranks: list[float | None] = []
-    for spec, sigma in zip(specs, sigmas):
-        if not sigma > 0.0:
-            ranks.append(None)
-            continue
-        fro = frobenius_norm_of_map(spec, input_hw, mode=cfg.frobenius_mode)
-        ratio = (fro / float(sigma)) ** 2
-        if cfg.frobenius_mode == FROBENIUS_KERNEL:
-            ranks.append(float(ratio))
-            continue
-        rows, cols = spec.matrix_shape(*input_hw)
-        ranks.append(float(min(max(ratio, 1.0), float(min(rows, cols)))))
-    return ranks, sigmas
+    geometry = conv_geometry(specs[0], input_hw)
+    for spec in specs:
+        if (not spec.is_pointwise or spec.groups != 1
+                or conv_geometry(spec, input_hw) != geometry):
+            raise ArgumentError(
+                f"stable_rank needs ungrouped padding-0 1x1 convs of one geometry, "
+                f"got {spec}"
+            )
+    ho, wo = specs[0].out_hw(*input_hw)
+    weights = np.stack([spec.weight.reshape(spec.out_channels, spec.in_channels)
+                        for spec in specs]).astype(np.float64)
+    sigmas = np.linalg.svd(weights, compute_uv=False)[:, 0]
+    fro_squared = ho * wo * (weights ** 2).sum(axis=(1, 2))
+    ranks = [float(fro / sigma ** 2) if sigma > 0.0 else None
+             for fro, sigma in zip(fro_squared, sigmas)]
+    return ranks, np.where(sigmas > 0.0, sigmas, np.nan)

@@ -45,7 +45,6 @@ from .operators import (
 from .spectral import (
     ConvHandle,
     SpectralConfig,
-    frobenius_norm_of_map,
     group_by_geometry,
     spectral_norm_adjust,
     stable_rank,
@@ -363,21 +362,19 @@ def build_discrete_network(genotype: Genotype, cfg: SupernetConfig, *,
     return DiscreteNetwork(genotype, cfg, dtype=dtype, seed=seed)
 
 
-def collect_rank_table(net: Supernet, cfg: SpectralConfig | None = None, *,
-                       epoch: int = 0) -> RankTable:
+def collect_rank_table(net: Supernet, *, epoch: int = 0) -> RankTable:
     """Average stable rank of every candidate's final conv per cell type.
 
     Degenerate convolutions flag their whole (type, edge, operator) entry.
     Also records the per-cell values on the table for reporting.
     """
-    return _measure_fin_convs(net, cfg or net.spectral_cfg, epoch)[0]
+    return _measure_fin_convs(net, epoch)[0]
 
 
-def _measure_fin_convs(net: Supernet, cfg: SpectralConfig,
-                       epoch: int) -> tuple[RankTable, np.ndarray]:
-    """The rank table and the spectral-norm estimate of every final conv
-    (NaN where degenerate, in ``fin_tags`` order), from one cold grouped
-    pass per geometry group."""
+def _measure_fin_convs(net: Supernet, epoch: int) -> tuple[RankTable, np.ndarray]:
+    """The rank table and the spectral norm of every final conv (NaN where
+    degenerate, in ``fin_tags`` order), from one ``stable_rank`` call per
+    geometry group."""
     present = {cell.cell_type for cell in net.cells}
     missing = [t for t in CELL_TYPES if t not in present]
     if missing:
@@ -390,7 +387,7 @@ def _measure_fin_convs(net: Supernet, cfg: SpectralConfig,
         for group in net.fin_groups:
             handles = [net.fin_tags[i].handle for i in group]
             values, estimates = stable_rank([h.spec for h in handles],
-                                            handles[0].in_hw, cfg)
+                                            handles[0].in_hw)
             for i, value, sigma in zip(group, values, estimates):
                 ranks[i] = value
                 sigmas[i] = sigma
@@ -398,8 +395,8 @@ def _measure_fin_convs(net: Supernet, cfg: SpectralConfig,
     for tag, value in zip(net.fin_tags, ranks):
         key = (tag.cell_type, tag.edge, tag.kind.value)
         groups.setdefault(key, []).append((tag.cell_index, value))
-    table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=cfg.seed,
-                      rank_iterations=cfg.rank_iterations, per_cell={})
+    table = RankTable(nodes=net.cfg.nodes, epoch=epoch,
+                      seed=net.spectral_cfg.seed, per_cell={})
     for key, cells in groups.items():
         values = [v for _, v in cells]
         if any(v is None for v in values):
@@ -411,26 +408,20 @@ def _measure_fin_convs(net: Supernet, cfg: SpectralConfig,
     return table, sigmas
 
 
-def conv_rank_report(net: Supernet, cfg: SpectralConfig | None = None, *,
-                     epoch: int = 0) -> str:
-    """Structured text report: averaged and per-cell ranks, spectral-norm
-    estimates and Frobenius norms for every candidate's final conv. The
-    estimates are those the rank table divides by."""
-    cfg = cfg or net.spectral_cfg
-    table, sigmas = _measure_fin_convs(net, cfg, epoch)
-    lines = [
-        "# msrnas conv rank report",
-        f"meta epoch {epoch}",
-        f"meta rank_iterations {cfg.rank_iterations}",
-    ]
+def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
+    """Structured text report: averaged and per-cell ranks, spectral norms
+    and Frobenius norms of the matrix view for every candidate's final
+    conv. The spectral norms are those the rank table divides by."""
+    table, sigmas = _measure_fin_convs(net, epoch)
+    lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
     detail: dict[tuple, list[str]] = {}
     for tag, sigma in zip(net.fin_tags, sigmas):
-        fro = frobenius_norm_of_map(tag.handle.spec, tag.handle.in_hw,
-                                    mode=cfg.frobenius_mode)
         key = (tag.cell_type, tag.edge, tag.kind.value)
         ranks = dict(table.per_cell[key])
         rank = ranks.get(tag.cell_index)
         rank_text = "degenerate" if rank is None else f"{rank:.6g}"
+        # The rank is fro^2 / sigma^2; a degenerate conv's weight is zero.
+        fro = 0.0 if rank is None else sigma * np.sqrt(rank)
         detail.setdefault(key, []).append(
             f"  cell={tag.cell_index} rank={rank_text} "
             f"sigma={sigma:.6g} fro={fro:.6g}"

@@ -1,18 +1,19 @@
 """Search-stage and evaluation-stage training with run-dir artifacts.
 
 A run directory owns: a config echo, a lock file, metrics.csv (deterministic
-columns only), log.txt (human lines including wall time), per-epoch
-checkpoints, and per-epoch rank tables.
+columns only), log.txt (human lines including wall time) and, for a search,
+per-epoch checkpoints and rank tables.
 
 Both stages run one epoch loop (``_train_epochs``): shuffle, batches, loss,
-backward, momentum SGD, the held-out loss, metrics.csv and the log line. A
+backward, momentum SGD, the held-out pass, metrics.csv and the log line. A
 stage differs only in its shuffle salt and two hooks. The search stage's
 pre-step hook adjusts every registered convolution's spectral norm after the
 batch is drawn and before the forward pass; its end-of-epoch hook saves the
 rank table and checkpoint, as it does once for epoch 0 before training. The
 evaluation stage trains the derived architecture from scratch with no-op
-hooks, then reports test loss and error. ``_in_locked_run`` holds the run
-directory's lock and writes the config echo around either stage.
+hooks, then reports the last epoch's test loss and error. ``_in_locked_run``
+holds the run directory's lock and writes the config echo around either
+stage.
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ class RunDir:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        os.makedirs(self.checkpoints, exist_ok=True)
-        os.makedirs(self.ranks, exist_ok=True)
         self._lock_handle = None
 
     @property
@@ -180,42 +179,37 @@ def _diagnose_non_finite(net, images: Tensor, labels: np.ndarray) -> str:
     return "unknown tensor"
 
 
-def _mean_loss(net, ds: Dataset, batch_size: int) -> float:
-    """Dataset mean cross-entropy in eval mode (no augmentation, no graph)."""
+def _held_out_pass(net, ds: Dataset, batch_size: int) -> tuple[float, float]:
+    """Dataset mean cross-entropy and error rate in eval mode, from one pass
+    (no augmentation, no graph)."""
     net.eval()
     total = 0.0
+    hits = 0
     count = 0
     with no_grad():
         for imgs, labels in batches(ds, batch_size, shuffle_seed=None, augment=False):
-            loss = cross_entropy(net(Tensor(imgs)), labels)
-            total += float(loss.data) * len(labels)
+            logits = net(Tensor(imgs))
+            total += float(cross_entropy(logits, labels).data) * len(labels)
+            hits += int((logits.data.argmax(axis=1) == labels).sum())
             count += len(labels)
     net.train()
-    return total / max(count, 1)
-
-
-def _accuracy(net, ds: Dataset, batch_size: int) -> float:
-    net.eval()
-    hits = 0
-    with no_grad():
-        for imgs, labels in batches(ds, batch_size, shuffle_seed=None, augment=False):
-            logits = net(Tensor(imgs))
-            hits += int((logits.data.argmax(axis=1) == labels).sum())
-    net.train()
-    return hits / len(ds)
+    return total / max(count, 1), 1.0 - hits / max(count, 1)
 
 
 def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
                   train_ds: Dataset, held_out: Dataset, held_out_label: str, *,
-                  salt: int, before_step, end_epoch) -> MetricsLog:
-    """The epoch loop both stages share.
+                  salt: int, before_step, end_epoch
+                  ) -> tuple[MetricsLog, tuple[float, float] | None]:
+    """The epoch loop both stages share; returns the metrics and the last
+    epoch's held-out (loss, error), None when no epoch ran.
 
     ``before_step()`` runs after each training batch is drawn and before
-    its forward pass; ``end_epoch(epoch)`` runs after the held-out loss.
+    its forward pass; ``end_epoch(epoch)`` runs after the held-out pass.
     metrics.csv is rewritten each epoch (header only before the first).
     """
     store = net.param_store()
     metrics = MetricsLog()
+    held_out_pass = None
     with open(run.metrics_path, "w", encoding="utf-8") as fh:
         fh.write(metrics.to_csv())
     for epoch in range(1, hyper.epochs + 1):
@@ -241,7 +235,8 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
             total_loss += float(loss.data) * len(labels)
             seen += len(labels)
         train_loss = total_loss / seen
-        held_out_loss = _mean_loss(net, held_out, hyper.batch_size)
+        held_out_pass = _held_out_pass(net, held_out, hyper.batch_size)
+        held_out_loss = held_out_pass[0]
         record = EpochRecord(epoch=epoch, train_loss=train_loss,
                              val_loss=held_out_loss, lr=lr,
                              wall_time=time.time() - t0)
@@ -254,7 +249,7 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
             f"{held_out_label}_loss={held_out_loss:.4f} lr={lr:.5f} "
             f"wall={record.wall_time:.1f}s"
         )
-    return metrics
+    return metrics, held_out_pass
 
 
 def _in_locked_run(cfg: RunConfig, out_dir: str | None, stage):
@@ -290,6 +285,8 @@ def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
 
 def _search(cfg: RunConfig, run: RunDir, hyper: TrainHyper) -> SearchResult:
     spectral_cfg = cfg.make_spectral_config()
+    os.makedirs(run.checkpoints, exist_ok=True)
+    os.makedirs(run.ranks, exist_ok=True)
     corpus, _ = cfg.make_datasets()
     train_ds, val_ds = split_train_val(corpus, cfg.make_split_spec())
     net = build_supernet(cfg.make_supernet_config(), spectral_cfg,
@@ -315,8 +312,8 @@ def _search(cfg: RunConfig, run: RunDir, hyper: TrainHyper) -> SearchResult:
     net.begin_step()
     net.adjust_all(iterations=spectral_cfg.rank_iterations)
     snapshot(0)
-    metrics = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
-                            salt=0xBA7C, before_step=adjust, end_epoch=snapshot)
+    metrics, _ = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
+                               salt=0xBA7C, before_step=adjust, end_epoch=snapshot)
     return SearchResult(run_dir=run, metrics=metrics, final_table=table, net=net)
 
 
@@ -368,10 +365,11 @@ def _eval(cfg: RunConfig, genotype: Genotype, run: RunDir,
         f"eval start: {len(train_ds)} train / {len(test_ds)} test samples, "
         f"genotype mode={genotype.mode}, {hyper.epochs} epochs"
     )
-    metrics = _train_epochs(cfg, hyper, run, net, train_ds, test_ds, "test",
-                            salt=0xE7A1, before_step=_no_op, end_epoch=_no_op)
-    test_loss = _mean_loss(net, test_ds, hyper.batch_size)
-    test_error = 1.0 - _accuracy(net, test_ds, hyper.batch_size)
+    metrics, last_pass = _train_epochs(cfg, hyper, run, net, train_ds, test_ds, "test",
+                                       salt=0xE7A1, before_step=_no_op, end_epoch=_no_op)
+    # The last epoch's test pass used the final weights; only a 0-epoch eval
+    # needs a pass of its own.
+    test_loss, test_error = last_pass or _held_out_pass(net, test_ds, hyper.batch_size)
     run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")
     with open(os.path.join(run.root, "result.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")

@@ -105,6 +105,25 @@ def test_checkpoint_missing_param_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_frobenius_kernel_key_loads(tmp_path):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=2)
+    tensors = load_tensors(path)
+    assert "meta/spectral/frobenius_kernel" not in tensors
+    # Files written before the Frobenius mode was dropped carry this scalar.
+    tensors["meta/spectral/frobenius_kernel"] = np.asarray(0.0)
+    save_tensors(path, tensors)
+    restored, epoch = load_checkpoint(path)
+    assert epoch == 2
+    assert restored.spectral_cfg == net.spectral_cfg
+    originals = dict(net.named_parameters())
+    for name, param in restored.named_parameters():
+        np.testing.assert_array_equal(param.data, originals[name].data)
+
+
 def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
                          input_hw=(8, 8))

@@ -248,13 +248,54 @@ def test_incomplete_table_rejected():
 def test_rank_table_text_roundtrip():
     table = random_table(6, seed=7)
     table.entries[("reduce", (0, 2), "dil3")] = None
-    table.epoch, table.seed, table.rank_iterations = 12, 3, 50
+    table.epoch, table.seed = 12, 3
     text = rank_table_to_text(table)
+    assert "rank_iterations" not in text
     back = rank_table_from_text(text)
     assert back.nodes == table.nodes
-    assert back.epoch == 12 and back.seed == 3 and back.rank_iterations == 50
+    assert back.epoch == 12 and back.seed == 3
     assert back.entries == table.entries
     assert rank_table_to_text(back) == text
+
+
+# A table as written before the rank table dropped its rank_iterations line.
+OLD_FORMAT_TABLE = """\
+# msrnas rank table v1
+meta nodes 4
+meta epoch 7
+meta seed 2
+meta rank_iterations 50
+rank normal 0 2 sep3 3.5
+rank normal 0 2 sep5 4.25
+rank normal 0 2 dil3 degenerate
+rank normal 0 2 dil5 5.0
+rank normal 1 2 sep3 6.0
+rank normal 1 2 sep5 2.5
+rank normal 1 2 dil3 7.125
+rank normal 1 2 dil5 8.0
+rank reduce 0 2 sep3 1.5
+rank reduce 0 2 sep5 2.0
+rank reduce 0 2 dil3 3.0
+rank reduce 0 2 dil5 4.0
+rank reduce 1 2 sep3 9.0
+rank reduce 1 2 sep5 8.5
+rank reduce 1 2 dil3 1.25
+rank reduce 1 2 dil5 6.5
+"""
+
+
+def test_rank_table_reads_old_format_with_rank_iterations():
+    table = rank_table_from_text(OLD_FORMAT_TABLE)
+    assert (table.nodes, table.epoch, table.seed) == (4, 7, 2)
+    assert table.get("normal", (0, 2), "dil3") is None
+    assert table.get("reduce", (1, 2), "dil3") == 1.25
+    table.require_complete()
+    geno = derive_genotype(table, mode=MIN)
+    assert geno.normal == [[("sep3", 0), ("sep5", 1)]]
+    assert geno.reduce == [[("sep3", 0), ("dil3", 1)]]
+    # Written back, the table drops only the rank_iterations line.
+    assert rank_table_to_text(table) == OLD_FORMAT_TABLE.replace(
+        "meta rank_iterations 50\n", "")
 
 
 def test_rank_table_bad_header():

@@ -1,8 +1,9 @@
 """The benchmark replaces msrnas functions by name: its tracer
 (perfbench/spans.py) the traced ones, its recorder (perfbench/bench.py) the
-two step clocks. A refactor that drops or renames one, or changes how the
-training loop calls them, must fail here, not in every benchmark run. Only
-reads perfbench/."""
+two step clocks. Its output checks (perfbench/checks.py) call msrnas by name
+too. A refactor that drops or renames one, or changes how the training loop
+calls them, must fail here, not in every benchmark run. Only reads
+perfbench/."""
 
 import importlib.util
 import os
@@ -16,16 +17,21 @@ from msrnas.derive import derive_genotype
 from msrnas.spectral import SpectralConfig
 from msrnas.supernet import SupernetConfig, build_supernet
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("spans")
 
 
 def patched_names():
@@ -66,8 +72,21 @@ def test_traced_adjust_runs_one_power_iteration_per_group(spans_module):
         counts[tracer.names[nid]] = counts.get(tracer.names[nid], 0) + 1
     assert counts["supernet.adjust_all"] == 1
     assert counts["spectral.stable_rank"] == len(net.fin_groups)
-    assert counts["spectral.power_iteration"] == (
-        len(net.handle_groups) + len(net.fin_groups))
+    # The rank table needs no power iteration.
+    assert counts["spectral.power_iteration"] == len(net.handle_groups)
+
+
+def test_checks_converge_and_accept_an_adjusted_supernet():
+    checks = load_perfbench("checks")
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    net.begin_step()
+    net.adjust_all()
+    checks.converge_sampled(net)
+    name, ok, detail = checks.check_sigma(net)
+    assert name == "sigma_oracle"
+    assert ok, detail
 
 
 TINY = """
@@ -125,5 +144,6 @@ def test_training_loop_keeps_the_recorder_contract(monkeypatch, tmp_path):
 
     events.clear()
     train.run_eval(cfg, derive_genotype(result.final_table), str(tmp_path / "eval"))
-    # 30 training samples; one test pass per epoch, then test loss and error.
-    assert events == ["epoch"] + ["batch", "sgd"] * 4 + ["held_out"] * 3
+    # 30 training samples; one test pass per epoch, which also gives the
+    # final test loss and error.
+    assert events == ["epoch"] + ["batch", "sgd"] * 4 + ["held_out"]

@@ -1,5 +1,6 @@
 """Power iteration (single and grouped by geometry), spectral-norm adjustment,
-and Frobenius/stable-rank checks against the dense SVD oracle."""
+and the closed-form stable rank of 1x1 convs, checked against the dense SVD
+oracle."""
 
 import re
 
@@ -13,7 +14,6 @@ from msrnas.errors import ArgumentError, DegenerateOperatorError
 from msrnas.spectral import (
     ConvHandle,
     SpectralConfig,
-    frobenius_norm_of_map,
     power_iteration,
     spectral_norm_adjust,
     stable_rank,
@@ -22,10 +22,9 @@ from msrnas.spectral import (
 from conftest import fitting_input_hw, materialize_conv_matrix, random_conv_spec
 
 
-def single_stable_rank(spec: ConvSpec, hw: tuple[int, int],
-                       cfg: SpectralConfig) -> float | None:
+def single_stable_rank(spec: ConvSpec, hw: tuple[int, int]) -> float | None:
     """``stable_rank`` on a group of one."""
-    ranks, _ = stable_rank([spec], hw, cfg)
+    ranks, _ = stable_rank([spec], hw)
     return ranks[0]
 
 
@@ -103,72 +102,76 @@ def test_adjust_converges_over_warm_started_rounds(rng):
     assert 0.99 <= sigma <= 1.01
 
 
-def test_frobenius_identity_conv():
-    n = 3 * 4 * 4
-    assert frobenius_norm_of_map(identity_spec(3), (4, 4)) == pytest.approx(np.sqrt(n))
+def pointwise_spec(weight: np.ndarray, stride: int = 1) -> ConvSpec:
+    """A padding-0 1x1 conv with the given (out, in) weight matrix."""
+    o, c = weight.shape
+    return ConvSpec(o, c, 1, 1, stride=stride, weight=weight.reshape(o, c, 1, 1))
 
 
-def test_frobenius_1x1_diagonal_map():
-    k = -1.7
-    spec = ConvSpec(1, 1, 1, 1, weight=np.array([[[[k]]]]))
-    assert frobenius_norm_of_map(spec, (5, 7)) == pytest.approx(abs(k) * np.sqrt(35))
-
-
-def test_frobenius_matches_dense_matrix(rng):
-    for _ in range(15):
-        spec = random_conv_spec(rng)
-        h, w = fitting_input_hw(spec, rng)
-        dense = np.linalg.norm(materialize_conv_matrix(spec, (h, w)))
-        assert abs(frobenius_norm_of_map(spec, (h, w)) - dense) < 1e-8 * max(1.0, dense)
-
-
-def test_frobenius_kernel_mode(rng):
-    spec = random_conv_spec(rng)
-    assert frobenius_norm_of_map(spec, (8, 8), mode="kernel") == pytest.approx(
-        np.linalg.norm(spec.weight)
-    )
+def dense_stable_rank(spec: ConvSpec, hw: tuple[int, int]) -> tuple[float, float]:
+    """(stable rank, spectral norm) of the materialized matrix view via SVD."""
+    sv = np.linalg.svd(materialize_conv_matrix(spec, hw), compute_uv=False)
+    return float((sv ** 2).sum() / sv[0] ** 2), float(sv[0])
 
 
 def test_stable_rank_identity_map():
-    cfg = SpectralConfig()
     n = 2 * 4 * 4
-    assert single_stable_rank(identity_spec(2), (4, 4), cfg) == pytest.approx(n, rel=1e-6)
+    assert single_stable_rank(identity_spec(2), (4, 4)) == pytest.approx(n, rel=1e-12)
 
 
 def test_stable_rank_rank_one_map(rng):
     # Outer-product weight on a 1x1 conv at 1x1 input: exactly rank one.
     u = rng.standard_normal((3, 1))
     v = rng.standard_normal((1, 4))
-    w = (u @ v).reshape(3, 4, 1, 1)
-    spec = ConvSpec(3, 4, 1, 1, weight=w)
-    assert single_stable_rank(spec, (1, 1), SpectralConfig()) == pytest.approx(1.0, rel=1e-6)
+    spec = pointwise_spec(u @ v)
+    assert single_stable_rank(spec, (1, 1)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stable_rank_closed_form_two_singular_values():
-    w = np.diag([2.0, 1.0]).reshape(2, 2, 1, 1)
-    spec = ConvSpec(2, 2, 1, 1, weight=w)
-    assert single_stable_rank(spec, (1, 1), SpectralConfig()) == pytest.approx(1.25, rel=1e-6)
+    spec = pointwise_spec(np.diag([2.0, 1.0]))
+    assert single_stable_rank(spec, (1, 1)) == pytest.approx(1.25, rel=1e-12)
+
+
+def closed_form_cases(rng):
+    """Square, wide, tall and rank-deficient weights, each at stride 1 and 2
+    over input extents from 1x1 to 7x5."""
+    weights = [rng.standard_normal((4, 4)), rng.standard_normal((3, 6)),
+               rng.standard_normal((6, 3)),
+               rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))]
+    for weight in weights:
+        for stride in (1, 2):
+            for hw in ((1, 1), (2, 3), (4, 4), (7, 5)):
+                yield pointwise_spec(weight, stride), hw
 
 
 def test_stable_rank_matches_svd_oracle(rng):
-    cfg = SpectralConfig()
-    for _ in range(10):
-        spec = random_conv_spec(rng)
-        h, w = fitting_input_hw(spec, rng)
-        sv = np.linalg.svd(materialize_conv_matrix(spec, (h, w)), compute_uv=False)
-        expected = float((sv ** 2).sum() / sv[0] ** 2)
-        got = single_stable_rank(spec, (h, w), cfg)
-        assert abs(got - expected) / expected < 0.01
+    for spec, hw in closed_form_cases(rng):
+        ranks, sigmas = stable_rank([spec], hw)
+        expected, sigma = dense_stable_rank(spec, hw)
+        assert abs(ranks[0] - expected) <= 1e-10 * expected, (spec, hw)
+        assert abs(sigmas[0] - sigma) <= 1e-10 * sigma, (spec, hw)
 
 
 def test_stable_rank_bounds(rng):
-    cfg = SpectralConfig()
-    for _ in range(10):
-        spec = random_conv_spec(rng)
-        h, w = fitting_input_hw(spec, rng)
-        sr = single_stable_rank(spec, (h, w), cfg)
-        rows, cols = spec.matrix_shape(h, w)
-        assert 1.0 <= sr <= min(rows, cols)
+    # The matrix view repeats W once per output pixel: its stable rank lies
+    # in [ho*wo, ho*wo*min(O, C)].
+    for spec, hw in closed_form_cases(rng):
+        pixels = np.prod(spec.out_hw(*hw))
+        sr = single_stable_rank(spec, hw)
+        assert pixels * (1 - 1e-12) <= sr
+        assert sr <= pixels * min(spec.out_channels, spec.in_channels) * (1 + 1e-12)
+
+
+def test_stable_rank_rejects_other_geometries(rng):
+    dense = ConvSpec(3, 3, 3, 3, padding=1, weight=rng.standard_normal((3, 3, 3, 3)))
+    padded = ConvSpec(3, 3, 1, 1, padding=1, weight=rng.standard_normal((3, 3, 1, 1)))
+    grouped = ConvSpec(4, 4, 1, 1, groups=2, weight=rng.standard_normal((4, 2, 1, 1)))
+    for spec in (dense, padded, grouped):
+        with pytest.raises(ArgumentError):
+            stable_rank([spec], (5, 5))
+    square = pointwise_spec(rng.standard_normal((3, 3)))
+    with pytest.raises(ArgumentError):
+        stable_rank([square, pointwise_spec(rng.standard_normal((3, 3)), stride=2)], (5, 5))
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,16 +179,13 @@ def test_stable_rank_bounds(rng):
        st.floats(0.05, 20).filter(lambda k: abs(k) > 1e-3))
 def test_stable_rank_scale_invariance(seed, k):
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = random_conv_spec(rng)
-    h, w = fitting_input_hw(spec, rng)
-    cfg = SpectralConfig()
-    base = single_stable_rank(spec, (h, w), cfg)
-    scaled_spec = ConvSpec(
-        spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w,
-        spec.stride, spec.padding, spec.dilation, spec.groups,
-        weight=k * spec.weight,
-    )
-    assert single_stable_rank(scaled_spec, (h, w), cfg) == pytest.approx(base, rel=1e-6)
+    o, c = rng.integers(1, 7, size=2)
+    weight = rng.standard_normal((o, c))
+    stride = int(rng.integers(1, 3))
+    hw = tuple(int(v) for v in rng.integers(1, 8, size=2))
+    base = single_stable_rank(pointwise_spec(weight, stride), hw)
+    scaled = single_stable_rank(pointwise_spec(k * weight, stride), hw)
+    assert scaled == pytest.approx(base, rel=1e-10)
 
 
 def test_materialize_identity_is_identity():
@@ -352,13 +352,11 @@ def test_power_iteration_rejects_mixed_geometries():
 
 
 def test_stable_rank_group_scores_degenerate_member_none(rng):
-    specs = [ConvSpec(3, 3, 3, 3, padding=1, weight=rng.standard_normal((3, 3, 3, 3)))
-             for _ in range(3)]
+    specs = [pointwise_spec(rng.standard_normal((3, 5))) for _ in range(3)]
     specs[1].weight[...] = 0.0
-    cfg = SpectralConfig()
-    ranks, sigmas = stable_rank(specs, (6, 6), cfg)
+    ranks, sigmas = stable_rank(specs, (6, 6))
     assert ranks[1] is None and np.isnan(sigmas[1])
     for k in (0, 2):
-        alone, alone_sigma = stable_rank([specs[k]], (6, 6), cfg)
+        alone, alone_sigma = stable_rank([specs[k]], (6, 6))
         assert ranks[k] == pytest.approx(alone[0], rel=1e-12)
         assert sigmas[k] == pytest.approx(alone_sigma[0], rel=1e-12)

@@ -287,7 +287,7 @@ def test_rank_table_known_singular_values():
                 hw = tag.handle.in_hw
                 expected = hw[0] * hw[1] * sr_weight
                 got = per_cell[tag.cell_index]
-                assert abs(got - expected) / expected < 0.01
+                assert abs(got - expected) / expected < 1e-10
 
 
 def test_rank_table_mean_of_identical_cells():
@@ -394,6 +394,23 @@ def test_conv_rank_report_structure(small_net):
     op_rows = [ln for ln in lines if ln.startswith("op ")]
     assert len(op_rows) == 2 * 5 * 4  # cell types x edges x operators
     assert lines[-1].startswith("total rows=40")
+    # fro is the Frobenius norm of the matrix view: sqrt(ho*wo) * ||W||_F.
+    expected = {}
+    for tag in net.fin_tags:
+        spec, hw = tag.handle.spec, tag.handle.in_hw
+        key = f"op {tag.cell_type} edge=({tag.edge[0]},{tag.edge[1]}) kind={tag.kind.value}"
+        pixels = np.prod(spec.out_hw(*hw))
+        expected[key, tag.cell_index] = np.sqrt(pixels) * np.linalg.norm(spec.weight)
+    seen = 0
+    for line in lines[2:-1]:
+        if line.startswith("op "):
+            op = line.rsplit(" ", 1)[0]
+            continue
+        fields = dict(field.split("=") for field in line.split())
+        got = float(fields["fro"])
+        assert got == pytest.approx(expected[op, int(fields["cell"])], rel=1e-5)
+        seen += 1
+    assert seen == len(net.fin_tags)
 
 
 def test_operator_kind_enumeration():

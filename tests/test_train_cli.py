@@ -139,6 +139,16 @@ def test_derive_from_run_and_eval(tmp_path, one_epoch_run):
     assert 0.0 <= result.test_error <= 1.0
     assert np.isfinite(result.test_loss)
     assert os.path.exists(os.path.join(result.run_dir.root, "result.txt"))
+    # The final test metrics come from the last epoch's test pass.
+    assert result.test_loss == result.metrics.records[-1].val_loss
+
+
+def test_eval_run_dir_has_no_search_dirs(tmp_path, one_epoch_run):
+    _, _, searched = one_epoch_run
+    geno = derive_genotype(searched.final_table, mode=SelectionMode.MIN_STABLE_RANK)
+    result = run_eval(tiny_cfg(str(tmp_path / "eval"), epochs=1), geno)
+    assert sorted(os.listdir(result.run_dir.root)) == [
+        "config.txt", "log.txt", "metrics.csv", "result.txt"]
 
 
 def test_search_epochs_zero_emits_init_only(tmp_path):
