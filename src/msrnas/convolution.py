@@ -9,15 +9,21 @@ and dilation ``d``, runs as one batched GEMM per kernel row k (row-band GEMM):
 the padded input rows ``y*s + k*d``, copied out as ``A_k`` (g, n*ho, cg*wp),
 meet the band matrix ``T_k`` (g, cg*wp, og*wo) whose only nonzeros are
 ``T_k[(c, x*s + l*d), (o, x)] = w[o, c, k, l]``, kernel row k repeated down
-the diagonals. The forward is ``sum_k A_k @ T_k``; the adjoint adds
-``G @ T_k^T`` back onto rows ``y*s + k*d``; the weight gradient sums the band
-diagonals of ``A_k^T @ G`` over x. A row's copy is about the input's size,
-not kh*kw times it. ``T_k`` has ``g*cg*og*wp*wo`` entries, which stays small
-because the only dense kxk conv in the network is the 3-channel stem (the
-depthwise convs have cg = og = 1). The adjoint is exact with respect to the
-forward map, including padding, striding, dilation and groups; the power
-iteration and the backward pass rely on that. Every routine returns a
-C-contiguous array.
+the diagonals. The forward is ``sum_k A_k @ T_k``; the weight gradient sums
+the band diagonals of ``A_k^T @ G`` over x. A row's copy is about the input's
+size, not kh*kw times it. ``T_k`` has ``g*cg*og*wp*wo`` entries, which stays
+small because the only dense kxk conv in the network is the 3-channel stem
+(the depthwise convs have cg = og = 1).
+
+The adjoint runs on the same kernel (Dumoulin & Visin, arXiv 1603.07285):
+the cotangent, spread out with step ``s`` onto a zero canvas of
+``(h + (kh-1)*d) x (w + (kw-1)*d)`` at offset ``(k-1)*d - p``, is correlated
+at stride 1 and padding 0 with the flipped kernel, whose input and output
+channels swap within each group. Cotangent rows and columns that would land
+off the canvas only ever read padding and are dropped. The adjoint is exact
+with respect to the forward map, including padding, striding, dilation and
+groups; the power iteration and the backward pass rely on that. Every
+routine returns a C-contiguous array.
 """
 
 from __future__ import annotations
@@ -93,13 +99,6 @@ class ConvSpec:
         wo = (w + 2 * self.padding - eff_w) // self.stride + 1
         return ho, wo
 
-    def min_input_hw(self, ho: int, wo: int) -> tuple[int, int]:
-        """Smallest input extents whose forward output is (ho, wo)."""
-        eff_h = (self.kernel_h - 1) * self.dilation + 1
-        eff_w = (self.kernel_w - 1) * self.dilation + 1
-        return ((ho - 1) * self.stride + eff_h - 2 * self.padding,
-                (wo - 1) * self.stride + eff_w - 2 * self.padding)
-
     def matrix_shape(self, h: int, w: int) -> tuple[int, int]:
         """(rows, cols) of the dense matrix view at input extents (h, w)."""
         ho, wo = self.out_hw(h, w)
@@ -116,12 +115,6 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _pointwise_weight(spec: ConvSpec) -> np.ndarray:
-    """A 1x1 kernel as its per-group channel matrices, shape (g, out/g, in/g)."""
-    g = spec.groups
-    return spec.weight.reshape(g, spec.out_channels // g, spec.in_channels // g)
-
-
 def _input_rows(x: np.ndarray, spec: ConvSpec, ho: int):
     """Yield ``A_k`` for k = 0, 1, ...: the padded input rows ``y*s + k*d``
     (y < ho) as (g, n*ho, cg*wp), in one buffer reused across k."""
@@ -134,14 +127,6 @@ def _input_rows(x: np.ndarray, spec: ConvSpec, ho: int):
         view = xp[:, :, start: start + (ho - 1) * s + 1: s]
         rows[...] = view.reshape(n, g, c // g, ho, wp).transpose(1, 0, 3, 2, 4)
         yield rows.reshape(g, n * ho, c // g * wp)
-
-
-def _output_rows(y: np.ndarray, groups: int) -> np.ndarray:
-    """An (n, O, ho, wo) output or cotangent as the (g, n*ho, og*wo) GEMM
-    operand (a copy)."""
-    n, o, ho, wo = y.shape
-    yg = y.reshape(n, groups, o // groups, ho, wo).transpose(1, 0, 3, 2, 4)
-    return np.ascontiguousarray(yg).reshape(groups, n * ho, o // groups * wo)
 
 
 def _band_index(spec: ConvSpec, wo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +160,15 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
         )
 
 
-def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlation with zero padding in NCHW layout."""
-    x = np.asarray(x)
-    _check_input(x, spec)
+def _correlate(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Cross-correlation of an NCHW array whose channels match ``spec``."""
     n = x.shape[0]
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
     g = spec.groups
     if spec.is_pointwise:
         s = spec.stride
         xs = x[:, :, ::s, ::s].reshape(n, g, spec.in_channels // g, ho * wo)
-        out = np.matmul(_pointwise_weight(spec), xs)
+        out = np.matmul(spec.weight.reshape(g, spec.out_channels // g, -1), xs)
         return out.reshape(n, spec.out_channels, ho, wo).astype(x.dtype, copy=False)
     og = spec.out_channels // g
     band = _band_matrices(spec, x.shape[3] + 2 * spec.padding, wo, x.dtype)
@@ -200,56 +183,48 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(n, spec.out_channels, ho, wo)
 
 
-def conv2d_transpose_forward(
-    y: np.ndarray, spec: ConvSpec, input_hw: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Exact adjoint of ``conv2d_forward``.
+def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Cross-correlation with zero padding in NCHW layout."""
+    x = np.asarray(x)
+    _check_input(x, spec)
+    return _correlate(x, spec)
 
-    `input_hw` disambiguates the source extents when stride > 1 (several
-    input sizes can share one output size); when omitted, the smallest
-    consistent extents are used.
-    """
+
+def _landing(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:
+    """The indices i < count whose position ``offset + i*step`` lies in
+    [0, size), and those positions, as two slices."""
+    lo = -(min(offset, 0) // step)
+    hi = max(lo, min(count, (size - 1 - offset) // step + 1))
+    return slice(lo, hi), slice(offset + lo * step, offset + hi * step, step)
+
+
+def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
+                             input_hw: tuple[int, int]) -> np.ndarray:
+    """Exact adjoint of ``conv2d_forward`` at input extents ``input_hw``
+    (several input sizes can share one output size when stride > 1)."""
     y = np.asarray(y)
-    if y.ndim != 4:
-        raise DimensionError(f"conv transpose input must be NCHW, got ndim={y.ndim}")
-    if y.shape[1] != spec.out_channels:
-        raise DimensionError(
-            f"conv transpose expects {spec.out_channels} channels, got {y.shape[1]}"
-        )
+    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    og = spec.out_channels // g
+    flipped = ConvSpec(
+        spec.in_channels, spec.out_channels, kh, kw, dilation=spec.dilation,
+        groups=g, weight=spec.weight.reshape(g, og, -1, kh, kw)
+        .transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1].reshape(-1, og, kh, kw))
+    _check_input(y, flipped)
     n, _, ho, wo = y.shape
-    if input_hw is None:
-        input_hw = spec.min_input_hw(ho, wo)
     h, w = input_hw
     if spec.out_hw(h, w) != (ho, wo):
         raise DimensionError(
             f"output extents {(ho, wo)} inconsistent with input extents {(h, w)}"
         )
-    g = spec.groups
-    if spec.is_pointwise:
-        s = spec.stride
-        yg = y.reshape(n, g, spec.out_channels // g, ho * wo)
-        xs = np.matmul(_pointwise_weight(spec).transpose(0, 2, 1), yg)
-        xs = xs.reshape(n, spec.in_channels, ho, wo).astype(y.dtype, copy=False)
-        if s == 1:
-            return xs
-        x = np.zeros((n, spec.in_channels, h, w), dtype=y.dtype)
-        x[:, :, ::s, ::s] = xs
-        return x
     p, s, d = spec.padding, spec.stride, spec.dilation
-    hp, wp = h + 2 * p, w + 2 * p
-    cg = spec.in_channels // g
-    band = _band_matrices(spec, wp, wo, y.dtype)
-    gy = _output_rows(y, g)
-    # Accumulated group-major, as (g, n, hp, cg*wp), so that each row-band
-    # product lands on a plain slice of rows.
-    xg = np.zeros((g, n, hp, cg * wp), dtype=y.dtype)
-    prod = np.empty((g, n * ho, cg * wp), dtype=y.dtype)
-    for k in range(spec.kernel_h):
-        np.matmul(gy, band[k].transpose(0, 2, 1), out=prod)
-        xg[:, :, k * d: k * d + (ho - 1) * s + 1: s] += prod.reshape(g, n, ho, cg * wp)
-    del gy, prod
-    x = xg.reshape(g, n, hp, cg, wp)[:, :, p: p + h, :, p: p + w].transpose(1, 0, 3, 2, 4)
-    return np.ascontiguousarray(x).reshape(n, spec.in_channels, h, w)
+    if spec.is_pointwise and s == 1:
+        return _correlate(y, flipped)
+    canvas = np.zeros((n, spec.out_channels, h + (kh - 1) * d, w + (kw - 1) * d),
+                      dtype=y.dtype)
+    src_h, dst_h = _landing((kh - 1) * d - p, s, ho, canvas.shape[2])
+    src_w, dst_w = _landing((kw - 1) * d - p, s, wo, canvas.shape[3])
+    canvas[:, :, dst_h, dst_w] = y[:, :, src_h, src_w]
+    return _correlate(canvas, flipped)
 
 
 def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -272,7 +247,9 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
             spec.weight.dtype, copy=False)
     wp = x.shape[3] + 2 * spec.padding
     cols, taps = _band_index(spec, wo)
-    gyr = _output_rows(gy, g)
+    # The cotangent as the (g, n*ho, og*wo) GEMM operand.
+    gyr = np.ascontiguousarray(gy.reshape(n, g, og, ho, wo).transpose(1, 0, 3, 2, 4))
+    gyr = gyr.reshape(g, n * ho, og * wo)
     gw = np.empty((kh, kw, g, cg, og), dtype=spec.weight.dtype)
     for k, rows in enumerate(_input_rows(x, spec, ho)):
         full = np.matmul(rows.transpose(0, 2, 1), gyr).reshape(g, cg, wp, og, wo)

@@ -132,7 +132,7 @@ class Conv2d(Module):
     """Bias-free convolution layer owning one ConvSpec (weight is aliased)."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding=0, dilation=1, groups=1, *,
+                 padding=0, dilation=1, groups=1, *, in_hw: tuple[int, int],
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         fan_in = (in_channels // groups) * kernel_size * kernel_size
@@ -150,9 +150,9 @@ class Conv2d(Module):
             groups=groups,
             weight=self.weight.data,
         )
-        # Actual input extents this layer sees in the network; set by builders
-        # so spectral handles know the matrix view to measure.
-        self.in_hw: tuple[int, int] | None = None
+        # Input extents this layer sees in the network, so its spectral
+        # handle knows the matrix view to measure.
+        self.in_hw = in_hw
 
     def forward(self, x: Tensor) -> Tensor:
         s = self.spec

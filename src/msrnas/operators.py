@@ -72,20 +72,15 @@ class SepConv(OpInstance):
         super().__init__(kind, stride)
         pad = stride1_padding(kernel_size)
         self.dw1 = Conv2d(channels, channels, kernel_size, stride=stride,
-                          padding=pad, groups=channels, rng=rng, dtype=dtype)
-        self.pw1 = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
+                          padding=pad, groups=channels, in_hw=in_hw, rng=rng,
+                          dtype=dtype)
+        hw = self.dw1.spec.out_hw(*in_hw)
+        self.pw1 = Conv2d(channels, channels, 1, in_hw=hw, rng=rng, dtype=dtype)
         self.bn1 = BatchNorm2d(channels, dtype=dtype)
-        self.dw2 = Conv2d(channels, channels, kernel_size, stride=1,
-                          padding=pad, groups=channels, rng=rng, dtype=dtype)
-        self.pw2 = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
+        self.dw2 = Conv2d(channels, channels, kernel_size, stride=1, padding=pad,
+                          groups=channels, in_hw=hw, rng=rng, dtype=dtype)
+        self.pw2 = Conv2d(channels, channels, 1, in_hw=hw, rng=rng, dtype=dtype)
         self.bn2 = BatchNorm2d(channels, dtype=dtype)
-        h, w = in_hw
-        hs, ws = (h + stride - 1) // stride if stride > 1 else h, \
-                 (w + stride - 1) // stride if stride > 1 else w
-        self.dw1.in_hw = (h, w)
-        self.pw1.in_hw = (hs, ws)
-        self.dw2.in_hw = (hs, ws)
-        self.pw2.in_hw = (hs, ws)
         self.conv_layers = [self.dw1, self.pw1, self.dw2, self.pw2]
 
     def forward(self, x: Tensor) -> Tensor:
@@ -105,14 +100,10 @@ class DilConv(OpInstance):
         pad = stride1_padding(kernel_size, dilation)
         self.dw = Conv2d(channels, channels, kernel_size, stride=stride,
                          padding=pad, dilation=dilation, groups=channels,
+                         in_hw=in_hw, rng=rng, dtype=dtype)
+        self.pw = Conv2d(channels, channels, 1, in_hw=self.dw.spec.out_hw(*in_hw),
                          rng=rng, dtype=dtype)
-        self.pw = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(channels, dtype=dtype)
-        h, w = in_hw
-        hs = (h + stride - 1) // stride if stride > 1 else h
-        ws = (w + stride - 1) // stride if stride > 1 else w
-        self.dw.in_hw = (h, w)
-        self.pw.in_hw = (hs, ws)
         self.conv_layers = [self.dw, self.pw]
 
     def forward(self, x: Tensor) -> Tensor:
@@ -137,17 +128,15 @@ def build_operator(kind: OperatorKind, channels: int, stride: int,
 
 
 class ReLUConvBN(Module):
-    """kxk conv -> BN on a rectified input; channel-matching preprocessing
+    """1x1 conv -> BN on a rectified input; channel-matching preprocessing
     block (perfbench's metric ``operators.ReLUConvBN.fwd_s`` keys its name)."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int, in_hw: tuple[int, int], *,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int,
+                 in_hw: tuple[int, int], *, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, kernel_size,
-                           stride=stride, padding=stride1_padding(kernel_size),
-                           rng=rng, dtype=dtype)
-        self.conv.in_hw = in_hw
+        self.conv = Conv2d(in_channels, out_channels, 1, in_hw=in_hw, rng=rng,
+                           dtype=dtype)
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -163,10 +152,10 @@ class FactorizedReduce(Module):
         super().__init__()
         half_a = (out_channels + 1) // 2
         half_b = out_channels // 2
-        self.conv_a = Conv2d(in_channels, half_a, 1, stride=2, rng=rng, dtype=dtype)
-        self.conv_b = Conv2d(in_channels, half_b, 1, stride=2, rng=rng, dtype=dtype)
-        self.conv_a.in_hw = in_hw
-        self.conv_b.in_hw = in_hw
+        self.conv_a = Conv2d(in_channels, half_a, 1, stride=2, in_hw=in_hw,
+                             rng=rng, dtype=dtype)
+        self.conv_b = Conv2d(in_channels, half_b, 1, stride=2, in_hw=in_hw,
+                             rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:

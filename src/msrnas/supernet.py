@@ -118,7 +118,7 @@ def _preprocess(in_channels: int, out_channels: int, in_hw: tuple[int, int],
                 reduce_spatial: bool, *, rng, dtype) -> Module:
     if reduce_spatial:
         return FactorizedReduce(in_channels, out_channels, in_hw, rng=rng, dtype=dtype)
-    return ReLUConvBN(in_channels, out_channels, 1, 1, in_hw, rng=rng, dtype=dtype)
+    return ReLUConvBN(in_channels, out_channels, in_hw, rng=rng, dtype=dtype)
 
 
 class _Cell(Module):
@@ -213,9 +213,8 @@ class Stem(Module):
     def __init__(self, in_channels: int, out_channels: int,
                  in_hw: tuple[int, int], *, rng, dtype):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, padding=1,
+        self.conv = Conv2d(in_channels, out_channels, 3, padding=1, in_hw=in_hw,
                            rng=rng, dtype=dtype)
-        self.conv.in_hw = in_hw
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -283,8 +282,6 @@ class Supernet(_NetworkBase):
 
     def _register_handles(self) -> None:
         for name, module in self._walk_convs():
-            if module.in_hw is None:
-                raise ConstructionError(f"conv {name} has no input extents")
             handle = ConvHandle(module.spec, module.in_hw,
                                 seed=self.spectral_cfg.seed, name=name)
             module.handle = handle

@@ -89,7 +89,7 @@ def test_adjoint_identity_random_specs(rng):
 
 def test_transpose_of_1x1_kernel_multiplies(rng):
     y = rng.standard_normal((1, 1, 4, 4))
-    out = conv2d_transpose_forward(y, spec_1x1(2.5))
+    out = conv2d_transpose_forward(y, spec_1x1(2.5), input_hw=(4, 4))
     np.testing.assert_allclose(out, 2.5 * y, atol=1e-12)
 
 
@@ -298,21 +298,23 @@ def test_kernels_match_tap_loop_on_workload_geometries(batch):
                               batch * y.shape[2] * y.shape[3])
 
 
-# (channels in, out, groups, kernel, padding, dilation) at batch 64 on 16x16:
-# the 5x5 depthwise conv of SepConv and of DilConv, and the dense stem.
-MEMORY_CASES = [(8, 8, 8, 5, 2, 1), (8, 8, 8, 5, 4, 2), (3, 24, 1, 3, 1, 1)]
+# (channels in, out, groups, kernel, stride, padding, dilation) at batch 64
+# on 16x16: the 5x5 depthwise conv of SepConv and of DilConv, on normal and
+# on reduction edges, and the dense stem.
+MEMORY_CASES = [(8, 8, 8, 5, 1, 2, 1), (8, 8, 8, 5, 1, 4, 2),
+                (8, 8, 8, 5, 2, 2, 1), (8, 8, 8, 5, 2, 4, 2), (3, 24, 1, 3, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("case", MEMORY_CASES)
 def test_kernel_transient_memory_bound(case):
     # Peak allocation of each kernel call, result included, stays within 4x
     # the larger of its padded input and its output.
-    c, o, g, k, p, d = case
+    c, o, g, k, s, p, d = case
     rng = np.random.default_rng(0)
-    spec = ConvSpec(o, c, k, k, padding=p, dilation=d, groups=g,
+    spec = ConvSpec(o, c, k, k, stride=s, padding=p, dilation=d, groups=g,
                     weight=rng.standard_normal((o, c // g, k, k)).astype(np.float32))
     x = rng.standard_normal((64, c, 16, 16)).astype(np.float32)
-    gy = rng.standard_normal((64, o, 16, 16)).astype(np.float32)
+    gy = rng.standard_normal((64, o) + spec.out_hw(16, 16)).astype(np.float32)
     bound = 4 * max(64 * c * (16 + 2 * p) ** 2, gy.size) * 4
     calls = [lambda: conv2d_forward(x, spec),
              lambda: conv2d_transpose_forward(gy, spec, input_hw=(16, 16)),

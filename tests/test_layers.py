@@ -212,7 +212,8 @@ def test_param_store_collection(rng):
     class Small(Module):
         def __init__(self):
             super().__init__()
-            self.conv = Conv2d(2, 2, 3, padding=1, rng=rng, dtype=np.float64)
+            self.conv = Conv2d(2, 2, 3, padding=1, in_hw=(4, 4), rng=rng,
+                               dtype=np.float64)
             self.bn = BatchNorm2d(2, dtype=np.float64)
 
         def forward(self, x):
@@ -231,7 +232,7 @@ def test_param_store_collection(rng):
 
 
 def test_conv2d_spec_aliases_parameter(rng):
-    conv = Conv2d(2, 3, 3, rng=rng, dtype=np.float64)
+    conv = Conv2d(2, 3, 3, in_hw=(4, 4), rng=rng, dtype=np.float64)
     assert conv.spec.weight is conv.weight.data
     conv.weight.data *= 2.0
     assert conv.spec.weight is conv.weight.data

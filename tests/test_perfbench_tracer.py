@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from msrnas import autodiff, convolution, layers, spectral, supernet, train
+from msrnas.autodiff import Tensor
 from msrnas.config import config_from_text
 from msrnas.derive import derive_genotype
 from msrnas.spectral import SpectralConfig
@@ -74,6 +75,42 @@ def test_traced_adjust_runs_one_power_iteration_per_group(spans_module):
     assert counts["spectral.stable_rank"] == len(net.fin_groups)
     # The rank table needs no power iteration.
     assert counts["spectral.power_iteration"] == len(net.handle_groups)
+
+
+def test_traced_conv_spans_do_not_nest(spans_module, monkeypatch):
+    """Each conv kernel call is one span: the adjoint must not reach the
+    forward through a traced name, or the per-layer metrics count it twice."""
+    adjoint_calls = []
+    for owner in (convolution, spectral):
+        adjoint = owner.conv2d_transpose_forward
+
+        def counted(*args, _adjoint=adjoint, **kwargs):
+            adjoint_calls.append(1)
+            return _adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "conv2d_transpose_forward", counted)
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    images = np.random.default_rng(0).standard_normal((2, 3, 10, 10))
+    tracer = spans_module.Tracer()
+    tracer.install()
+    try:
+        net.begin_step()
+        net.adjust_all()
+        loss = layers.cross_entropy(net(Tensor(images.astype(np.float32))),
+                                    np.array([0, 1]))
+        loss.backward()
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[nid] for nid, *_ in tracer.spans]
+    nested = [(name, names[parent]) for (_, _, _, parent), name
+              in zip(tracer.spans, names)
+              if name.startswith("convolution.") and parent >= 0
+              and names[parent].startswith("convolution.")]
+    assert not nested
+    adjoint_spans = sum(name.startswith("convolution.tr.") for name in names)
+    assert adjoint_spans == len(adjoint_calls) > len(net.handle_groups)
 
 
 def test_checks_converge_and_accept_an_adjusted_supernet():
