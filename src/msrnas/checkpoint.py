@@ -160,27 +160,32 @@ def load_checkpoint(path):
 
 
 def restore_into(net, tensors: dict[str, np.ndarray], origin: str = "checkpoint") -> None:
-    """Copy stored arrays into a freshly built network, matching by name."""
+    """Copy stored arrays into a freshly built network, matching by name.
+
+    Every record must have the shape of the array it replaces.
+    """
+
+    def stored(key: str, shape: tuple, dtype) -> np.ndarray:
+        value = tensors[key]
+        if value.shape != shape:
+            raise FormatError(f"{origin}: record '{key}' shape {value.shape} != {shape}")
+        return value.astype(dtype)
+
     for name, param in net.named_parameters():
         key = f"param/{name}"
         if key not in tensors:
             raise FormatError(f"{origin}: missing parameter '{name}'")
-        stored = tensors[key].astype(param.data.dtype)
-        if stored.shape != param.data.shape:
-            raise FormatError(
-                f"{origin}: parameter '{name}' shape {stored.shape} != "
-                f"{param.data.shape}"
-            )
-        param.data[...] = stored
+        param.data[...] = stored(key, param.data.shape, param.data.dtype)
         mom_key = f"momentum/{name}"
         if mom_key in tensors:
-            param.momentum = tensors[mom_key].astype(param.data.dtype)
+            param.momentum = stored(mom_key, param.data.shape, param.data.dtype)
     for name, buf in net.named_buffers():
         key = f"buffer/{name}"
         if key not in tensors:
             raise FormatError(f"{origin}: missing buffer '{name}'")
-        buf[...] = tensors[key].astype(buf.dtype)
+        buf[...] = stored(key, buf.shape, buf.dtype)
     for handle in net.handles:
         key = f"pivec/{handle.name}"
         if key in tensors:
-            handle.vector = tensors[key].astype(handle.spec.weight.dtype)
+            shape = (1, handle.spec.in_channels, *handle.in_hw)
+            handle.vector = stored(key, shape, handle.spec.weight.dtype)

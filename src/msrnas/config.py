@@ -4,11 +4,16 @@ Each non-comment line reads ``section.key = value``. Unknown or duplicate
 keys are errors so typos in experiment sweeps fail loudly. A RunConfig
 aggregates everything the pipeline commands need and knows how to build the
 dataset, supernet config, and hyperparameters from itself.
+
+The ``split.*``, ``train.*`` and ``spectral.*`` keys are the fields of
+SplitSpec, TrainHyper and SpectralConfig; their defaults live only in those
+dataclasses. The ``data.*``, ``net.*``, ``run.*`` and ``derive.*`` defaults
+live in SCHEMA below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +55,12 @@ def _parse_policy(text: str) -> str:
     )
 
 
-# key -> (parser, default); defaults of None mean "required when used".
+def _fields_of(section: str, cls) -> dict[str, tuple]:
+    """One schema entry per dataclass field, parsed by its default's type."""
+    return {f"{section}.{f.name}": (type(f.default), f.default) for f in fields(cls)}
+
+
+# key -> (parser, default), in config-echo order; every key has a default.
 SCHEMA: dict[str, tuple] = {
     "data.kind": (str, "synth"),
     "data.cifar_dir": (str, ""),
@@ -63,20 +73,12 @@ SCHEMA: dict[str, tuple] = {
     "data.test_seed": (int, 1),
     "data.test_samples_per_class": (int, 100),
     "data.augment": (_parse_bool, False),
-    "split.train_fraction": (float, 0.8),
-    "split.seed": (int, 0),
+    **_fields_of("split", SplitSpec),
     "net.cells": (int, 8),
     "net.nodes": (int, 7),
     "net.channels": (int, 16),
-    "train.initial_lr": (float, 0.025),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 3e-4),
-    "train.epochs": (int, 50),
-    "train.batch_size": (int, 64),
-    "spectral.target_norm": (float, 1.0),
-    "spectral.iterations": (int, 5),
-    "spectral.rank_iterations": (int, 50),
-    "spectral.seed": (int, 0),
+    **_fields_of("train", TrainHyper),
+    **_fields_of("spectral", SpectralConfig),
     "run.seed": (int, 0),
     "run.output_dir": (str, "run"),
     "run.dtype": (str, "float32"),
@@ -151,24 +153,17 @@ class RunConfig:
         """(train corpus, test corpus) for the configured source."""
         if self["data.kind"] == "cifar10":
             return load_cifar10(self["data.cifar_dir"], dtype=self.dtype)
-        train = synth_dataset(
+        shared = dict(
             classes=int(self["data.classes"]),
-            samples_per_class=int(self["data.samples_per_class"]),
             height=int(self["data.height"]),
             width=int(self["data.width"]),
-            seed=int(self["data.seed"]),
             noise=float(self["data.noise"]),
             dtype=self.dtype,
         )
-        test = synth_dataset(
-            classes=int(self["data.classes"]),
-            samples_per_class=int(self["data.test_samples_per_class"]),
-            height=int(self["data.height"]),
-            width=int(self["data.width"]),
-            seed=int(self["data.test_seed"]),
-            noise=float(self["data.noise"]),
-            dtype=self.dtype,
-        )
+        train = synth_dataset(samples_per_class=int(self["data.samples_per_class"]),
+                              seed=int(self["data.seed"]), **shared)
+        test = synth_dataset(samples_per_class=int(self["data.test_samples_per_class"]),
+                             seed=int(self["data.test_seed"]), **shared)
         # Test images are normalized with the train statistics.
         test.mean, test.std = train.mean, train.std
         return train, test
@@ -183,28 +178,18 @@ class RunConfig:
             input_hw=self.input_hw,
         )
 
+    def _make_fields(self, section: str, cls):
+        return cls(**{f.name: type(f.default)(self[f"{section}.{f.name}"])
+                      for f in fields(cls)})
+
     def make_train_hyper(self) -> TrainHyper:
-        return TrainHyper(
-            initial_lr=float(self["train.initial_lr"]),
-            momentum=float(self["train.momentum"]),
-            weight_decay=float(self["train.weight_decay"]),
-            epochs=int(self["train.epochs"]),
-            batch_size=int(self["train.batch_size"]),
-        )
+        return self._make_fields("train", TrainHyper)
 
     def make_spectral_config(self) -> SpectralConfig:
-        return SpectralConfig(
-            target_norm=float(self["spectral.target_norm"]),
-            iterations=int(self["spectral.iterations"]),
-            rank_iterations=int(self["spectral.rank_iterations"]),
-            seed=int(self["spectral.seed"]),
-        )
+        return self._make_fields("spectral", SpectralConfig)
 
     def make_split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train_fraction=float(self["split.train_fraction"]),
-            seed=int(self["split.seed"]),
-        )
+        return self._make_fields("split", SplitSpec)
 
     def to_text(self) -> str:
         lines = [f"{key} = {self._render(key)}" for key in SCHEMA]

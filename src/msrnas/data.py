@@ -121,6 +121,11 @@ def split_train_val(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise ArgumentError("cannot split a dataset with fewer than 2 samples")
     order = np.random.Generator(np.random.PCG64(spec.seed)).permutation(m)
     cut = int(spec.train_fraction * m)
+    if not 0 < cut < m:
+        raise ArgumentError(
+            f"train_fraction {spec.train_fraction} splits {m} samples into "
+            f"{cut} train and {m - cut} validation; both must be non-empty"
+        )
     return (ds.subset(np.sort(order[:cut]), f"{ds.name}-train"),
             ds.subset(np.sort(order[cut:]), f"{ds.name}-val"))
 

@@ -13,13 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, DerivationError, FormatError, GenotypeError
 from .operators import OPERATOR_NAMES
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .supernet import SupernetConfig
 
 CELL_TYPES = ("normal", "reduce")
 
@@ -199,20 +195,15 @@ class Genotype:
         return geno
 
 
-def derive_genotype(table: RankTable, cfg: "SupernetConfig | None" = None,
+def derive_genotype(table: RankTable,
                     mode: SelectionMode = SelectionMode.MIN_STABLE_RANK) -> Genotype:
     """Replace each retained edge with its best operator and keep the two
     strongest predecessors per intermediate node."""
-    nodes = table.nodes if cfg is None else cfg.nodes
-    if cfg is not None and cfg.nodes != table.nodes:
-        raise DerivationError(
-            f"table built for {table.nodes} nodes, config asks for {cfg.nodes}"
-        )
     table.require_complete()
     per_type: dict[str, list[list[tuple[str, int]]]] = {}
     for cell_type in CELL_TYPES:
         rows = []
-        for node in intermediate_nodes(nodes):
+        for node in intermediate_nodes(table.nodes):
             picked = select_predecessors(table, cell_type, node, mode)
             pairs = sorted(
                 ((best_operator(table, cell_type, (i, node), mode), i)
@@ -223,7 +214,7 @@ def derive_genotype(table: RankTable, cfg: "SupernetConfig | None" = None,
         per_type[cell_type] = rows
     geno = Genotype(
         mode=mode.value,
-        nodes=nodes,
+        nodes=table.nodes,
         operators=OPERATOR_NAMES,
         normal=per_type["normal"],
         reduce=per_type["reduce"],
@@ -261,18 +252,22 @@ def rank_table_from_text(text: str) -> RankTable:
     entries: dict[tuple[str, tuple[int, int], str], float | None] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "meta" and len(parts) == 3:
-            # Unknown keys, such as older tables' rank_iterations, are ignored.
-            meta[parts[1]] = int(parts[2])
-        elif parts[0] == "rank" and len(parts) == 6:
-            cell_type, i, j, op, value = parts[1], int(parts[2]), int(parts[3]), parts[4], parts[5]
-            if cell_type not in CELL_TYPES or op not in OPERATOR_NAMES:
-                raise FormatError(f"unrecognized rank row: {ln!r}")
-            entries[(cell_type, (i, j), op)] = (
-                None if value == "degenerate" else float(value)
-            )
-        else:
-            raise FormatError(f"unrecognized rank-table line: {ln!r}")
+        try:
+            if parts[0] == "meta" and len(parts) == 3:
+                # Unknown keys, such as older tables' rank_iterations, are ignored.
+                meta[parts[1]] = int(parts[2])
+            elif parts[0] == "rank" and len(parts) == 6:
+                cell_type, op, value = parts[1], parts[4], parts[5]
+                i, j = int(parts[2]), int(parts[3])
+                if cell_type not in CELL_TYPES or op not in OPERATOR_NAMES:
+                    raise FormatError(f"unrecognized rank row: {ln!r}")
+                entries[(cell_type, (i, j), op)] = (
+                    None if value == "degenerate" else float(value)
+                )
+            else:
+                raise FormatError(f"unrecognized rank-table line: {ln!r}")
+        except ValueError as exc:
+            raise FormatError(f"bad number in rank-table line {ln!r}: {exc}") from exc
     if "nodes" not in meta:
         raise FormatError("rank table missing 'meta nodes'")
     return RankTable(

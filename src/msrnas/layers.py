@@ -161,18 +161,16 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization with running statistics."""
+    """Per-channel affine batch normalization with running statistics."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, affine=True, *,
-                 dtype=np.float32):
+    eps = 1e-5
+    momentum = 0.1   # weight of the current batch in the running statistics
+
+    def __init__(self, channels, *, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
-        self.affine = affine
-        if affine:
-            self.gamma = Parameter(np.ones(channels, dtype=dtype))
-            self.beta = Parameter(np.zeros(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels, dtype=dtype))
+        self.beta = Parameter(np.zeros(channels, dtype=dtype))
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
@@ -189,7 +187,7 @@ class BatchNorm2d(Module):
                 f"batchnorm over {self.channels} channels got shape {x.data.shape}"
             )
         shape = (1, self.channels, 1, 1)
-        training, affine = self.training, self.affine
+        training = self.training
         if training:
             mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
             xhat = x.data - mu
@@ -205,27 +203,20 @@ class BatchNorm2d(Module):
             var = self.running_var.reshape(shape)
         inv_std = (var + self.eps) ** -0.5
         xhat *= inv_std
-        if affine:
-            gamma, beta = self.gamma, self.beta
-            data = xhat * gamma.data.reshape(shape)
-            data += beta.data.reshape(shape)
-            parents = (x, gamma, beta)
-        else:
-            data = xhat
-            parents = (x,)
+        gamma, beta = self.gamma, self.beta
+        data = xhat * gamma.data.reshape(shape)
+        data += beta.data.reshape(shape)
         count = x.data.size // self.channels
 
         def bw(g):
-            if affine or training:
-                gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-                gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            if affine:
-                if beta.requires_grad:
-                    beta.accumulate_grad(gsum.reshape(-1), own=True)
-                if gamma.requires_grad:
-                    gamma.accumulate_grad(gxsum.reshape(-1), own=True)
+            gsum = g.sum(axis=(0, 2, 3), keepdims=True)
+            gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            if beta.requires_grad:
+                beta.accumulate_grad(gsum.reshape(-1), own=True)
+            if gamma.requires_grad:
+                gamma.accumulate_grad(gxsum.reshape(-1), own=True)
             if x.requires_grad:
-                scale = inv_std * gamma.data.reshape(shape) if affine else inv_std
+                scale = inv_std * gamma.data.reshape(shape)
                 if training:
                     # dx = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
                     gx = xhat * (gxsum / -count)
@@ -236,7 +227,7 @@ class BatchNorm2d(Module):
                     gx = g * scale
                 x.accumulate_grad(gx, own=True)
 
-        return _make(data, parents, bw)
+        return _make(data, (x, gamma, beta), bw)
 
 
 class Linear(Module):

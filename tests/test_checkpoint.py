@@ -53,9 +53,11 @@ def test_container_rejects_truncation(tmp_path, rng):
 
 
 def test_checkpoint_restores_network_state(tmp_path, rng):
+    # Every field differs from its default, so a dropped metadata record shows.
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
-                         input_hw=(8, 8))
-    net = build_supernet(cfg, SpectralConfig(iterations=2), dtype=np.float64, seed=3)
+                         input_channels=2, input_hw=(8, 12))
+    scfg = SpectralConfig(target_norm=1.5, iterations=2, rank_iterations=7, seed=11)
+    net = build_supernet(cfg, scfg, dtype=np.float64, seed=3)
     net.begin_step()
     net.adjust_all()
     for p in net.param_store():
@@ -66,7 +68,7 @@ def test_checkpoint_restores_network_state(tmp_path, rng):
     restored, epoch = load_checkpoint(path)
     assert epoch == 7
     assert restored.cfg == cfg
-    assert restored.spectral_cfg.iterations == 2
+    assert restored.spectral_cfg == scfg
     assert restored.dtype == np.float64
     originals = dict(net.named_parameters())
     for name, param in restored.named_parameters():
@@ -102,6 +104,21 @@ def test_checkpoint_missing_param_detected(tmp_path):
     del tensors[victim]
     save_tensors(path, tensors)
     with pytest.raises(FormatError, match="missing parameter"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("prefix", ["param", "momentum", "buffer", "pivec"])
+def test_checkpoint_wrong_record_shape_detected(tmp_path, prefix):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=0)
+    tensors = load_tensors(path)
+    victim = next(k for k in tensors if k.startswith(f"{prefix}/"))
+    tensors[victim] = np.concatenate([tensors[victim].ravel(), [0.0]]).astype(np.float32)
+    save_tensors(path, tensors)
+    with pytest.raises(FormatError, match=f"record '{victim}' shape"):
         load_checkpoint(path)
 
 

@@ -88,6 +88,44 @@ def test_config_echo_roundtrip():
     assert echoed.to_text() == cfg.to_text()
 
 
+DEFAULT_ECHO_LINES = (
+    "data.kind = synth",
+    "data.cifar_dir = ",
+    "data.classes = 4",
+    "data.samples_per_class = 250",
+    "data.height = 16",
+    "data.width = 16",
+    "data.noise = 0.1",
+    "data.seed = 0",
+    "data.test_seed = 1",
+    "data.test_samples_per_class = 100",
+    "data.augment = false",
+    "split.train_fraction = 0.8",
+    "split.seed = 0",
+    "net.cells = 8",
+    "net.nodes = 7",
+    "net.channels = 16",
+    "train.initial_lr = 0.025",
+    "train.momentum = 0.9",
+    "train.weight_decay = 0.0003",
+    "train.epochs = 50",
+    "train.batch_size = 64",
+    "spectral.target_norm = 1.0",
+    "spectral.iterations = 5",
+    "spectral.rank_iterations = 50",
+    "spectral.seed = 0",
+    "run.seed = 0",
+    "run.output_dir = run",
+    "run.dtype = float32",
+    "derive.mode = min",
+    "derive.epoch_policy = min_val_loss",
+)
+
+
+def test_default_config_echo_is_pinned():
+    assert RunConfig().to_text() == "\n".join(DEFAULT_ECHO_LINES) + "\n"
+
+
 def test_make_datasets_synth_shares_train_stats():
     cfg = config_from_text(
         "data.classes = 3\ndata.samples_per_class = 5\n"

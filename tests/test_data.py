@@ -107,6 +107,10 @@ def test_split_disjoint_exhaustive_deterministic(m, fraction, seed):
     rng = np.random.Generator(np.random.PCG64(99))
     ds = make_dataset(rng, m=m)
     spec = SplitSpec(train_fraction=fraction, seed=seed)
+    if int(fraction * m) == 0:
+        with pytest.raises(ArgumentError, match="non-empty"):
+            split_train_val(ds, spec)
+        return
     a_train, a_val = split_train_val(ds, spec)
     b_train, b_val = split_train_val(ds, spec)
     np.testing.assert_array_equal(a_train.images, b_train.images)
@@ -118,6 +122,12 @@ def test_split_disjoint_exhaustive_deterministic(m, fraction, seed):
     combined = {arr.tobytes() for arr in seen}
     original = {arr.tobytes() for arr in ds.images}
     assert combined == original
+
+
+def test_split_rejects_empty_train_side(rng):
+    ds = make_dataset(rng, m=2)
+    with pytest.raises(ArgumentError, match="0 train and 2 validation"):
+        split_train_val(ds, SplitSpec(train_fraction=0.4))
 
 
 def test_split_spec_validation():

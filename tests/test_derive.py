@@ -303,6 +303,17 @@ def test_rank_table_bad_header():
         rank_table_from_text("nonsense\n")
 
 
+@pytest.mark.parametrize("line", [
+    "meta nodes x",
+    "rank normal a 2 sep3 1.0",
+    "rank normal 0 2 sep3 abc",
+])
+def test_rank_table_bad_number(line):
+    text = rank_table_to_text(random_table(4, seed=1)) + line + "\n"
+    with pytest.raises(FormatError, match="bad number"):
+        rank_table_from_text(text)
+
+
 def test_genotype_json_roundtrip_and_canonical_order():
     geno = derive_genotype(random_table(7, seed=8), mode=MIN)
     text = geno.to_json_str()

@@ -48,10 +48,13 @@ def test_batchnorm_output_statistics(rng):
 
 
 def test_batchnorm_running_stats_track_batches(rng):
-    bn = BatchNorm2d(2, dtype=np.float64, momentum=0.5)
+    bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((16, 2, 4, 4)) + 3.0
     bn(Tensor(x))
-    assert (bn.running_mean > 1.0).all()
+    # Momentum 0.1: the running stats move a tenth of the way to the batch's.
+    np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
+    np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)),
+                               rtol=1e-12)
     bn.eval()
     before = bn.running_mean.copy()
     bn(Tensor(x))
@@ -59,14 +62,14 @@ def test_batchnorm_running_stats_track_batches(rng):
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
-    bn = BatchNorm2d(2, dtype=np.float64, momentum=1.0)
+    bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((32, 2, 4, 4)) * 2.0 + 1.0
     bn(Tensor(x))
     bn.eval()
     out = bn(Tensor(x)).data
-    expected = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / np.sqrt(
-        x.var(axis=(0, 2, 3), keepdims=True) + bn.eps
-    )
+    mean = 0.1 * x.mean(axis=(0, 2, 3), keepdims=True)
+    var = 0.9 + 0.1 * x.var(axis=(0, 2, 3), keepdims=True)
+    expected = (x - mean) / np.sqrt(var + 1e-5)
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
@@ -92,17 +95,13 @@ def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
         var = Tensor(bn.running_var.reshape(shape))
         centered = x - mu
     inv_std = (var + bn.eps) ** -0.5
-    xhat = centered * inv_std
-    if not bn.affine:
-        return xhat
-    return xhat * ad.reshape(bn.gamma, shape) + ad.reshape(bn.beta, shape)
+    return centered * inv_std * ad.reshape(bn.gamma, shape) + ad.reshape(bn.beta, shape)
 
 
-def _batchnorm_with_state(rng, affine: bool, training: bool, dtype=np.float64):
-    bn = BatchNorm2d(3, affine=affine, dtype=dtype)
-    if affine:
-        bn.gamma.data[:] = rng.standard_normal(3)
-        bn.beta.data[:] = rng.standard_normal(3)
+def _batchnorm_with_state(rng, training: bool, dtype=np.float64):
+    bn = BatchNorm2d(3, dtype=dtype)
+    bn.gamma.data[:] = rng.standard_normal(3)
+    bn.beta.data[:] = rng.standard_normal(3)
     bn.running_mean[:] = rng.standard_normal(3)
     bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
     if not training:
@@ -133,17 +132,16 @@ def test_batchnorm_gradients_finite_difference(rng):
 
 
 def test_batchnorm_eval_gradients_finite_difference(rng):
-    _fd_check_batchnorm(_batchnorm_with_state(rng, affine=True, training=False), rng)
+    _fd_check_batchnorm(_batchnorm_with_state(rng, training=False), rng)
 
 
 @pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("affine", [True, False])
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
-def test_batchnorm_node_matches_composite_graph(rng, training, affine, dtype, tol):
-    bn = _batchnorm_with_state(rng, affine, training, dtype)
+def test_batchnorm_node_matches_composite_graph(rng, training, dtype, tol):
+    bn = _batchnorm_with_state(rng, training, dtype)
     x = (rng.standard_normal((4, 3, 5, 5)) * 2.0 + 1.0).astype(dtype)
     weights = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
-    params = (bn.gamma, bn.beta) if affine else ()
+    params = (bn.gamma, bn.beta)
 
     def run(forward):
         for p in params:
