@@ -271,26 +271,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * data, own=True)
-
-    return _make(data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g / a.data, own=True)
-
-    return _make(data, (a,), bw)
-
-
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient mask is the indicator of x > 0."""
     a = _as_tensor(a)
@@ -414,21 +394,3 @@ def pad2d(a: Tensor, pad: tuple) -> Tensor:
 
     return _make(data, (a,), bw)
 
-
-def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
-    """out[i] = a[i, indices[i]] for a 2-d tensor (label gather)."""
-    a = _as_tensor(a)
-    idx = np.asarray(indices)
-    if a.data.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
-        raise DimensionError(
-            f"take_per_row expects (N,K) tensor and (N,) indices, got {a.data.shape} and {idx.shape}"
-        )
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, idx]
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
-        a.accumulate_grad(full, own=True)
-
-    return _make(data, (a,), bw)

@@ -13,11 +13,12 @@ live in SCHEMA below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, load_cifar10, synth_dataset
+from .data import CIFAR_CLASSES, Dataset, SplitSpec, load_cifar10, synth_dataset
 from .derive import SelectionMode
 from .errors import ConfigError
 from .optim import TrainHyper
@@ -32,6 +33,13 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got '{text}'")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{text}'")
+    return value
 
 
 def _parse_mode(text: str) -> SelectionMode:
@@ -56,8 +64,11 @@ def _parse_policy(text: str) -> str:
 
 
 def _fields_of(section: str, cls) -> dict[str, tuple]:
-    """One schema entry per dataclass field, parsed by its default's type."""
-    return {f"{section}.{f.name}": (type(f.default), f.default) for f in fields(cls)}
+    """One schema entry per dataclass field, parsed by its default's type
+    (a float must be finite)."""
+    parsers = {float: _parse_float}
+    return {f"{section}.{f.name}": (parsers.get(type(f.default), type(f.default)), f.default)
+            for f in fields(cls)}
 
 
 # key -> (parser, default), in config-echo order; every key has a default.
@@ -68,7 +79,7 @@ SCHEMA: dict[str, tuple] = {
     "data.samples_per_class": (int, 250),
     "data.height": (int, 16),
     "data.width": (int, 16),
-    "data.noise": (float, 0.1),
+    "data.noise": (_parse_float, 0.1),
     "data.seed": (int, 0),
     "data.test_seed": (int, 1),
     "data.test_samples_per_class": (int, 100),
@@ -131,6 +142,8 @@ class RunConfig:
             raise ConfigError("run.dtype must be 'float32' or 'float64'")
         if self["data.kind"] == "cifar10" and not self["data.cifar_dir"]:
             raise ConfigError("data.kind=cifar10 requires data.cifar_dir")
+        if not self["run.output_dir"]:
+            raise ConfigError("run.output_dir must not be empty")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -141,7 +154,7 @@ class RunConfig:
 
     @property
     def num_classes(self) -> int:
-        return 10 if self["data.kind"] == "cifar10" else int(self["data.classes"])
+        return CIFAR_CLASSES if self["data.kind"] == "cifar10" else int(self["data.classes"])
 
     @property
     def input_hw(self) -> tuple[int, int]:

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ArgumentError, ConfigError, FormatError
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*32*32 pixel bytes
+CIFAR_CLASSES = 10
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 
@@ -82,6 +83,12 @@ def read_cifar_batch(path) -> tuple[np.ndarray, np.ndarray]:
         )
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].copy()
+    bad = np.flatnonzero(labels >= CIFAR_CLASSES)
+    if bad.size:
+        raise FormatError(
+            f"{path}: record {bad[0]} (byte offset {bad[0] * CIFAR_RECORD_BYTES}) "
+            f"has label {labels[bad[0]]}, expected 0..{CIFAR_CLASSES - 1}"
+        )
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).copy()
     return labels, pixels
 

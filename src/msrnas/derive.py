@@ -2,9 +2,10 @@
 
 Per edge, the operator with the smallest averaged stable rank wins; per
 intermediate node, the two predecessors whose edges have the greatest
-strength (negated minimum rank) are retained. A mirrored maximum-rank mode
-exists for the ablation baseline. All ties break toward the lower operator
-index (sep3 < sep5 < dil3 < dil5) and the lower node index.
+strength (negated minimum rank) are retained. The maximum-rank ablation
+baseline differs only by the sign of each entry's score. All ties break
+toward the lower operator index (sep3 < sep5 < dil3 < dil5) and the lower
+node index.
 """
 
 from __future__ import annotations
@@ -78,36 +79,31 @@ class RankTable:
             )
 
 
-def _effective(value: float | None, mode: SelectionMode) -> float:
-    if value is None:
-        return math.inf if mode is SelectionMode.MIN_STABLE_RANK else -math.inf
-    return value
+def _scores(table: RankTable, cell_type: str, edge: tuple[int, int],
+            mode: SelectionMode) -> list[float]:
+    """Per-operator score, lower is better: the rank in min mode, its
+    negation in the max-rank ablation, and +inf for a degenerate entry."""
+    sign = 1.0 if mode is SelectionMode.MIN_STABLE_RANK else -1.0
+    values = (table.get(cell_type, edge, op) for op in OPERATOR_NAMES)
+    return [math.inf if v is None else sign * v for v in values]
 
 
 def best_operator(table: RankTable, cell_type: str, edge: tuple[int, int],
                   mode: SelectionMode) -> str:
     """Operator with minimum (or, in the ablation mode, maximum) average rank."""
-    values = [_effective(table.get(cell_type, edge, op), mode)
-              for op in OPERATOR_NAMES]
     if all(table.get(cell_type, edge, op) is None for op in OPERATOR_NAMES):
         raise DerivationError(
             f"every operator on {cell_type} edge {edge} is degenerate"
         )
-    if mode is SelectionMode.MIN_STABLE_RANK:
-        pick = min(range(len(values)), key=lambda i: (values[i], i))
-    else:
-        pick = min(range(len(values)), key=lambda i: (-values[i], i))
-    return OPERATOR_NAMES[pick]
+    scores = _scores(table, cell_type, edge, mode)
+    return OPERATOR_NAMES[scores.index(min(scores))]
 
 
 def edge_strength(table: RankTable, cell_type: str, edge: tuple[int, int],
                   mode: SelectionMode) -> float:
-    """max over operators of the negated average rank (mirrored for max mode)."""
-    values = [_effective(table.get(cell_type, edge, op), mode)
-              for op in OPERATOR_NAMES]
-    if mode is SelectionMode.MIN_STABLE_RANK:
-        return -min(values)
-    return max(values)
+    """Negated best score: minus the minimum rank (in max mode, the maximum
+    rank); -inf when every entry is degenerate."""
+    return -min(_scores(table, cell_type, edge, mode))
 
 
 def select_predecessors(table: RankTable, cell_type: str, node: int,
@@ -117,10 +113,7 @@ def select_predecessors(table: RankTable, cell_type: str, node: int,
         raise ArgumentError(f"node {node} has fewer than two predecessors")
     strengths = [edge_strength(table, cell_type, (i, node), mode)
                  for i in range(node)]
-    first = min(range(node), key=lambda i: (-strengths[i], i))
-    rest = [i for i in range(node) if i != first]
-    second = min(rest, key=lambda i: (-strengths[i], i))
-    return first, second
+    return tuple(sorted(range(node), key=lambda i: -strengths[i])[:2])
 
 
 @dataclass
@@ -155,8 +148,9 @@ class Genotype:
                         f"{cell_type} node {node} has invalid predecessors {preds}"
                     )
                 for op, _ in pairs:
-                    if op not in self.operators:
-                        raise GenotypeError(f"unknown operator '{op}'")
+                    if op not in OPERATOR_NAMES:
+                        raise GenotypeError(f"unknown operator '{op}', not one of "
+                                            f"{', '.join(OPERATOR_NAMES)}")
 
     def rows(self, cell_type: str) -> list[list[tuple[str, int]]]:
         if cell_type == "normal":

@@ -250,17 +250,33 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return ad.mean(x, axis=(2, 3))
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    # Subtracting the detached row max is exact for the gradient and keeps
-    # exp() in range.
-    m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits - Tensor(m)
-    lse = ad.log(ad.sum_(ad.exp(shifted), axis=1, keepdims=True))
-    return shifted - lse
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax logits."""
-    logp = log_softmax(logits)
-    picked = ad.take_per_row(logp, labels)
-    return ad.mean(picked) * -1.0
+    """Mean negative log-likelihood of integer labels under softmax logits,
+    recorded as one graph node.
+
+    The row-max shift keeps exp() in range without changing the value. The
+    loss and its gradient (softmax - onehot)/N take the same numpy operations,
+    in the same order, as the chain of elementwise ops shift, exp, row sum,
+    log, gather, mean, negate would, so both match that chain bit for bit.
+    """
+    z = logits.data
+    labels = np.asarray(labels)
+    if z.ndim != 2 or labels.shape != z.shape[:1]:
+        raise DimensionError(
+            f"cross_entropy expects (N,K) logits and (N,) labels, got "
+            f"{z.shape} and {labels.shape}"
+        )
+    rows = np.arange(z.shape[0])
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    picked = shifted[rows, labels] - np.log(total)[:, 0]
+    data = picked.mean() * -1.0
+
+    def bw(g):
+        per_row = (g * -1.0) / len(labels)
+        gx = (-per_row / total) * e
+        gx[rows, labels] += per_row
+        logits.accumulate_grad(gx, own=True)
+
+    return _make(data, (logits,), bw)

@@ -86,12 +86,11 @@ class MetricsLog:
             parts = ln.split(",")
             if len(parts) != 4:
                 raise FormatError(f"bad metrics row: {ln!r}")
-            log.append(EpochRecord(
-                epoch=int(parts[0]),
-                train_loss=float(parts[1]),
-                val_loss=float(parts[2]),
-                lr=float(parts[3]),
-            ))
+            try:
+                record = EpochRecord(int(parts[0]), *map(float, parts[1:]))
+            except ValueError as exc:
+                raise FormatError(f"bad number in metrics row {ln!r}: {exc}") from exc
+            log.append(record)
         return log
 
     def best_epoch(self) -> int:

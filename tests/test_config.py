@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msrnas.cli import main
 from msrnas.config import RunConfig, config_from_text, parse_config_text
 from msrnas.derive import SelectionMode
 from msrnas.errors import ConfigError
@@ -64,6 +65,34 @@ def test_bad_value_rejected():
         parse_config_text("derive.mode = median")
     with pytest.raises(ConfigError, match="policy"):
         parse_config_text("derive.epoch_policy = best")
+
+
+@pytest.mark.parametrize("line", [
+    "train.initial_lr = nan",
+    "train.weight_decay = nan",
+    "spectral.target_norm = inf",
+    "split.train_fraction = nan",
+    "data.noise = -inf",
+])
+def test_non_finite_float_rejected(tmp_path, capsys, line):
+    text = "net.cells = 3\n" + line + "\n"
+    with pytest.raises(ConfigError, match="line 2: bad value .*finite"):
+        parse_config_text(text)
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: line 2: bad value") and err.count("\n") == 1
+
+
+def test_empty_output_dir_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="run.output_dir"):
+        config_from_text("run.output_dir =")
+    path = tmp_path / "cfg.txt"
+    path.write_text("run.output_dir =\n")
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[config]: run.output_dir must not be empty\n"
 
 
 def test_cifar_requires_dir():

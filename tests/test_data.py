@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrnas.cli import main
 from msrnas.data import (
     CIFAR_RECORD_BYTES,
+    CIFAR_TEST_FILE,
+    CIFAR_TRAIN_FILES,
     Dataset,
     SplitSpec,
     batches,
@@ -45,6 +48,28 @@ def test_label_byte_seven(tmp_path):
     path.write_bytes(record)
     labels, _ = read_cifar_batch(path)
     assert labels[0] == 7
+
+
+def test_label_out_of_range_rejected(tmp_path, rng, capsys):
+    labels = np.array([3, 200, 9], dtype=np.uint8)
+    pixels = rng.integers(0, 256, (3, 3, 32, 32), dtype=np.uint8)
+    write_cifar_batch(tmp_path / "data_batch_1.bin", labels, pixels)
+    with pytest.raises(FormatError, match="record 1 .*label 200"):
+        read_cifar_batch(tmp_path / "data_batch_1.bin")
+    # Through the CLI: every batch is valid except record 2 of the last one.
+    labels[1] = 4
+    for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
+        write_cifar_batch(tmp_path / name, labels, pixels)
+    labels[2] = 10
+    write_cifar_batch(tmp_path / CIFAR_TRAIN_FILES[-1], labels, pixels)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"data.kind = cifar10\ndata.cifar_dir = {tmp_path}\n"
+                   f"run.output_dir = {tmp_path / 'run'}\n")
+    assert main(["search", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]: ") and "record 2 " in err
+    assert "has label 10," in err
+    assert err.count("\n") == 1
 
 
 def test_truncated_file_reports_offset(tmp_path, rng):

@@ -230,12 +230,24 @@ def test_derived_genotype_always_valid(seed, nodes):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_mode_duality_on_negated_table(seed):
-    table = random_table(6, seed=seed)
+    # About 30% of the entries are degenerate, so some edges have no usable
+    # operator; where such an edge is kept, both sides fail the same way.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    table = table_for(6, lambda t, e, o: (
+        None if rng.random() < 0.3 else float(1.0 + 99.0 * rng.random())))
     negated = RankTable(nodes=6, entries={
-        key: -value for key, value in table.entries.items()
+        key: None if value is None else -value
+        for key, value in table.entries.items()
     })
-    assert derive_genotype(table, mode=MAX).normal == \
-        derive_genotype(negated, mode=MIN).normal
+
+    def outcome(tab, mode):
+        try:
+            geno = derive_genotype(tab, mode=mode)
+        except DerivationError as exc:
+            return str(exc)
+        return geno.normal, geno.reduce
+
+    assert outcome(table, MAX) == outcome(negated, MIN)
 
 
 def test_incomplete_table_rejected():
@@ -336,6 +348,12 @@ def test_genotype_validation_rejects_bad_structures():
                    reduce=geno.reduce)
     with pytest.raises(GenotypeError):
         dup.validate()
+    # Listing an operator outside the candidate set does not make it valid.
+    foreign = Genotype(mode="min", nodes=5, operators=(*OPERATOR_NAMES, "conv9"),
+                       normal=[[("conv9", 0), ("sep3", 1)], geno.normal[1]],
+                       reduce=geno.reduce)
+    with pytest.raises(GenotypeError, match="conv9"):
+        foreign.validate()
 
 
 def test_genotype_from_bad_json():

@@ -14,7 +14,6 @@ from msrnas.layers import (
     Parameter,
     cross_entropy,
     global_avg_pool,
-    log_softmax,
 )
 
 from conftest import central_difference, relative_error
@@ -185,10 +184,37 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot(rng):
     np.testing.assert_allclose(logits.grad, (softmax - onehot) / 4.0, atol=1e-12)
 
 
-def test_log_softmax_stable_for_large_logits():
-    logits = Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
-    out = log_softmax(logits)
-    assert np.isfinite(out.data).all()
+def test_cross_entropy_stable_for_large_logits():
+    logits = Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]), requires_grad=True)
+    loss = cross_entropy(logits, np.array([1, 1]))
+    # Row 0 puts all its mass on the wrong class (loss 1000), row 1 on the
+    # right one (loss e^-1000, i.e. 0).
+    assert float(loss.data) == 500.0
+    loss.backward()
+    assert np.isfinite(logits.grad).all()
+    np.testing.assert_array_equal(logits.grad, [[0.5, -0.5], [0.0, 0.0]])
+
+
+def test_cross_entropy_is_one_node_with_float32_gradient(rng):
+    z = 3.0 * rng.standard_normal((6, 5))
+    labels = np.array([0, 4, 2, 2, 1, 3])
+    logits = Tensor(z.astype(np.float32), requires_grad=True)
+    loss = cross_entropy(logits, labels)
+    assert loss._parents == (logits,)
+    loss.backward()
+    softmax = np.exp(z - z.max(axis=1, keepdims=True))
+    softmax /= softmax.sum(axis=1, keepdims=True)
+    expected = (softmax - np.eye(5)[labels]) / 6.0
+    assert logits.grad.dtype == np.float32
+    np.testing.assert_allclose(logits.grad, expected, rtol=0, atol=1e-6)
+
+
+def test_cross_entropy_shape_errors():
+    logits = Tensor(np.zeros((3, 4)))
+    with pytest.raises(DimensionError):
+        cross_entropy(logits, np.zeros(2, dtype=np.int64))
+    with pytest.raises(DimensionError):
+        cross_entropy(Tensor(np.zeros(4)), np.zeros(4, dtype=np.int64))
 
 
 def test_global_avg_pool(rng):

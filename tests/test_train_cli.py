@@ -9,11 +9,12 @@ import pytest
 
 from msrnas.autodiff import Tensor
 from msrnas.cli import main
-from msrnas.config import config_from_text
+from msrnas.config import RunConfig, config_from_text
 from msrnas.derive import Genotype, SelectionMode, derive_genotype, load_rank_table
-from msrnas.errors import ArgumentError, LockError, StateError
+from msrnas.errors import ArgumentError, FormatError, LockError, StateError
 from msrnas.layers import Linear, Module
 from msrnas.train import (
+    METRICS_HEADER,
     EpochRecord,
     MetricsLog,
     RunDir,
@@ -64,6 +65,18 @@ def test_metrics_csv_roundtrip_excludes_wall_time():
     back = MetricsLog.from_csv(text)
     assert [r.val_loss for r in back.records] == [1.1, 0.9]
     assert back.to_csv() == text
+
+
+@pytest.mark.parametrize("row", ["1,abc,0.5,0.1", "one,1.0,0.5,0.1", "1,1.0,0.5,"])
+def test_metrics_bad_number_is_format_error(tmp_path, capsys, row):
+    text = f"{METRICS_HEADER}\n{row}\n"
+    with pytest.raises(FormatError, match="bad number in metrics row"):
+        MetricsLog.from_csv(text)
+    (tmp_path / "config.txt").write_text(RunConfig().to_text())
+    (tmp_path / "metrics.csv").write_text(text)
+    assert main(["derive", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]: bad number") and err.count("\n") == 1
 
 
 def test_best_epoch_argmin():
@@ -258,6 +271,20 @@ def test_cli_error_categories(tmp_path, capsys):
 
     assert main(["ranks", "--checkpoint", str(tmp_path / "nope.msrn")]) == 1
     assert capsys.readouterr().err.startswith("error[format]:")
+
+
+def test_cli_eval_rejects_operator_outside_candidates(tmp_path, capsys):
+    row = [["conv9", 0], ["sep3", 1]]
+    geno = tmp_path / "geno.json"
+    geno.write_text(json.dumps({"mode": "min", "nodes": 4,
+                                "operators": ["sep3", "sep5", "dil3", "dil5", "conv9"],
+                                "normal": [row], "reduce": [row]}))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY + f"run.output_dir = {tmp_path / 'eval'}\n")
+    assert main(["eval", "--genotype", str(geno), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[genotype]: unknown operator 'conv9'")
+    assert err.count("\n") == 1
 
 
 def test_derive_is_deterministic_bytes(tmp_path, one_epoch_run):
