@@ -63,9 +63,9 @@ def _cmd_derive(args) -> int:
 
     from .config import load_run_config
     from .derive import SelectionMode, derive_genotype
-    from .train import choose_epoch, load_epoch_table
+    from .train import RunDir, choose_epoch, load_epoch_table
 
-    config_path = os.path.join(args.run, "config.txt")
+    config_path = RunDir(args.run).config_path
     if not os.path.exists(config_path):
         raise ArgumentError(f"{args.run} is not a search run (no config.txt)")
     cfg = load_run_config(config_path)

@@ -63,6 +63,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be non-negative, got {self.seed}")
 
 
 # CIFAR-10 binary format ------------------------------------------------------

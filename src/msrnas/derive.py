@@ -5,7 +5,8 @@ intermediate node, the two predecessors whose edges have the greatest
 strength (negated minimum rank) are retained. The maximum-rank ablation
 baseline differs only by the sign of each entry's score. All ties break
 toward the lower operator index (sep3 < sep5 < dil3 < dil5) and the lower
-node index.
+node index. A rank-table file holds each entry once, as a finite number or
+``degenerate``.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class RankTable:
     )
     epoch: int = 0
     seed: int = 0
-    # Per-cell detail [(cell_index, rank-or-None), ...] kept only on freshly
-    # computed tables for reporting; not serialized.
-    per_cell: dict | None = field(default=None, repr=False, compare=False)
 
     def set(self, cell_type: str, edge: tuple[int, int], op: str,
             value: float | None) -> None:
@@ -252,12 +250,15 @@ def rank_table_from_text(text: str) -> RankTable:
                 meta[parts[1]] = int(parts[2])
             elif parts[0] == "rank" and len(parts) == 6:
                 cell_type, op, value = parts[1], parts[4], parts[5]
-                i, j = int(parts[2]), int(parts[3])
+                key = (cell_type, (int(parts[2]), int(parts[3])), op)
                 if cell_type not in CELL_TYPES or op not in OPERATOR_NAMES:
                     raise FormatError(f"unrecognized rank row: {ln!r}")
-                entries[(cell_type, (i, j), op)] = (
-                    None if value == "degenerate" else float(value)
-                )
+                rank = None if value == "degenerate" else float(value)
+                if rank is not None and not math.isfinite(rank):
+                    raise FormatError(f"non-finite rank in rank-table line {ln!r}")
+                if key in entries:
+                    raise FormatError(f"repeated rank row: {ln!r}")
+                entries[key] = rank
             else:
                 raise FormatError(f"unrecognized rank-table line: {ln!r}")
         except ValueError as exc:

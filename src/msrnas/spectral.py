@@ -6,7 +6,7 @@ persistent unit vector; its estimate never exceeds the true spectral norm, so
 dividing by it is a safe normalizer for the training-time adjustment. The
 stable rank needs no estimate: every rank-scored conv is a padding-0 1x1
 conv, whose spectral and Frobenius norms have a closed form in its weight
-matrix (``stable_rank``).
+matrix (``stable_rank``), scored one conv per call.
 
 Power iteration runs on groups of handles that share one geometry (channels,
 groups, kernel, stride, padding, dilation, input extents and dtype; see
@@ -97,12 +97,12 @@ def conv_geometry(spec: ConvSpec, in_hw: tuple[int, int]) -> tuple:
             (int(in_hw[0]), int(in_hw[1])), spec.weight.dtype.str)
 
 
-def group_by_geometry(handles: Sequence[ConvHandle]) -> list[list[int]]:
-    """Indices of the handles grouped by geometry, groups and members in
-    first-seen order."""
-    groups: dict[tuple, list[int]] = {}
-    for index, handle in enumerate(handles):
-        groups.setdefault(handle.geometry, []).append(index)
+def group_by_geometry(handles: Sequence[ConvHandle]) -> list[list[ConvHandle]]:
+    """The handles grouped by geometry, groups and members in first-seen
+    order."""
+    groups: dict[tuple, list[ConvHandle]] = {}
+    for handle in handles:
+        groups.setdefault(handle.geometry, []).append(handle)
     return list(groups.values())
 
 
@@ -203,33 +203,25 @@ def spectral_norm_adjust(handles: ConvHandle | Sequence[ConvHandle],
         handle.spec.weight *= cfg.target_norm / float(sigma)
 
 
-def stable_rank(specs: Sequence[ConvSpec], input_hw: tuple[int, int]
-                ) -> tuple[list[float | None], np.ndarray]:
-    """Squared Frobenius over squared spectral norm of the matrix view of each
-    conv, for padding-0 ungrouped 1x1 convs of one geometry at input extents
-    ``input_hw``.
+def stable_rank(spec: ConvSpec, input_hw: tuple[int, int]
+                ) -> tuple[float, float] | None:
+    """Squared Frobenius over squared spectral norm of the matrix view of a
+    padding-0 ungrouped 1x1 conv at input extents ``input_hw``.
 
-    Returns the stable ranks, None for an all-zero weight, and the spectral
-    norms they divide by, NaN for an all-zero weight, both exact in float64.
-    Such a conv's matrix view is ``W ⊗ S``, where ``S`` picks the sampled
-    pixels and has orthonormal rows, so its spectral norm is ``||W||_2`` and
-    its squared Frobenius norm ``ho*wo*||W||_F^2``; one batched SVD of the
-    stacked weights gives every ``||W||_2`` (Sedghi, Gupta & Long, "The
-    Singular Values of Convolutional Layers", ICLR 2019).
+    Returns the stable rank and the spectral norm it divides by, both exact
+    in float64, or None for an all-zero weight. Such a conv's matrix view is
+    ``W ⊗ S``, where ``S`` picks the sampled pixels and has orthonormal rows,
+    so its spectral norm is ``||W||_2`` and its squared Frobenius norm
+    ``ho*wo*||W||_F^2`` (Sedghi, Gupta & Long, "The Singular Values of
+    Convolutional Layers", ICLR 2019).
     """
-    geometry = conv_geometry(specs[0], input_hw)
-    for spec in specs:
-        if (not spec.is_pointwise or spec.groups != 1
-                or conv_geometry(spec, input_hw) != geometry):
-            raise ArgumentError(
-                f"stable_rank needs ungrouped padding-0 1x1 convs of one geometry, "
-                f"got {spec}"
-            )
-    ho, wo = specs[0].out_hw(*input_hw)
-    weights = np.stack([spec.weight.reshape(spec.out_channels, spec.in_channels)
-                        for spec in specs]).astype(np.float64)
-    sigmas = np.linalg.svd(weights, compute_uv=False)[:, 0]
-    fro_squared = ho * wo * (weights ** 2).sum(axis=(1, 2))
-    ranks = [float(fro / sigma ** 2) if sigma > 0.0 else None
-             for fro, sigma in zip(fro_squared, sigmas)]
-    return ranks, np.where(sigmas > 0.0, sigmas, np.nan)
+    if not spec.is_pointwise or spec.groups != 1:
+        raise ArgumentError(
+            f"stable_rank needs an ungrouped padding-0 1x1 conv, got {spec}"
+        )
+    ho, wo = spec.out_hw(*input_hw)
+    weight = spec.weight.reshape(spec.out_channels, spec.in_channels).astype(np.float64)
+    sigma = np.linalg.svd(weight, compute_uv=False)[0]
+    if not sigma > 0.0:
+        return None
+    return float(ho * wo * (weight ** 2).sum() / sigma ** 2), float(sigma)

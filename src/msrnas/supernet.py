@@ -6,7 +6,8 @@ concatenates the intermediates. In the supernet every edge carries all four
 candidate operators with fixed unit mixing weights; reduction cells sit at
 one and two thirds of the depth and stride-2 only on edges leaving the input
 nodes. Every convolution registers a spectral handle; the final pointwise
-conv of each candidate is additionally tagged for rank measurement.
+conv of each candidate is additionally tagged for rank measurement, and
+``collect_rank_table`` scores each tagged conv on its own.
 
 Both networks share one cell body (``_Cell``): the preprocessing of the two
 input states, the output geometry, the stride/extent rule for an edge leaving
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .derive import CELL_TYPES, Genotype, RankTable, cell_edges, intermediate_nodes
 from .errors import (
     ConstructionError,
@@ -273,12 +274,7 @@ class Supernet(_NetworkBase):
         self.fin_tags: list[FinTag] = []
         self._register_handles()
         # Power iteration runs once per geometry group (see spectral.py).
-        self.handle_groups: list[list[ConvHandle]] = [
-            [self.handles[i] for i in group]
-            for group in group_by_geometry(self.handles)
-        ]
-        self.fin_groups: list[list[int]] = group_by_geometry(
-            [tag.handle for tag in self.fin_tags])
+        self.handle_groups = group_by_geometry(self.handles)
 
     def _register_handles(self) -> None:
         for name, module in self._walk_convs():
@@ -360,66 +356,46 @@ def build_discrete_network(genotype: Genotype, cfg: SupernetConfig, *,
 
 
 def collect_rank_table(net: Supernet, *, epoch: int = 0) -> RankTable:
-    """Average stable rank of every candidate's final conv per cell type.
+    """Average stable rank of every candidate's final conv per cell type,
+    from one ``stable_rank`` call per final conv.
 
     Degenerate convolutions flag their whole (type, edge, operator) entry.
-    Also records the per-cell values on the table for reporting.
     """
-    return _measure_fin_convs(net, epoch)[0]
-
-
-def _measure_fin_convs(net: Supernet, epoch: int) -> tuple[RankTable, np.ndarray]:
-    """The rank table and the spectral norm of every final conv (NaN where
-    degenerate, in ``fin_tags`` order), from one ``stable_rank`` call per
-    geometry group."""
     present = {cell.cell_type for cell in net.cells}
     missing = [t for t in CELL_TYPES if t not in present]
     if missing:
         raise StateError(
             f"cannot build a complete rank table: no cells of type {missing}"
         )
-    ranks: list[float | None] = [None] * len(net.fin_tags)
-    sigmas = np.full(len(net.fin_tags), np.nan)
-    with no_grad():
-        for group in net.fin_groups:
-            handles = [net.fin_tags[i].handle for i in group]
-            values, estimates = stable_rank([h.spec for h in handles],
-                                            handles[0].in_hw)
-            for i, value, sigma in zip(group, values, estimates):
-                ranks[i] = value
-                sigmas[i] = sigma
-    groups: dict[tuple[str, tuple[int, int], str], list[tuple[int, float | None]]] = {}
-    for tag, value in zip(net.fin_tags, ranks):
-        key = (tag.cell_type, tag.edge, tag.kind.value)
-        groups.setdefault(key, []).append((tag.cell_index, value))
-    table = RankTable(nodes=net.cfg.nodes, epoch=epoch,
-                      seed=net.spectral_cfg.seed, per_cell={})
-    for key, cells in groups.items():
-        values = [v for _, v in cells]
-        if any(v is None for v in values):
-            table.set(*key, None)
-        else:
-            table.set(*key, float(np.mean(values)))
-        table.per_cell[key] = sorted(cells)
+    ranks: dict[tuple[str, tuple[int, int], str], list[float | None]] = {}
+    for tag in net.fin_tags:
+        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
+        ranks.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
+            None if scored is None else scored[0])
+    table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=net.spectral_cfg.seed)
+    for key, values in ranks.items():
+        table.set(*key, None if None in values else float(np.mean(values)))
     table.require_complete()
-    return table, sigmas
+    return table
 
 
 def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
     """Structured text report: averaged and per-cell ranks, spectral norms
     and Frobenius norms of the matrix view for every candidate's final
     conv. The spectral norms are those the rank table divides by."""
-    table, sigmas = _measure_fin_convs(net, epoch)
+    table = collect_rank_table(net, epoch=epoch)
     lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
     detail: dict[tuple, list[str]] = {}
-    for tag, sigma in zip(net.fin_tags, sigmas):
-        key = (tag.cell_type, tag.edge, tag.kind.value)
-        ranks = dict(table.per_cell[key])
-        rank = ranks.get(tag.cell_index)
-        rank_text = "degenerate" if rank is None else f"{rank:.6g}"
-        # The rank is fro^2 / sigma^2; a degenerate conv's weight is zero.
-        fro = 0.0 if rank is None else sigma * np.sqrt(rank)
-        detail.setdefault(key, []).append(
+    for tag in net.fin_tags:
+        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
+        if scored is None:
+            # A degenerate conv's weight is zero.
+            rank_text, sigma, fro = "degenerate", np.nan, 0.0
+        else:
+            # The rank is fro^2 / sigma^2.
+            rank, sigma = scored
+            rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
+        detail.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
             f"  cell={tag.cell_index} rank={rank_text} "
             f"sigma={sigma:.6g} fro={fro:.6g}"
         )

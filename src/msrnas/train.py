@@ -18,6 +18,7 @@ stage.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -90,6 +91,9 @@ class MetricsLog:
                 record = EpochRecord(int(parts[0]), *map(float, parts[1:]))
             except ValueError as exc:
                 raise FormatError(f"bad number in metrics row {ln!r}: {exc}") from exc
+            if not all(map(math.isfinite, (record.train_loss, record.val_loss,
+                                           record.lr))):
+                raise FormatError(f"bad number in metrics row {ln!r}: not finite")
             log.append(record)
         return log
 
@@ -106,7 +110,6 @@ class RunDir:
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
         self._lock_handle = None
 
     @property
@@ -136,6 +139,7 @@ class RunDir:
         return os.path.join(self.ranks, f"epoch_{epoch:04d}.txt")
 
     def acquire_lock(self) -> None:
+        os.makedirs(self.root, exist_ok=True)
         lock = os.path.join(self.root, "lock")
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -236,6 +240,8 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
         train_loss = total_loss / seen
         held_out_pass = _held_out_pass(net, held_out, hyper.batch_size)
         held_out_loss = held_out_pass[0]
+        if not math.isfinite(held_out_loss):
+            raise NumericsError(f"non-finite {held_out_label} loss at epoch {epoch}")
         record = EpochRecord(epoch=epoch, train_loss=train_loss,
                              val_loss=held_out_loss, lr=lr,
                              wall_time=time.time() - t0)
@@ -322,7 +328,7 @@ def choose_epoch(run_root: str, epoch: int | None, policy: str) -> int:
         return epoch
     if policy.startswith("fixed:"):
         return int(policy.split(":", 1)[1])
-    metrics_path = os.path.join(run_root, "metrics.csv")
+    metrics_path = RunDir(run_root).metrics_path
     try:
         with open(metrics_path, "r", encoding="utf-8") as fh:
             log = MetricsLog.from_csv(fh.read())
@@ -334,7 +340,7 @@ def choose_epoch(run_root: str, epoch: int | None, policy: str) -> int:
 
 
 def load_epoch_table(run_root: str, epoch: int) -> RankTable:
-    path = os.path.join(run_root, "ranks", f"epoch_{epoch:04d}.txt")
+    path = RunDir(run_root).rank_table_path(epoch)
     if not os.path.exists(path):
         raise ArgumentError(f"no rank table for epoch {epoch} at {path}")
     return load_rank_table(path)

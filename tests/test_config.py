@@ -95,6 +95,19 @@ def test_empty_output_dir_rejected(tmp_path, capsys):
     assert err == "error[config]: run.output_dir must not be empty\n"
 
 
+def test_negative_split_seed_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="split seed must be non-negative, got -1"):
+        config_from_text("split.seed = -1").make_split_spec()
+    assert config_from_text("split.seed = 0").make_split_spec().seed == 0
+    path = tmp_path / "cfg.txt"
+    path.write_text("data.samples_per_class = 4\ndata.test_samples_per_class = 2\n"
+                    "data.height = 8\ndata.width = 8\nsplit.seed = -1\n"
+                    f"run.output_dir = {tmp_path / 'run'}\n")
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[config]: split seed must be non-negative, got -1\n"
+
+
 def test_cifar_requires_dir():
     with pytest.raises(ConfigError, match="cifar_dir"):
         config_from_text("data.kind = cifar10")

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrnas.cli import main
+from msrnas.config import RunConfig
 from msrnas.derive import (
     CELL_TYPES,
     Genotype,
@@ -324,6 +327,50 @@ def test_rank_table_bad_number(line):
     text = rank_table_to_text(random_table(4, seed=1)) + line + "\n"
     with pytest.raises(FormatError, match="bad number"):
         rank_table_from_text(text)
+
+
+def with_rank(text: str, row: str, value: str) -> str:
+    """``text`` with the rank row that starts with ``row`` set to ``value``."""
+    return "".join(f"{row} {value}\n" if ln.startswith(row + " ") else ln
+                   for ln in text.splitlines(keepends=True))
+
+
+# (damaged table text from an intact one, the FormatError it must raise)
+DAMAGED_TABLES = {
+    "sep3-nan": (lambda text: with_rank(text, "rank normal 0 2 sep3", "nan"),
+                 "non-finite rank in rank-table line 'rank normal 0 2 sep3 nan'"),
+    "dil5-nan": (lambda text: with_rank(text, "rank reduce 1 2 dil5", "NaN"),
+                 "non-finite rank in rank-table line 'rank reduce 1 2 dil5 NaN'"),
+    "inf": (lambda text: with_rank(text, "rank normal 1 2 sep5", "inf"),
+            "non-finite rank in rank-table line 'rank normal 1 2 sep5 inf'"),
+    "minus-inf": (lambda text: with_rank(text, "rank reduce 0 2 dil3", "-inf"),
+                  "non-finite rank in rank-table line 'rank reduce 0 2 dil3 -inf'"),
+    "repeated": (lambda text: text + "rank normal 0 2 sep3 1.0\n",
+                 "repeated rank row: 'rank normal 0 2 sep3 1.0'"),
+    "repeated-degenerate": (lambda text: text + "rank reduce 0 2 dil3 degenerate\n",
+                            "repeated rank row: 'rank reduce 0 2 dil3 degenerate'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_TABLES))
+def test_rank_table_rejects_non_finite_and_repeated_rows(case):
+    damage, message = DAMAGED_TABLES[case]
+    text = damage(rank_table_to_text(random_table(4, seed=1)))
+    with pytest.raises(FormatError, match=re.escape(message)):
+        rank_table_from_text(text)
+
+
+@pytest.mark.parametrize("case", ["sep3-nan", "repeated"])
+def test_derive_cli_rejects_damaged_rank_table(tmp_path, capsys, case):
+    damage, message = DAMAGED_TABLES[case]
+    (tmp_path / "config.txt").write_text(RunConfig().to_text())
+    (tmp_path / "ranks").mkdir()
+    (tmp_path / "ranks" / "epoch_0000.txt").write_text(
+        damage(rank_table_to_text(random_table(4, seed=1))))
+    assert main(["derive", "--run", str(tmp_path), "--epoch", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[format]: {message}\n"
+    assert not (tmp_path / "genotype_min.json").exists()
 
 
 def test_genotype_json_roundtrip_and_canonical_order():

@@ -72,7 +72,7 @@ def test_traced_adjust_runs_one_power_iteration_per_group(spans_module):
     for nid, *_ in tracer.spans:
         counts[tracer.names[nid]] = counts.get(tracer.names[nid], 0) + 1
     assert counts["supernet.adjust_all"] == 1
-    assert counts["spectral.stable_rank"] == len(net.fin_groups)
+    assert counts["spectral.stable_rank"] == len(net.fin_tags)
     # The rank table needs no power iteration.
     assert counts["spectral.power_iteration"] == len(net.handle_groups)
 

@@ -22,12 +22,6 @@ from msrnas.spectral import (
 from conftest import fitting_input_hw, materialize_conv_matrix, random_conv_spec
 
 
-def single_stable_rank(spec: ConvSpec, hw: tuple[int, int]) -> float | None:
-    """``stable_rank`` on a group of one."""
-    ranks, _ = stable_rank([spec], hw)
-    return ranks[0]
-
-
 def identity_spec(channels: int = 1) -> ConvSpec:
     w = np.eye(channels, dtype=np.float64).reshape(channels, channels, 1, 1)
     return ConvSpec(channels, channels, 1, 1, weight=w)
@@ -116,7 +110,7 @@ def dense_stable_rank(spec: ConvSpec, hw: tuple[int, int]) -> tuple[float, float
 
 def test_stable_rank_identity_map():
     n = 2 * 4 * 4
-    assert single_stable_rank(identity_spec(2), (4, 4)) == pytest.approx(n, rel=1e-12)
+    assert stable_rank(identity_spec(2), (4, 4))[0] == pytest.approx(n, rel=1e-12)
 
 
 def test_stable_rank_rank_one_map(rng):
@@ -124,12 +118,12 @@ def test_stable_rank_rank_one_map(rng):
     u = rng.standard_normal((3, 1))
     v = rng.standard_normal((1, 4))
     spec = pointwise_spec(u @ v)
-    assert single_stable_rank(spec, (1, 1)) == pytest.approx(1.0, rel=1e-12)
+    assert stable_rank(spec, (1, 1))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stable_rank_closed_form_two_singular_values():
     spec = pointwise_spec(np.diag([2.0, 1.0]))
-    assert single_stable_rank(spec, (1, 1)) == pytest.approx(1.25, rel=1e-12)
+    assert stable_rank(spec, (1, 1)) == pytest.approx((1.25, 2.0), rel=1e-12)
 
 
 def closed_form_cases(rng):
@@ -146,10 +140,10 @@ def closed_form_cases(rng):
 
 def test_stable_rank_matches_svd_oracle(rng):
     for spec, hw in closed_form_cases(rng):
-        ranks, sigmas = stable_rank([spec], hw)
-        expected, sigma = dense_stable_rank(spec, hw)
-        assert abs(ranks[0] - expected) <= 1e-10 * expected, (spec, hw)
-        assert abs(sigmas[0] - sigma) <= 1e-10 * sigma, (spec, hw)
+        rank, sigma = stable_rank(spec, hw)
+        expected, expected_sigma = dense_stable_rank(spec, hw)
+        assert abs(rank - expected) <= 1e-10 * expected, (spec, hw)
+        assert abs(sigma - expected_sigma) <= 1e-10 * expected_sigma, (spec, hw)
 
 
 def test_stable_rank_bounds(rng):
@@ -157,7 +151,7 @@ def test_stable_rank_bounds(rng):
     # in [ho*wo, ho*wo*min(O, C)].
     for spec, hw in closed_form_cases(rng):
         pixels = np.prod(spec.out_hw(*hw))
-        sr = single_stable_rank(spec, hw)
+        sr, _ = stable_rank(spec, hw)
         assert pixels * (1 - 1e-12) <= sr
         assert sr <= pixels * min(spec.out_channels, spec.in_channels) * (1 + 1e-12)
 
@@ -168,10 +162,13 @@ def test_stable_rank_rejects_other_geometries(rng):
     grouped = ConvSpec(4, 4, 1, 1, groups=2, weight=rng.standard_normal((4, 2, 1, 1)))
     for spec in (dense, padded, grouped):
         with pytest.raises(ArgumentError):
-            stable_rank([spec], (5, 5))
-    square = pointwise_spec(rng.standard_normal((3, 3)))
-    with pytest.raises(ArgumentError):
-        stable_rank([square, pointwise_spec(rng.standard_normal((3, 3)), stride=2)], (5, 5))
+            stable_rank(spec, (5, 5))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_rank_zero_weight_is_none(dtype):
+    spec = pointwise_spec(np.zeros((3, 5), dtype=dtype), stride=2)
+    assert stable_rank(spec, (6, 6)) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -183,8 +180,8 @@ def test_stable_rank_scale_invariance(seed, k):
     weight = rng.standard_normal((o, c))
     stride = int(rng.integers(1, 3))
     hw = tuple(int(v) for v in rng.integers(1, 8, size=2))
-    base = single_stable_rank(pointwise_spec(weight, stride), hw)
-    scaled = single_stable_rank(pointwise_spec(k * weight, stride), hw)
+    base, _ = stable_rank(pointwise_spec(weight, stride), hw)
+    scaled, _ = stable_rank(pointwise_spec(k * weight, stride), hw)
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
@@ -349,14 +346,3 @@ def test_power_iteration_rejects_mixed_geometries():
     b = ConvHandle(identity_spec(2), (5, 5))
     with pytest.raises(ArgumentError):
         power_iteration([a, b], 1)
-
-
-def test_stable_rank_group_scores_degenerate_member_none(rng):
-    specs = [pointwise_spec(rng.standard_normal((3, 5))) for _ in range(3)]
-    specs[1].weight[...] = 0.0
-    ranks, sigmas = stable_rank(specs, (6, 6))
-    assert ranks[1] is None and np.isnan(sigmas[1])
-    for k in (0, 2):
-        alone, alone_sigma = stable_rank([specs[k]], (6, 6))
-        assert ranks[k] == pytest.approx(alone[0], rel=1e-12)
-        assert sigmas[k] == pytest.approx(alone_sigma[0], rel=1e-12)

@@ -9,7 +9,7 @@ from msrnas.derive import SelectionMode, derive_genotype
 from msrnas.errors import ConstructionError, GenotypeError, StateError
 from msrnas.layers import cross_entropy
 from msrnas.operators import OPERATOR_NAMES, OperatorKind
-from msrnas.spectral import SpectralConfig, power_iteration
+from msrnas.spectral import SpectralConfig, power_iteration, stable_rank
 from msrnas.supernet import (
     SupernetConfig,
     build_discrete_network,
@@ -268,6 +268,17 @@ def test_rank_table_single_cell_type_error():
         collect_rank_table(net)
 
 
+def fin_ranks(net) -> dict:
+    """Each final conv's stable rank (None if degenerate), keyed by rank-table
+    entry, in ``fin_tags`` order, from its own ``stable_rank`` call."""
+    ranks = {}
+    for tag in net.fin_tags:
+        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
+        ranks.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
+            None if scored is None else scored[0])
+    return ranks
+
+
 def test_rank_table_known_singular_values():
     cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(8, 8))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=2)
@@ -277,17 +288,19 @@ def test_rank_table_known_singular_values():
     # A 1x1 conv whose weight matrix has singular values s at HxW input has
     # stable rank HW * sum(s^2) / max(s)^2; the diagonal pattern repeats
     # every 4 channels, so compute the expectation per actual width.
-    for (cell_type, edge, op), value in table.entries.items():
-        per_cell = dict(table.per_cell[(cell_type, edge, op)])
-        for tag in net.fin_tags:
-            if (tag.cell_type, tag.edge, tag.kind.value) == (cell_type, edge, op):
-                channels = tag.handle.spec.out_channels
-                svals = np.array([diag[i % len(diag)] for i in range(channels)])
-                sr_weight = float((svals ** 2).sum() / (svals ** 2).max())
-                hw = tag.handle.in_hw
-                expected = hw[0] * hw[1] * sr_weight
-                got = per_cell[tag.cell_index]
-                assert abs(got - expected) / expected < 1e-10
+    expected = {}
+    for tag in net.fin_tags:
+        channels = tag.handle.spec.out_channels
+        svals = np.array([diag[i % len(diag)] for i in range(channels)])
+        sr_weight = float((svals ** 2).sum() / (svals ** 2).max())
+        hw = tag.handle.in_hw
+        want = hw[0] * hw[1] * sr_weight
+        got, _ = stable_rank(tag.handle.spec, tag.handle.in_hw)
+        assert abs(got - want) / want < 1e-10
+        expected.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(want)
+    assert set(expected) == set(table.entries)
+    for key, wants in expected.items():
+        assert table.entries[key] == pytest.approx(np.mean(wants), rel=1e-10)
 
 
 def test_rank_table_mean_of_identical_cells():
@@ -296,29 +309,29 @@ def test_rank_table_mean_of_identical_cells():
     normal_cells = [c for c in net.cells if c.cell_type == "normal"]
     assert len(normal_cells) == 1  # single-cell mean equals the cell value
     table = collect_rank_table(net)
-    for (cell_type, edge, op), value in table.entries.items():
-        cells = table.per_cell[(cell_type, edge, op)]
-        assert value == pytest.approx(np.mean([v for _, v in cells]))
+    ranks = fin_ranks(net)
+    assert set(ranks) == set(table.entries)
+    for key, value in table.entries.items():
+        assert len(ranks[key]) == (1 if key[0] == "normal" else 2)
+        assert value == pytest.approx(np.mean(ranks[key]))
 
 
 def test_rank_table_degenerate_entry_flagged():
     cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(8, 8))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=4)
     intact = collect_rank_table(net)
+    intact_ranks = fin_ranks(net)
     tag = net.fin_tags[0]
-    # The zeroed conv shares its geometry group with the cell's other final
-    # convs; only its own entry may change.
-    assert len(next(g for g in net.fin_groups if 0 in g)) > 1
     tag.handle.spec.weight[...] = 0.0
     table = collect_rank_table(net)
+    ranks = fin_ranks(net)
     key = (tag.cell_type, tag.edge, tag.kind.value)
     assert table.entries[key] is None
-    assert dict(table.per_cell[key])[tag.cell_index] is None
-    for other, cells in table.per_cell.items():
-        for (cell, value), (_, before) in zip(cells, intact.per_cell[other]):
-            if (other, cell) != (key, tag.cell_index):
-                assert value == pytest.approx(before, rel=1e-12)
+    assert ranks[key] == [None]
+    # Only the zeroed conv's own score and entry change.
+    for other in table.entries:
         if other != key:
+            assert ranks[other] == pytest.approx(intact_ranks[other], rel=1e-12)
             assert table.entries[other] == pytest.approx(intact.entries[other], rel=1e-12)
     geno = derive_genotype(table, mode=SelectionMode.MIN_STABLE_RANK)
     geno.validate()

@@ -2,17 +2,20 @@
 subcommands, artifact round-trips, and determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from msrnas import train
 from msrnas.autodiff import Tensor
 from msrnas.cli import main
 from msrnas.config import RunConfig, config_from_text
 from msrnas.derive import Genotype, SelectionMode, derive_genotype, load_rank_table
-from msrnas.errors import ArgumentError, FormatError, LockError, StateError
+from msrnas.errors import ArgumentError, FormatError, LockError, NumericsError, StateError
 from msrnas.layers import Linear, Module
+from msrnas.operators import OPERATOR_NAMES
 from msrnas.train import (
     METRICS_HEADER,
     EpochRecord,
@@ -67,7 +70,8 @@ def test_metrics_csv_roundtrip_excludes_wall_time():
     assert back.to_csv() == text
 
 
-@pytest.mark.parametrize("row", ["1,abc,0.5,0.1", "one,1.0,0.5,0.1", "1,1.0,0.5,"])
+@pytest.mark.parametrize("row", ["1,abc,0.5,0.1", "one,1.0,0.5,0.1", "1,1.0,0.5,",
+                                 "1,1.0,nan,0.1", "1,inf,0.5,0.1", "1,1.0,0.5,-inf"])
 def test_metrics_bad_number_is_format_error(tmp_path, capsys, row):
     text = f"{METRICS_HEADER}\n{row}\n"
     with pytest.raises(FormatError, match="bad number in metrics row"):
@@ -88,6 +92,7 @@ def test_best_epoch_argmin():
 
 def test_choose_epoch_policies(tmp_path):
     run = RunDir(str(tmp_path / "r"))
+    os.makedirs(run.root)
     log = MetricsLog()
     for e, v in enumerate([1.0, 0.8, 0.9], start=1):
         log.append(EpochRecord(e, 1.0, v, 0.02))
@@ -96,6 +101,41 @@ def test_choose_epoch_policies(tmp_path):
     assert choose_epoch(run.root, None, "min_val_loss") == 2
     assert choose_epoch(run.root, None, "fixed:3") == 3
     assert choose_epoch(run.root, 1, "min_val_loss") == 1
+
+
+def test_non_finite_held_out_loss_stops_before_its_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(train, "_held_out_pass", lambda *_args: (math.nan, 1.0))
+    rows = [[("sep3", 0), ("sep3", 1)], [("dil3", 0), ("sep5", 2)]]
+    geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                    normal=rows, reduce=rows)
+    with pytest.raises(NumericsError, match="non-finite test loss at epoch 1"):
+        run_eval(tiny_cfg(str(tmp_path / "api")), geno)
+    with open(tmp_path / "api" / "metrics.csv") as fh:
+        assert fh.read() == METRICS_HEADER + "\n"
+    geno_path = tmp_path / "geno.json"
+    geno_path.write_text(geno.to_json_str())
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY + f"run.output_dir = {tmp_path / 'cli'}\n")
+    assert main(["eval", "--genotype", str(geno_path), "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[numerics]: non-finite test loss at epoch 1\n"
+    assert not os.path.exists(tmp_path / "cli" / "result.txt")
+
+
+def test_reading_a_run_creates_no_directory(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    run = RunDir(str(missing))
+    assert not missing.exists()
+    with pytest.raises(ArgumentError):
+        choose_epoch(run.root, None, "min_val_loss")
+    with pytest.raises(ArgumentError):
+        load_epoch_table(run.root, 0)
+    assert main(["derive", "--run", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith("error[argument]:")
+    assert not missing.exists()
+    run.acquire_lock()
+    assert os.path.exists(os.path.join(run.root, "lock"))
+    run.release_lock()
 
 
 def test_lock_excludes_concurrent_runs(tmp_path):
