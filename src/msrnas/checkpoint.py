@@ -6,7 +6,7 @@ u32 ndim, ndim x u64 extents, raw row-major data. The checkpoint stores all
 parameter tensors (value, momentum), batchnorm running statistics,
 power-iteration vectors, the epoch counter, and enough configuration scalars
 to rebuild the network from the file alone. Gradients are not stored,
-because every step zeroes them before use; ``grad/*`` records and the
+because every step clears them before use; ``grad/*`` records and the
 ``meta/spectral/frobenius_kernel`` scalar of older files are ignored on load.
 """
 

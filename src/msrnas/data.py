@@ -40,10 +40,6 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         """View onto selected samples; inherits the parent's statistics."""
         return Dataset(

@@ -242,6 +242,7 @@ def rank_table_from_text(text: str) -> RankTable:
         raise FormatError("rank table file missing header")
     meta: dict[str, int] = {}
     entries: dict[tuple[str, tuple[int, int], str], float | None] = {}
+    edge_rows: list[tuple[tuple[int, int], str]] = []
     for ln in lines[1:]:
         parts = ln.split()
         try:
@@ -259,12 +260,19 @@ def rank_table_from_text(text: str) -> RankTable:
                 if key in entries:
                     raise FormatError(f"repeated rank row: {ln!r}")
                 entries[key] = rank
+                edge_rows.append((key[1], ln))
             else:
                 raise FormatError(f"unrecognized rank-table line: {ln!r}")
         except ValueError as exc:
             raise FormatError(f"bad number in rank-table line {ln!r}: {exc}") from exc
     if "nodes" not in meta:
         raise FormatError("rank table missing 'meta nodes'")
+    edges = set(cell_edges(meta["nodes"]))
+    for edge, ln in edge_rows:
+        if edge not in edges:
+            raise FormatError(
+                f"rank row for an edge outside a {meta['nodes']}-node cell: {ln!r}"
+            )
     return RankTable(
         nodes=meta["nodes"],
         entries=entries,

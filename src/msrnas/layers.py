@@ -1,4 +1,4 @@
-"""Layer building blocks: parameter store, conv, batchnorm, linear, losses."""
+"""Layer building blocks: parameters, conv, batchnorm, linear, losses."""
 
 from __future__ import annotations
 
@@ -15,42 +15,17 @@ check_finite = False
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a lazily allocated momentum buffer."""
+    """Trainable tensor with a momentum buffer (zeros until the first step)."""
 
-    __slots__ = ("_momentum",)
+    __slots__ = ("momentum",)
 
     def __init__(self, data):
         super().__init__(np.asarray(data), requires_grad=True)
-        self._momentum: np.ndarray | None = None
-
-    @property
-    def momentum(self) -> np.ndarray:
-        if self._momentum is None:
-            self._momentum = np.zeros_like(self.data)
-        return self._momentum
-
-    @momentum.setter
-    def momentum(self, value: np.ndarray) -> None:
-        self._momentum = value
+        self.momentum = np.zeros_like(self.data)
 
     def ensure_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-
-
-class ParamStore:
-    """Ordered map of parameter name -> Parameter (value, grad, momentum)."""
-
-    def __init__(self, named_params):
-        self._params: dict[str, Parameter] = dict(named_params)
-
-    def __iter__(self):
-        return iter(self._params.values())
-
-    def zero_grad(self) -> None:
-        """Reset every gradient to zeros (unreached parameters stay zero)."""
-        for p in self:
-            p.grad = np.zeros_like(p.data)
 
 
 class Module:
@@ -98,8 +73,8 @@ class Module:
         for mod_name, mod in self._modules.items():
             yield from mod.named_buffers(prefix=f"{prefix}{mod_name}.")
 
-    def param_store(self) -> ParamStore:
-        return ParamStore(self.named_parameters())
+    def parameters(self) -> list[Parameter]:
+        return [p for _, p in self.named_parameters()]
 
     def assign_paths(self, prefix: str = "") -> None:
         self.path = prefix

@@ -51,10 +51,9 @@ class OpInstance(Module):
     is the operator's final (rank-scored) convolution.
     """
 
-    def __init__(self, kind: OperatorKind, stride: int):
+    def __init__(self, kind: OperatorKind):
         super().__init__()
         self.kind = kind
-        self.stride = stride
         self.conv_layers: list[Conv2d] = []
 
     @property
@@ -69,7 +68,7 @@ class SepConv(OpInstance):
     def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
-        super().__init__(kind, stride)
+        super().__init__(kind)
         pad = stride1_padding(kernel_size)
         self.dw1 = Conv2d(channels, channels, kernel_size, stride=stride,
                           padding=pad, groups=channels, in_hw=in_hw, rng=rng,
@@ -95,7 +94,7 @@ class DilConv(OpInstance):
     def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
-        super().__init__(kind, stride)
+        super().__init__(kind)
         dilation = 2
         pad = stride1_padding(kernel_size, dilation)
         self.dw = Conv2d(channels, channels, kernel_size, stride=stride,

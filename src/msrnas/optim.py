@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConfigError
-from .layers import ParamStore
+from .layers import Parameter
 
 
 @dataclass
@@ -41,13 +41,15 @@ def cosine_lr(epoch: int, total_epochs: int, initial_lr: float) -> float:
     return initial_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def sgd_momentum_step(store: ParamStore, lr: float, hyper: TrainHyper) -> ParamStore:
+def sgd_momentum_step(params: list[Parameter], lr: float, hyper: TrainHyper) -> None:
     """v <- momentum*v + grad + weight_decay*param; param <- param - lr*v.
 
     Weight decay is coupled (added to the gradient before the momentum
-    update). All parameter updates are in place so aliased views stay valid.
+    update). A parameter the backward pass did not reach has no gradient and
+    steps with a zero one. All parameter updates are in place so aliased
+    views stay valid.
     """
-    for p in store:
+    for p in params:
         p.ensure_grad()
         g = p.grad
         if hyper.weight_decay:
@@ -56,4 +58,3 @@ def sgd_momentum_step(store: ParamStore, lr: float, hyper: TrainHyper) -> ParamS
         buf *= hyper.momentum
         buf += g
         p.data -= lr * buf
-    return store

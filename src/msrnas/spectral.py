@@ -55,7 +55,8 @@ def _seed_for(name: str, seed: int) -> list[int]:
 class ConvHandle:
     """Power-iteration state for one convolution at a fixed input size.
 
-    Holds the persistent iteration vector (warm start across training steps).
+    ``vector`` is the persistent iteration vector (warm start across training
+    steps), drawn at construction from a stream seeded by the handle's name.
     The referenced ConvSpec aliases the layer's live weight array, so in-place
     weight updates are always visible.
     """
@@ -67,27 +68,15 @@ class ConvHandle:
         self.name = name
         self.seed = seed
         self.geometry = conv_geometry(spec, self.in_hw)
-        self._vec: np.ndarray | None = None
+        self.vector = self.fresh_vector()
 
-    def _fresh_vector(self) -> np.ndarray:
+    def fresh_vector(self) -> np.ndarray:
+        """The unit vector this handle's iteration starts from."""
         rng = np.random.Generator(np.random.PCG64(_seed_for(self.name, self.seed)))
         h, w = self.in_hw
         v = rng.standard_normal((1, self.spec.in_channels, h, w))
         v = v.astype(self.spec.weight.dtype)
         return v / np.linalg.norm(v)
-
-    @property
-    def vector(self) -> np.ndarray:
-        if self._vec is None:
-            self._vec = self._fresh_vector()
-        return self._vec
-
-    @vector.setter
-    def vector(self, value: np.ndarray) -> None:
-        self._vec = value
-
-    def reset(self) -> None:
-        self._vec = None
 
 
 def conv_geometry(spec: ConvSpec, in_hw: tuple[int, int]) -> tuple:
@@ -167,8 +156,7 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
                         f"power iteration collapsed twice in {handles[k].name}",
                         handle=handles[k],
                     )
-                handles[k].reset()
-                a[k] = handles[k].vector.reshape(-1)
+                a[k] = handles[k].fresh_vector().reshape(-1)
                 restarted.add(k)
             continue
         b /= nb[:, None]

@@ -5,9 +5,9 @@ intermediate nodes summing their incoming edges, and an output node that
 concatenates the intermediates. In the supernet every edge carries all four
 candidate operators with fixed unit mixing weights; reduction cells sit at
 one and two thirds of the depth and stride-2 only on edges leaving the input
-nodes. Every convolution registers a spectral handle; the final pointwise
-conv of each candidate is additionally tagged for rank measurement, and
-``collect_rank_table`` scores each tagged conv on its own.
+nodes. Every convolution registers a spectral handle, and
+``collect_rank_table`` scores the final pointwise conv of each candidate
+(``Supernet.candidates``) on its own.
 
 Both networks share one cell body (``_Cell``): the preprocessing of the two
 input states, the output geometry, the stride/extent rule for an edge leaving
@@ -20,7 +20,7 @@ edge, or the genotype's two picks per node.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -83,24 +83,12 @@ class SupernetConfig:
         return self.nodes - 3
 
 
-@dataclass
-class FinTag:
-    """Locates one candidate's final conv inside the network."""
-
-    cell_index: int
-    cell_type: str
-    edge: tuple[int, int]
-    kind: OperatorKind
-    handle: ConvHandle = field(repr=False, default=None)
-
-
 class MixedEdge(Module):
     """Unit-weight sum of all candidate operators; mixing is not learned."""
 
     def __init__(self, channels: int, stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        self.stride = stride
         self.ops: list[OpInstance] = []
         for kind in OPERATOR_ORDER:
             op = build_operator(kind, channels, stride, in_hw, rng=rng, dtype=dtype)
@@ -271,32 +259,21 @@ class Supernet(_NetworkBase):
         self._step = 0
         self._adjusted_step = -1
         self.handles: list[ConvHandle] = []
-        self.fin_tags: list[FinTag] = []
-        self._register_handles()
+        for module in self.modules():
+            if isinstance(module, Conv2d):
+                module.handle = ConvHandle(module.spec, module.in_hw,
+                                           seed=spectral_cfg.seed, name=module.path)
+                self.handles.append(module.handle)
         # Power iteration runs once per geometry group (see spectral.py).
         self.handle_groups = group_by_geometry(self.handles)
 
-    def _register_handles(self) -> None:
-        for name, module in self._walk_convs():
-            handle = ConvHandle(module.spec, module.in_hw,
-                                seed=self.spectral_cfg.seed, name=name)
-            module.handle = handle
-            self.handles.append(handle)
+    def candidates(self):
+        """Every candidate operator as ``(cell, edge, op)``, by cell, edge and
+        operator order."""
         for cell in self.cells:
             for edge, mixed in cell.edges.items():
                 for op in mixed.ops:
-                    self.fin_tags.append(FinTag(
-                        cell_index=cell.index,
-                        cell_type=cell.cell_type,
-                        edge=edge,
-                        kind=op.kind,
-                        handle=op.fin_conv.handle,
-                    ))
-
-    def _walk_convs(self):
-        for module in self.modules():
-            if isinstance(module, Conv2d):
-                yield module.path, module
+                    yield cell, edge, op
 
     # Step bookkeeping -------------------------------------------------------
 
@@ -368,9 +345,9 @@ def collect_rank_table(net: Supernet, *, epoch: int = 0) -> RankTable:
             f"cannot build a complete rank table: no cells of type {missing}"
         )
     ranks: dict[tuple[str, tuple[int, int], str], list[float | None]] = {}
-    for tag in net.fin_tags:
-        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
-        ranks.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
+    for cell, edge, op in net.candidates():
+        scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
+        ranks.setdefault((cell.cell_type, edge, op.kind.value), []).append(
             None if scored is None else scored[0])
     table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=net.spectral_cfg.seed)
     for key, values in ranks.items():
@@ -386,8 +363,8 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
     table = collect_rank_table(net, epoch=epoch)
     lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
     detail: dict[tuple, list[str]] = {}
-    for tag in net.fin_tags:
-        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
+    for cell, edge, op in net.candidates():
+        scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
         if scored is None:
             # A degenerate conv's weight is zero.
             rank_text, sigma, fro = "degenerate", np.nan, 0.0
@@ -395,8 +372,8 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
             # The rank is fro^2 / sigma^2.
             rank, sigma = scored
             rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
-        detail.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
-            f"  cell={tag.cell_index} rank={rank_text} "
+        detail.setdefault((cell.cell_type, edge, op.kind.value), []).append(
+            f"  cell={cell.index} rank={rank_text} "
             f"sigma={sigma:.6g} fro={fro:.6g}"
         )
     for cell_type in CELL_TYPES:
@@ -412,6 +389,6 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
                 lines.extend(sorted(detail[key]))
     lines.append(
         f"total rows={2 * len(cell_edges(net.cfg.nodes)) * len(OPERATOR_ORDER)} "
-        f"handles={len(net.handles)} fin_convs={len(net.fin_tags)}"
+        f"handles={len(net.handles)} fin_convs={sum(map(len, detail.values()))}"
     )
     return "\n".join(lines) + "\n"

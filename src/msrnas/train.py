@@ -11,9 +11,10 @@ pre-step hook adjusts every registered convolution's spectral norm after the
 batch is drawn and before the forward pass; its end-of-epoch hook saves the
 rank table and checkpoint, as it does once for epoch 0 before training. The
 evaluation stage trains the derived architecture from scratch with no-op
-hooks, then reports the last epoch's test loss and error. ``_in_locked_run``
-holds the run directory's lock and writes the config echo around either
-stage.
+hooks, then reports the last epoch's test loss and error. Each stage builds
+every setting, its datasets and its network before ``_locked_run`` creates
+the run directory, holds its lock and writes the config echo, so a config
+that fails to build leaves no run directory.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -210,7 +211,7 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
     its forward pass; ``end_epoch(epoch)`` runs after the held-out pass.
     metrics.csv is rewritten each epoch (header only before the first).
     """
-    store = net.param_store()
+    params = net.parameters()
     metrics = MetricsLog()
     held_out_pass = None
     with open(run.metrics_path, "w", encoding="utf-8") as fh:
@@ -225,7 +226,8 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
                                     shuffle_seed=shuffle_seed,
                                     augment=bool(cfg["data.augment"])):
             before_step()
-            store.zero_grad()
+            for p in params:
+                p.zero_grad()
             images = Tensor(imgs)
             loss = cross_entropy(net(images), labels)
             if not np.isfinite(loss.data).all():
@@ -234,7 +236,7 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
                     f"non-finite loss at epoch {epoch}; first bad tensor: {culprit}"
                 )
             loss.backward()
-            sgd_momentum_step(store, lr, hyper)
+            sgd_momentum_step(params, lr, hyper)
             total_loss += float(loss.data) * len(labels)
             seen += len(labels)
         train_loss = total_loss / seen
@@ -257,16 +259,16 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
     return metrics, held_out_pass
 
 
-def _in_locked_run(cfg: RunConfig, out_dir: str | None, stage):
-    """Run ``stage(run, hyper)`` holding the run directory's lock, after
-    checking the training hyperparameters and writing the config echo."""
+@contextmanager
+def _locked_run(cfg: RunConfig, out_dir: str | None):
+    """Yield the run directory, holding its lock, after writing the config
+    echo into it."""
     run = RunDir(out_dir or cfg["run.output_dir"])
     run.acquire_lock()
     try:
-        hyper = cfg.make_train_hyper()
         with open(run.config_path, "w", encoding="utf-8") as fh:
             fh.write(cfg.to_text())
-        return stage(run, hyper)
+        yield run
     finally:
         run.release_lock()
 
@@ -285,21 +287,12 @@ class SearchResult:
 
 def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
     """Train the supernet, snapshotting checkpoint + rank table per epoch."""
-    return _in_locked_run(cfg, out_dir, partial(_search, cfg))
-
-
-def _search(cfg: RunConfig, run: RunDir, hyper: TrainHyper) -> SearchResult:
+    hyper = cfg.make_train_hyper()
     spectral_cfg = cfg.make_spectral_config()
-    os.makedirs(run.checkpoints, exist_ok=True)
-    os.makedirs(run.ranks, exist_ok=True)
     corpus, _ = cfg.make_datasets()
     train_ds, val_ds = split_train_val(corpus, cfg.make_split_spec())
     net = build_supernet(cfg.make_supernet_config(), spectral_cfg,
                          dtype=cfg.dtype, seed=int(cfg["run.seed"]))
-    run.log_line(
-        f"search start: {len(train_ds)} train / {len(val_ds)} val samples, "
-        f"{len(net.handles)} spectral handles, {hyper.epochs} epochs"
-    )
     table = None
 
     def snapshot(epoch: int) -> None:
@@ -312,13 +305,21 @@ def _search(cfg: RunConfig, run: RunDir, hyper: TrainHyper) -> SearchResult:
         net.begin_step()
         net.adjust_all()
 
-    # Precise initial normalization so training starts on the constraint
-    # surface; per-step upkeep then only needs the short warm-started loop.
-    net.begin_step()
-    net.adjust_all(iterations=spectral_cfg.rank_iterations)
-    snapshot(0)
-    metrics, _ = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
-                               salt=0xBA7C, before_step=adjust, end_epoch=snapshot)
+    with _locked_run(cfg, out_dir) as run:
+        os.makedirs(run.checkpoints, exist_ok=True)
+        os.makedirs(run.ranks, exist_ok=True)
+        run.log_line(
+            f"search start: {len(train_ds)} train / {len(val_ds)} val samples, "
+            f"{len(net.handles)} spectral handles, {hyper.epochs} epochs"
+        )
+        # Precise initial normalization so training starts on the constraint
+        # surface; per-step upkeep then only needs the short warm-started loop.
+        net.begin_step()
+        net.adjust_all(iterations=spectral_cfg.rank_iterations)
+        snapshot(0)
+        metrics, _ = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
+                                   salt=0xBA7C, before_step=adjust,
+                                   end_epoch=snapshot)
     return SearchResult(run_dir=run, metrics=metrics, final_table=table, net=net)
 
 
@@ -358,25 +359,24 @@ class EvalResult:
 def run_eval(cfg: RunConfig, genotype: Genotype,
              out_dir: str | None = None) -> EvalResult:
     """Train the derived architecture from scratch and report test metrics."""
-    return _in_locked_run(cfg, out_dir, partial(_eval, cfg, genotype))
-
-
-def _eval(cfg: RunConfig, genotype: Genotype, run: RunDir,
-          hyper: TrainHyper) -> EvalResult:
+    hyper = cfg.make_train_hyper()
     train_ds, test_ds = cfg.make_datasets()
     net = build_discrete_network(genotype, cfg.make_supernet_config(),
                                  dtype=cfg.dtype, seed=int(cfg["run.seed"]))
-    run.log_line(
-        f"eval start: {len(train_ds)} train / {len(test_ds)} test samples, "
-        f"genotype mode={genotype.mode}, {hyper.epochs} epochs"
-    )
-    metrics, last_pass = _train_epochs(cfg, hyper, run, net, train_ds, test_ds, "test",
-                                       salt=0xE7A1, before_step=_no_op, end_epoch=_no_op)
-    # The last epoch's test pass used the final weights; only a 0-epoch eval
-    # needs a pass of its own.
-    test_loss, test_error = last_pass or _held_out_pass(net, test_ds, hyper.batch_size)
-    run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")
-    with open(os.path.join(run.root, "result.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")
+    with _locked_run(cfg, out_dir) as run:
+        run.log_line(
+            f"eval start: {len(train_ds)} train / {len(test_ds)} test samples, "
+            f"genotype mode={genotype.mode}, {hyper.epochs} epochs"
+        )
+        metrics, last_pass = _train_epochs(cfg, hyper, run, net, train_ds, test_ds,
+                                           "test", salt=0xE7A1, before_step=_no_op,
+                                           end_epoch=_no_op)
+        # The last epoch's test pass used the final weights; only a 0-epoch
+        # eval needs a pass of its own.
+        test_loss, test_error = (last_pass
+                                 or _held_out_pass(net, test_ds, hyper.batch_size))
+        run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")
+        with open(os.path.join(run.root, "result.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")
     return EvalResult(run_dir=run, metrics=metrics, test_loss=test_loss,
                       test_error=test_error, net=net)

@@ -168,31 +168,36 @@ def tiny_step():
     rng = np.random.default_rng(0)
     images = Tensor(rng.standard_normal((8, 3, 10, 10)).astype(np.float32))
     labels = rng.integers(0, 4, size=8)
-    store = net.param_store()
+    params = net.parameters()
     net.begin_step()
     net.adjust_all()
     cross_entropy(net(images), labels).backward()
     net.begin_step()
     net.adjust_all()
-    store.zero_grad()
-    return net, store, images, labels
+    for p in params:
+        p.zero_grad()
+    return net, params, images, labels
 
 
 def test_backward_frees_graph_as_it_runs(tiny_step):
-    net, store, images, labels = tiny_step
-    grad_bytes = sum(p.grad.nbytes for p in store)
+    net, params, images, labels = tiny_step
+    grad_bytes = sum(p.data.nbytes for p in params)
     tracemalloc.start()
     try:
         loss = cross_entropy(net(images), labels)
         held_after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
-        held_after_backward, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
+        assert np.abs(net.stem.conv.weight.grad).max() > 0.0
+        # The gradients, allocated by this backward, are all it may keep.
+        for p in params:
+            p.zero_grad()
+        held_after_backward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * held_after_forward
     assert held_after_backward <= grad_bytes
-    assert np.abs(net.stem.conv.weight.grad).max() > 0.0
 
 
 def test_unconsumed_graph_freed_without_cycle_collector(tiny_step):

@@ -60,7 +60,7 @@ def test_checkpoint_restores_network_state(tmp_path, rng):
     net = build_supernet(cfg, scfg, dtype=np.float64, seed=3)
     net.begin_step()
     net.adjust_all()
-    for p in net.param_store():
+    for p in net.parameters():
         p.momentum += 0.5
     path = tmp_path / "ck.msrn"
     save_checkpoint(path, net, epoch=7)
@@ -145,8 +145,8 @@ def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
                          input_hw=(8, 8))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
-    store = net.param_store()
-    store.zero_grad()
+    for p in net.parameters():
+        p.ensure_grad()
     path = tmp_path / "ck.msrn"
     save_checkpoint(path, net, epoch=0)
     tensors = load_tensors(path)

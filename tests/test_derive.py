@@ -335,7 +335,8 @@ def with_rank(text: str, row: str, value: str) -> str:
                    for ln in text.splitlines(keepends=True))
 
 
-# (damaged table text from an intact one, the FormatError it must raise)
+# (damaged 5-node table text from an intact one, the start of the FormatError
+# it must raise)
 DAMAGED_TABLES = {
     "sep3-nan": (lambda text: with_rank(text, "rank normal 0 2 sep3", "nan"),
                  "non-finite rank in rank-table line 'rank normal 0 2 sep3 nan'"),
@@ -349,24 +350,36 @@ DAMAGED_TABLES = {
                  "repeated rank row: 'rank normal 0 2 sep3 1.0'"),
     "repeated-degenerate": (lambda text: text + "rank reduce 0 2 dil3 degenerate\n",
                             "repeated rank row: 'rank reduce 0 2 dil3 degenerate'"),
+    "edge-reversed": (lambda text: text + "rank normal 3 2 sep3 0.5\n",
+                      "rank row for an edge outside a 5-node cell: "
+                      "'rank normal 3 2 sep3 0.5'"),
+    "edge-past-output": (lambda text: text + "rank normal 0 9 dil5 0.1\n",
+                         "rank row for an edge outside a 5-node cell: "
+                         "'rank normal 0 9 dil5 0.1'"),
+    "edge-self-loop": (lambda text: text + "rank reduce 7 7 sep5 2.0\n",
+                       "rank row for an edge outside a 5-node cell: "
+                       "'rank reduce 7 7 sep5 2.0'"),
+    # Relabelled, the table would derive a 4-node genotype from part of itself.
+    "relabelled": (lambda text: text.replace("meta nodes 5\n", "meta nodes 4\n"),
+                   "rank row for an edge outside a 4-node cell: 'rank normal 0 3 sep3 "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGED_TABLES))
 def test_rank_table_rejects_non_finite_and_repeated_rows(case):
     damage, message = DAMAGED_TABLES[case]
-    text = damage(rank_table_to_text(random_table(4, seed=1)))
+    text = damage(rank_table_to_text(random_table(5, seed=1)))
     with pytest.raises(FormatError, match=re.escape(message)):
         rank_table_from_text(text)
 
 
-@pytest.mark.parametrize("case", ["sep3-nan", "repeated"])
+@pytest.mark.parametrize("case", ["sep3-nan", "repeated", "edge-reversed"])
 def test_derive_cli_rejects_damaged_rank_table(tmp_path, capsys, case):
     damage, message = DAMAGED_TABLES[case]
     (tmp_path / "config.txt").write_text(RunConfig().to_text())
     (tmp_path / "ranks").mkdir()
     (tmp_path / "ranks" / "epoch_0000.txt").write_text(
-        damage(rank_table_to_text(random_table(4, seed=1))))
+        damage(rank_table_to_text(random_table(5, seed=1))))
     assert main(["derive", "--run", str(tmp_path), "--epoch", "0"]) == 1
     err = capsys.readouterr().err
     assert err == f"error[format]: {message}\n"

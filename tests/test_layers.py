@@ -11,7 +11,6 @@ from msrnas.layers import (
     Conv2d,
     Linear,
     Module,
-    Parameter,
     cross_entropy,
     global_avg_pool,
 )
@@ -232,7 +231,7 @@ def test_linear_forward(rng):
     )
 
 
-def test_param_store_collection(rng):
+def test_parameters_collection(rng):
     class Small(Module):
         def __init__(self):
             super().__init__()
@@ -244,15 +243,16 @@ def test_param_store_collection(rng):
             return self.bn(self.conv(x))
 
     net = Small()
-    store = net.param_store()
+    params = net.parameters()
     named = dict(net.named_parameters())
     assert set(named) == {"conv.weight", "bn.gamma", "bn.beta"}
-    assert [id(p) for p in store] == [id(p) for p in named.values()]
-    store.zero_grad()
-    for p in store:
-        assert p.grad.shape == p.data.shape
+    assert [id(p) for p in params] == [id(p) for p in named.values()]
+    for p in params:
+        p.grad = np.ones_like(p.data)
+        p.zero_grad()
+        assert p.grad is None
         assert p.momentum.shape == p.data.shape
-        assert not p.grad.any()
+        assert not p.momentum.any()
 
 
 def test_conv2d_spec_aliases_parameter(rng):
@@ -260,9 +260,3 @@ def test_conv2d_spec_aliases_parameter(rng):
     assert conv.spec.weight is conv.weight.data
     conv.weight.data *= 2.0
     assert conv.spec.weight is conv.weight.data
-
-
-def test_parameter_momentum_lazy():
-    p = Parameter(np.zeros((2, 2)))
-    assert p._momentum is None
-    assert p.momentum.shape == (2, 2)

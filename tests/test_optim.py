@@ -8,52 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msrnas.errors import ArgumentError, ConfigError
-from msrnas.layers import Parameter, ParamStore
+from msrnas.layers import Parameter
 from msrnas.optim import TrainHyper, cosine_lr, sgd_momentum_step
 
 
-def make_store(value, grad=None, momentum=None):
+def make_param(value, grad=None, momentum=None):
     p = Parameter(np.array(value, dtype=np.float64))
     p.grad = None if grad is None else np.array(grad, dtype=np.float64)
     if momentum is not None:
         p.momentum = np.array(momentum, dtype=np.float64)
-    return ParamStore({"p": p}), p
+    return p
 
 
 def test_plain_gradient_step():
-    store, p = make_store([1.0, 2.0], grad=[0.5, -1.0])
+    p = make_param([1.0, 2.0], grad=[0.5, -1.0])
     hyper = TrainHyper(momentum=0.0, weight_decay=0.0, epochs=1, batch_size=1)
-    sgd_momentum_step(store, lr=0.1, hyper=hyper)
+    sgd_momentum_step([p], lr=0.1, hyper=hyper)
     np.testing.assert_allclose(p.data, [1.0 - 0.05, 2.0 + 0.1])
 
 
 def test_momentum_buffer_drives_update_with_zero_grad():
-    store, p = make_store([1.0], grad=[0.0], momentum=[2.0])
+    p = make_param([1.0], grad=[0.0], momentum=[2.0])
     hyper = TrainHyper(momentum=0.9, weight_decay=0.0, epochs=1, batch_size=1)
-    sgd_momentum_step(store, lr=0.5, hyper=hyper)
+    sgd_momentum_step([p], lr=0.5, hyper=hyper)
     np.testing.assert_allclose(p.data, [1.0 - 0.5 * 0.9 * 2.0])
 
 
 def test_two_steps_closed_form_displacement():
-    store, p = make_store([0.0], grad=[1.0])
+    p = make_param([0.0], grad=[1.0])
     hyper = TrainHyper(momentum=0.9, weight_decay=0.0, epochs=1, batch_size=1)
-    sgd_momentum_step(store, lr=1.0, hyper=hyper)
+    sgd_momentum_step([p], lr=1.0, hyper=hyper)
     p.grad = np.array([1.0])
-    sgd_momentum_step(store, lr=1.0, hyper=hyper)
+    sgd_momentum_step([p], lr=1.0, hyper=hyper)
     np.testing.assert_allclose(p.data, [-2.9])
 
 
 def test_weight_decay_is_coupled():
-    store, p = make_store([2.0], grad=[0.0])
+    p = make_param([2.0], grad=[0.0])
     hyper = TrainHyper(momentum=0.0, weight_decay=0.1, epochs=1, batch_size=1)
-    sgd_momentum_step(store, lr=1.0, hyper=hyper)
+    sgd_momentum_step([p], lr=1.0, hyper=hyper)
     np.testing.assert_allclose(p.data, [2.0 - 0.1 * 2.0])
 
 
 def test_missing_grad_treated_as_zero():
-    store, p = make_store([1.0])
+    p = make_param([1.0])
     hyper = TrainHyper(momentum=0.9, weight_decay=0.0, epochs=1, batch_size=1)
-    sgd_momentum_step(store, lr=1.0, hyper=hyper)
+    sgd_momentum_step([p], lr=1.0, hyper=hyper)
     np.testing.assert_allclose(p.data, [1.0])
 
 

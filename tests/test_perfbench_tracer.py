@@ -72,7 +72,7 @@ def test_traced_adjust_runs_one_power_iteration_per_group(spans_module):
     for nid, *_ in tracer.spans:
         counts[tracer.names[nid]] = counts.get(tracer.names[nid], 0) + 1
     assert counts["supernet.adjust_all"] == 1
-    assert counts["spectral.stable_rank"] == len(net.fin_tags)
+    assert counts["spectral.stable_rank"] == len(list(net.candidates()))
     # The rank table needs no power iteration.
     assert counts["spectral.power_iteration"] == len(net.handle_groups)
 
@@ -184,3 +184,17 @@ def test_training_loop_keeps_the_recorder_contract(monkeypatch, tmp_path):
     # 30 training samples; one test pass per epoch, which also gives the
     # final test loss and error.
     assert events == ["epoch"] + ["batch", "sgd"] * 4 + ["held_out"]
+
+
+def test_search_checks_pass_on_a_tiny_search(tmp_path):
+    """The benchmark's search checks reload the last checkpoint with its
+    power-iteration vectors, read each sampled conv's ``handle`` and run both
+    sigma oracles on it."""
+    checks = load_perfbench("checks")
+    root = str(tmp_path / "search")
+    train.run_search(config_from_text(TINY), root)
+    results, _ = checks.search_checks(train.RunDir(root), 1)
+    assert [name for name, _, _ in results] == [
+        "finite_losses", "rank_table_derives", "checkpoint_reproduces_ranks",
+        "sigma_estimate_oracle", "sigma_oracle"]
+    assert all(ok for _, ok, _ in results), results

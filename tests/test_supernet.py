@@ -52,7 +52,7 @@ def test_small_topology_counts(small_net):
     for cell in net.cells:
         assert len(cell.edges) == 5  # nodes j=2 (2 preds) and j=3 (3 preds)
         assert sum(len(e.ops) for e in cell.edges.values()) == 20
-    assert len(net.fin_tags) == 4 * 5 * 4
+    assert len(list(net.candidates())) == 4 * 5 * 4
 
 
 def test_config_validation():
@@ -105,7 +105,7 @@ def test_mixed_edge_unit_weights(small_net):
     _, net = small_net
     rng = np.random.default_rng(6)
     edge = net.cells[1].edges[(0, 2)]
-    assert edge.stride == 2
+    assert all(op.conv_layers[0].spec.stride == 2 for op in edge.ops)
     x = Tensor(rng.standard_normal((2, 16, 16, 16)).astype(np.float32))
     net.eval()
     with no_grad():
@@ -241,8 +241,8 @@ def test_supernet_gradient_reaches_stem(small_net):
     net.train()
     net.begin_step()
     net.adjust_all()
-    store = net.param_store()
-    store.zero_grad()
+    for p in net.parameters():
+        p.zero_grad()
     loss = cross_entropy(net(x), labels)
     loss.backward()
     assert np.abs(net.stem.conv.weight.grad).max() > 0.0
@@ -250,8 +250,8 @@ def test_supernet_gradient_reaches_stem(small_net):
 
 def set_fin_weights_diagonal(net, diag):
     """Give every candidate's final 1x1 conv the same known singular values."""
-    for tag in net.fin_tags:
-        w = tag.handle.spec.weight
+    for _, _, op in net.candidates():
+        w = op.fin_conv.spec.weight
         c = w.shape[0]
         mat = np.zeros((c, w.shape[1]))
         for i in range(min(c, w.shape[1])):
@@ -270,11 +270,11 @@ def test_rank_table_single_cell_type_error():
 
 def fin_ranks(net) -> dict:
     """Each final conv's stable rank (None if degenerate), keyed by rank-table
-    entry, in ``fin_tags`` order, from its own ``stable_rank`` call."""
+    entry, in ``candidates()`` order, from its own ``stable_rank`` call."""
     ranks = {}
-    for tag in net.fin_tags:
-        scored = stable_rank(tag.handle.spec, tag.handle.in_hw)
-        ranks.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(
+    for cell, edge, op in net.candidates():
+        scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
+        ranks.setdefault((cell.cell_type, edge, op.kind.value), []).append(
             None if scored is None else scored[0])
     return ranks
 
@@ -289,15 +289,15 @@ def test_rank_table_known_singular_values():
     # stable rank HW * sum(s^2) / max(s)^2; the diagonal pattern repeats
     # every 4 channels, so compute the expectation per actual width.
     expected = {}
-    for tag in net.fin_tags:
-        channels = tag.handle.spec.out_channels
+    for cell, edge, op in net.candidates():
+        conv = op.fin_conv
+        channels = conv.spec.out_channels
         svals = np.array([diag[i % len(diag)] for i in range(channels)])
         sr_weight = float((svals ** 2).sum() / (svals ** 2).max())
-        hw = tag.handle.in_hw
-        want = hw[0] * hw[1] * sr_weight
-        got, _ = stable_rank(tag.handle.spec, tag.handle.in_hw)
+        want = conv.in_hw[0] * conv.in_hw[1] * sr_weight
+        got, _ = stable_rank(conv.spec, conv.in_hw)
         assert abs(got - want) / want < 1e-10
-        expected.setdefault((tag.cell_type, tag.edge, tag.kind.value), []).append(want)
+        expected.setdefault((cell.cell_type, edge, op.kind.value), []).append(want)
     assert set(expected) == set(table.entries)
     for key, wants in expected.items():
         assert table.entries[key] == pytest.approx(np.mean(wants), rel=1e-10)
@@ -321,11 +321,11 @@ def test_rank_table_degenerate_entry_flagged():
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=4)
     intact = collect_rank_table(net)
     intact_ranks = fin_ranks(net)
-    tag = net.fin_tags[0]
-    tag.handle.spec.weight[...] = 0.0
+    cell, edge, op = next(net.candidates())
+    op.fin_conv.spec.weight[...] = 0.0
     table = collect_rank_table(net)
     ranks = fin_ranks(net)
-    key = (tag.cell_type, tag.edge, tag.kind.value)
+    key = (cell.cell_type, edge, op.kind.value)
     assert table.entries[key] is None
     assert ranks[key] == [None]
     # Only the zeroed conv's own score and entry change.
@@ -406,14 +406,15 @@ def test_conv_rank_report_structure(small_net):
     assert lines[0] == "# msrnas conv rank report"
     op_rows = [ln for ln in lines if ln.startswith("op ")]
     assert len(op_rows) == 2 * 5 * 4  # cell types x edges x operators
-    assert lines[-1].startswith("total rows=40")
+    assert lines[-1] == (f"total rows=40 handles={len(net.handles)} "
+                         f"fin_convs={len(list(net.candidates()))}")
     # fro is the Frobenius norm of the matrix view: sqrt(ho*wo) * ||W||_F.
     expected = {}
-    for tag in net.fin_tags:
-        spec, hw = tag.handle.spec, tag.handle.in_hw
-        key = f"op {tag.cell_type} edge=({tag.edge[0]},{tag.edge[1]}) kind={tag.kind.value}"
+    for cell, edge, op in net.candidates():
+        spec, hw = op.fin_conv.spec, op.fin_conv.in_hw
+        key = f"op {cell.cell_type} edge=({edge[0]},{edge[1]}) kind={op.kind.value}"
         pixels = np.prod(spec.out_hw(*hw))
-        expected[key, tag.cell_index] = np.sqrt(pixels) * np.linalg.norm(spec.weight)
+        expected[key, cell.index] = np.sqrt(pixels) * np.linalg.norm(spec.weight)
     seen = 0
     for line in lines[2:-1]:
         if line.startswith("op "):
@@ -423,7 +424,7 @@ def test_conv_rank_report_structure(small_net):
         got = float(fields["fro"])
         assert got == pytest.approx(expected[op, int(fields["cell"])], rel=1e-5)
         seen += 1
-    assert seen == len(net.fin_tags)
+    assert seen == len(list(net.candidates()))
 
 
 def test_operator_kind_enumeration():

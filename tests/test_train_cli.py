@@ -313,6 +313,41 @@ def test_cli_error_categories(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[format]:")
 
 
+def with_setting(text: str, key: str, value: str) -> str:
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+# (subcommand, key, bad value, error category); eval runs a 5-node genotype.
+BAD_RUNS = [
+    ("search", "split.seed", "-1", "config"),
+    ("search", "net.nodes", "3", "construction"),
+    ("search", "data.height", "4", "argument"),
+    ("search", "spectral.iterations", "0", "config"),
+    ("search", "train.epochs", "-1", "config"),
+    ("eval", "net.nodes", "6", "genotype"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,category", BAD_RUNS,
+                         ids=[f"{c}-{k}={v}" for c, k, v, _ in BAD_RUNS])
+def test_bad_config_leaves_no_run_dir(tmp_path, capsys, command, key, value, category):
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(with_setting(TINY, key, value) + f"run.output_dir = {out}\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "eval":
+        rows = [[("sep3", 0), ("sep3", 1)], [("dil3", 0), ("sep5", 2)]]
+        geno = tmp_path / "geno.json"
+        geno.write_text(Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                                 normal=rows, reduce=rows).to_json_str())
+        argv += ["--genotype", str(geno)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_eval_rejects_operator_outside_candidates(tmp_path, capsys):
     row = [["conv9", 0], ["sep3", 1]]
     geno = tmp_path / "geno.json"
