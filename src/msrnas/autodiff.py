@@ -1,21 +1,35 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The graph is built dynamically: each operation returns a Tensor holding its
-result plus a closure that takes the output gradient and pushes gradients to
-its parents. Calling ``backward()`` on a scalar walks the recorded graph once
-in reverse topological order. Arrays keep whatever float dtype they were
-created with, so the same graph code runs in float32 for training and float64
-for the numerical test oracles.
+result and, when an input records gradients, a graph node. A node is a
+private record of the result's shape, dtype and gradient, the nodes of the
+inputs it sends gradients to, and a closure that takes the output gradient
+and pushes gradients to those nodes. Calling ``backward()`` on a scalar walks
+the recorded nodes once in reverse topological order. Arrays keep whatever
+float dtype they were created with, so the same graph code runs in float32
+for training and float64 for the numerical test oracles.
 
-Graph lifetime: a closure references its parents and the arrays it needs,
-never its own output node, so the graph holds no reference cycles and is
-freed by reference counting as soon as the last tensor of it is dropped,
-without waiting for the cyclic garbage collector. ``backward()`` consumes
-the graph: once a node's closure has run, the node drops its closure,
-parents and gradient and stops requiring grad, so its activations are freed
-while the rest of the backward pass runs. Afterwards only leaf tensors (the
-parameters and any input created with ``requires_grad=True``) hold
-``.grad``, and a second ``backward()`` on the same loss raises StateError.
+Graph lifetime: nodes hold no data. An op's result is freed as soon as the
+forward code drops its Tensor, unless a closure saved the array because its
+backward reads it. Each closure saves only that:
+
+- ``conv2d``: its input, and only when the weight needs a gradient;
+- ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``;
+- ``matmul`` and ``mul``: their operands; ``power``: its input;
+- ``BatchNorm2d``: x̂, 1/σ and γ;
+- ``cross_entropy``: the shifted exponentials and their row sums;
+- ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``concat``, ``slice_``
+  and ``pad2d``: shapes only.
+
+A closure references its input nodes, never its own output node, so the
+graph holds no reference cycles and is freed by reference counting as soon
+as the last tensor of it is dropped, without waiting for the cyclic garbage
+collector. ``backward()`` consumes the graph: once a node's closure has run,
+the node drops its closure, parents and gradient and stops requiring grad,
+so the arrays that closure saved are freed while the rest of the backward
+pass runs. Afterwards only leaf nodes (those of the parameters and of any
+input created with ``requires_grad=True``) hold a gradient, and a second
+``backward()`` on the same loss raises StateError.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, StateError
+from .errors import ArgumentError, DimensionError, StateError
 
 _grad_enabled = True
 
@@ -57,17 +71,47 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """Dense N-d array node with optional gradient tracking."""
+class _Node:
+    """Graph record of one tensor: everything backward needs but its data.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A leaf has no closure; an interior node's closure ``backward(g)`` sends
+    gradients to ``parents``.
+    """
+
+    __slots__ = ("shape", "dtype", "grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, shape: tuple, dtype, parents: tuple = (), backward=None):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+        self.requires_grad = True
+        self.parents: tuple[_Node, ...] = parents
+        self.backward = backward
+
+    def accumulate(self, g: np.ndarray, own: bool = False) -> None:
+        """Add `g` (broadcastable to this shape) into the gradient.
+
+        ``own=True`` promises `g` is a freshly allocated full-shape array the
+        caller will not reuse, letting the first accumulation skip a copy.
+        """
+        if self.grad is None:
+            if g.shape == self.shape:
+                self.grad = g if own else np.array(g)
+            else:
+                self.grad = np.zeros(self.shape, self.dtype)
+                self.grad += g
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """Dense N-d array plus, when it records gradients, its graph node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node(self.data.shape, self.data.dtype) if requires_grad else None
 
     @property
     def shape(self) -> tuple:
@@ -77,20 +121,17 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate_grad(self, g: np.ndarray, own: bool = False) -> None:
-        """Add `g` (broadcastable to this shape) into the gradient.
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None and self._node.requires_grad
 
-        ``own=True`` promises `g` is a freshly allocated full-shape array the
-        caller will not reuse, letting the first accumulation skip a copy.
-        """
-        if self.grad is None:
-            if g.shape == self.data.shape:
-                self.grad = g if own else np.array(g)
-            else:
-                self.grad = np.zeros_like(self.data)
-                self.grad += g
-        else:
-            self.grad += g
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -108,9 +149,9 @@ class Tensor:
             )
         # Iterative post-order DFS; cell graphs are deeper than the
         # interpreter's recursion limit.
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -120,18 +161,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        # Popping releases the list's reference, so a consumed node is freed
-        # as soon as no later closure still needs its data.
+        self._node.grad = np.ones_like(self.data)
+        # Popping releases the list's reference, so a consumed node and the
+        # arrays its closure saved are freed once no later closure needs them.
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward = None
-                node._parents = ()
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.backward = None
+                node.parents = ()
                 node.grad = None
                 node.requires_grad = False
 
@@ -186,100 +227,110 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Wrap `data` as the output of an op; `backward(g)` receives its gradient."""
+def _node(t: Tensor) -> _Node | None:
+    """The node that receives `t`'s gradient, or None if `t` records none."""
+    return t._node if t.requires_grad else None
+
+
+def _make(data: np.ndarray, parents: Sequence[_Node | None], backward) -> Tensor:
+    """Wrap `data` as the output of an op whose inputs have the nodes
+    `parents` (None for an input that records no gradient); `backward(g)`
+    receives the output's gradient."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled:
+        live = tuple(p for p in parents if p is not None)
+        if live:
+            out._node = _Node(out.data.shape, out.data.dtype, live, backward)
     return out
 
 
 # Elementwise / broadcasting ops -----------------------------------------
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
+def _acc(node: _Node, g: np.ndarray) -> None:
     """Accumulate with broadcast reduction; fresh arrays are handed over."""
-    if g.shape == t.data.shape:
-        t.accumulate_grad(g)
+    if g.shape == node.shape:
+        node.accumulate(g)
     else:
-        t.accumulate_grad(_unbroadcast(g, t.data.shape), own=True)
+        node.accumulate(_unbroadcast(g, node.shape), own=True)
 
 
 def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    data = a.data + b.data
+    na, nb = _node(a), _node(b)
 
     def bw(g):
-        if a.requires_grad:
-            _acc(a, g)
-        if b.requires_grad:
-            _acc(b, g)
+        if na is not None:
+            _acc(na, g)
+        if nb is not None:
+            _acc(nb, g)
 
-    return _make(data, (a, b), bw)
+    return _make(a.data + b.data, (na, nb), bw)
 
 
 def sub(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    data = a.data - b.data
+    na, nb = _node(a), _node(b)
 
     def bw(g):
-        if a.requires_grad:
-            _acc(a, g)
-        if b.requires_grad:
-            if g.shape == b.data.shape:
-                b.accumulate_grad(-g, own=True)
+        if na is not None:
+            _acc(na, g)
+        if nb is not None:
+            if g.shape == nb.shape:
+                nb.accumulate(-g, own=True)
             else:
-                b.accumulate_grad(-_unbroadcast(g, b.data.shape), own=True)
+                nb.accumulate(-_unbroadcast(g, nb.shape), own=True)
 
-    return _make(data, (a, b), bw)
+    return _make(a.data - b.data, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    data = a.data * b.data
+    na, nb = _node(a), _node(b)
+    a_data, b_data = a.data, b.data
 
     def bw(g):
-        if a.requires_grad:
-            ga = g * b.data
-            if ga.shape == a.data.shape:
-                a.accumulate_grad(ga, own=True)
+        if na is not None:
+            ga = g * b_data
+            if ga.shape == na.shape:
+                na.accumulate(ga, own=True)
             else:
-                _acc(a, ga)
-        if b.requires_grad:
-            gb = g * a.data
-            if gb.shape == b.data.shape:
-                b.accumulate_grad(gb, own=True)
+                _acc(na, ga)
+        if nb is not None:
+            gb = g * a_data
+            if gb.shape == nb.shape:
+                nb.accumulate(gb, own=True)
             else:
-                _acc(b, gb)
+                _acc(nb, gb)
 
-    return _make(data, (a, b), bw)
+    return _make(a_data * b_data, (na, nb), bw)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _as_tensor(a)
     exponent = float(exponent)
-    data = a.data ** exponent
+    na, a_data = _node(a), a.data
 
     def bw(g):
-        a.accumulate_grad(g * (exponent * a.data ** (exponent - 1.0)), own=True)
+        na.accumulate(g * (exponent * a_data ** (exponent - 1.0)), own=True)
 
-    return _make(data, (a,), bw)
+    return _make(a_data ** exponent, (na,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    """Elementwise max(0, x); gradient mask is the indicator of x > 0."""
+    """Elementwise max(0, x); gradient mask is the indicator of x > 0, read
+    off the output, which is positive exactly where x is."""
     a = _as_tensor(a)
+    na = _node(a)
     data = np.maximum(a.data, 0.0)
 
     def bw(g):
-        a.accumulate_grad(g * (a.data > 0), own=True)
+        na.accumulate(g * (data > 0), own=True)
 
-    return _make(data, (a,), bw)
+    return _make(data, (na,), bw)
 
 
 # Linear algebra -----------------------------------------------------------
@@ -296,15 +347,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
-    data = a.data @ b.data
+    na, nb = _node(a), _node(b)
+    a_data, b_data = a.data, b.data
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T, own=True)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g, own=True)
+        if na is not None:
+            na.accumulate(g @ b_data.T, own=True)
+        if nb is not None:
+            nb.accumulate(a_data.T @ g, own=True)
 
-    return _make(data, (a, b), bw)
+    return _make(a_data @ b_data, (na, nb), bw)
 
 
 # Reductions ---------------------------------------------------------------
@@ -312,31 +364,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    na = _node(a)
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         # Broadcasting += spreads the reduced gradient without a big temp.
-        a.accumulate_grad(g)
+        na.accumulate(g)
 
-    return _make(data, (a,), bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (na,), bw)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
+    na = _node(a)
     count = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
-    data = a.data.mean(axis=axis, keepdims=keepdims)
 
     def bw(g):
         g = g / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(g)
+        na.accumulate(g)
 
-    return _make(data, (a,), bw)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (na,), bw)
 
 
 # Shape manipulation -------------------------------------------------------
@@ -344,44 +396,50 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    data = a.data.reshape(shape)
+    na = _node(a)
 
     def bw(g):
-        a.accumulate_grad(g.reshape(a.data.shape))
+        na.accumulate(g.reshape(na.shape))
 
-    return _make(data, (a,), bw)
+    return _make(a.data.reshape(shape), (na,), bw)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
+    nodes = [_node(t) for t in ts]
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
 
     def bw(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
                 key = [slice(None)] * g.ndim
                 key[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(key)])
+                n.accumulate(g[tuple(key)])
 
-    return _make(data, ts, bw)
+    return _make(np.concatenate([t.data for t in ts], axis=axis), nodes, bw)
 
 
 def slice_(a: Tensor, key) -> Tensor:
+    """Basic indexing (ints, slices, None, Ellipsis). An index array or list
+    is refused: the backward's ``+=`` would drop repeated indices."""
+    if any(isinstance(k, (list, np.ndarray))
+           for k in (key if isinstance(key, tuple) else (key,))):
+        raise ArgumentError("slice_ takes basic indices only, not index arrays or lists")
     a = _as_tensor(a)
-    data = a.data[key]
+    na = _node(a)
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(na.shape, na.dtype)
         full[key] += g
-        a.accumulate_grad(full, own=True)
+        na.accumulate(full, own=True)
 
-    return _make(data, (a,), bw)
+    return _make(a.data[key], (na,), bw)
 
 
 def pad2d(a: Tensor, pad: tuple) -> Tensor:
     """Zero-pad the two trailing (spatial) axes: pad = (top, bottom, left, right)."""
     a = _as_tensor(a)
+    na = _node(a)
     top, bottom, left, right = pad
     widths = [(0, 0)] * (a.data.ndim - 2) + [(top, bottom), (left, right)]
     data = np.pad(a.data, widths)
@@ -390,7 +448,6 @@ def pad2d(a: Tensor, pad: tuple) -> Tensor:
            slice(left, data.shape[-1] - right))
 
     def bw(g):
-        a.accumulate_grad(g[key])
+        na.accumulate(g[key])
 
-    return _make(data, (a,), bw)
-
+    return _make(data, (na,), bw)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _make
+from .autodiff import Tensor, _make, _node
 from .errors import ConstructionError, DimensionError
 
 
@@ -260,19 +260,20 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1, groups: int = 1) -> Tensor:
-    """Differentiable convolution; weight layout [out, in/groups, kh, kw]."""
+    """Differentiable convolution; weight layout [out, in/groups, kh, kw].
+
+    The graph keeps the input only for the weight gradient."""
     out_channels, cg, kh, kw = weight.data.shape
     spec = ConvSpec(out_channels, cg * groups, kh, kw, stride, padding, dilation,
                     groups, weight=weight.data)
     in_hw = x.data.shape[2:]
-    data = conv2d_forward(x.data, spec)
+    nx, nw = _node(x), _node(weight)
+    x_data = x.data if nw is not None else None
 
     def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(
-                conv2d_transpose_forward(g, spec, input_hw=in_hw), own=True
-            )
-        if weight.requires_grad:
-            weight.accumulate_grad(conv2d_weight_grad(x.data, g, spec), own=True)
+        if nx is not None:
+            nx.accumulate(conv2d_transpose_forward(g, spec, input_hw=in_hw), own=True)
+        if nw is not None:
+            nw.accumulate(conv2d_weight_grad(x_data, g, spec), own=True)
 
-    return _make(data, (x, weight), bw)
+    return _make(conv2d_forward(x.data, spec), (nx, nw), bw)

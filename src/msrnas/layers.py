@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _make
+from .autodiff import Tensor, _make, _node
 from .convolution import ConvSpec, conv2d
 from .errors import DimensionError, NumericsError
 
@@ -155,7 +155,7 @@ class BatchNorm2d(Module):
         The output takes the same numpy operations, in the same order, as
         the composite-op reference in the tests, which requires it to be
         bit-identical. The closed-form backward (Ioffe & Szegedy, 2015)
-        keeps only x̂ and 1/σ; in eval mode the map is per-channel affine.
+        keeps only x̂, 1/σ and γ; in eval mode the map is per-channel affine.
         """
         if x.data.ndim != 4 or x.data.shape[1] != self.channels:
             raise DimensionError(
@@ -178,20 +178,21 @@ class BatchNorm2d(Module):
             var = self.running_var.reshape(shape)
         inv_std = (var + self.eps) ** -0.5
         xhat *= inv_std
-        gamma, beta = self.gamma, self.beta
-        data = xhat * gamma.data.reshape(shape)
-        data += beta.data.reshape(shape)
+        gamma = self.gamma.data.reshape(shape)
+        data = xhat * gamma
+        data += self.beta.data.reshape(shape)
         count = x.data.size // self.channels
+        nx, ngamma, nbeta = _node(x), _node(self.gamma), _node(self.beta)
 
         def bw(g):
             gsum = g.sum(axis=(0, 2, 3), keepdims=True)
             gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            if beta.requires_grad:
-                beta.accumulate_grad(gsum.reshape(-1), own=True)
-            if gamma.requires_grad:
-                gamma.accumulate_grad(gxsum.reshape(-1), own=True)
-            if x.requires_grad:
-                scale = inv_std * gamma.data.reshape(shape)
+            if nbeta is not None:
+                nbeta.accumulate(gsum.reshape(-1), own=True)
+            if ngamma is not None:
+                ngamma.accumulate(gxsum.reshape(-1), own=True)
+            if nx is not None:
+                scale = inv_std * gamma
                 if training:
                     # dx = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
                     gx = xhat * (gxsum / -count)
@@ -200,9 +201,9 @@ class BatchNorm2d(Module):
                     gx *= scale
                 else:
                     gx = g * scale
-                x.accumulate_grad(gx, own=True)
+                nx.accumulate(gx, own=True)
 
-        return _make(data, (x, gamma, beta), bw)
+        return _make(data, (nx, ngamma, nbeta), bw)
 
 
 class Linear(Module):
@@ -241,6 +242,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             f"cross_entropy expects (N,K) logits and (N,) labels, got "
             f"{z.shape} and {labels.shape}"
         )
+    nz = _node(logits)
     rows = np.arange(z.shape[0])
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -252,6 +254,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         per_row = (g * -1.0) / len(labels)
         gx = (-per_row / total) * e
         gx[rows, labels] += per_row
-        logits.accumulate_grad(gx, own=True)
+        nz.accumulate(gx, own=True)
 
-    return _make(data, (logits,), bw)
+    return _make(data, (nz,), bw)

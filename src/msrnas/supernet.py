@@ -332,50 +332,58 @@ def build_discrete_network(genotype: Genotype, cfg: SupernetConfig, *,
     return DiscreteNetwork(genotype, cfg, dtype=dtype, seed=seed)
 
 
-def collect_rank_table(net: Supernet, *, epoch: int = 0) -> RankTable:
-    """Average stable rank of every candidate's final conv per cell type,
-    from one ``stable_rank`` call per final conv.
-
-    Degenerate convolutions flag their whole (type, edge, operator) entry.
-    """
+def _scored_rank_table(net: Supernet, epoch: int) -> tuple[RankTable, dict]:
+    """The rank table, from one ``stable_rank`` call per final conv, and
+    the ``(cell, stable_rank result)`` pairs behind each of its entries."""
     present = {cell.cell_type for cell in net.cells}
     missing = [t for t in CELL_TYPES if t not in present]
     if missing:
         raise StateError(
             f"cannot build a complete rank table: no cells of type {missing}"
         )
-    ranks: dict[tuple[str, tuple[int, int], str], list[float | None]] = {}
+    scored: dict[tuple[str, tuple[int, int], str], list[tuple[_Cell, tuple | None]]] = {}
     for cell, edge, op in net.candidates():
-        scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
-        ranks.setdefault((cell.cell_type, edge, op.kind.value), []).append(
-            None if scored is None else scored[0])
+        scored.setdefault((cell.cell_type, edge, op.kind.value), []).append(
+            (cell, stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)))
     table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=net.spectral_cfg.seed)
-    for key, values in ranks.items():
-        table.set(*key, None if None in values else float(np.mean(values)))
+    for key, pairs in scored.items():
+        results = [result for _, result in pairs]
+        table.set(*key, None if None in results
+                  else float(np.mean([rank for rank, _ in results])))
     table.require_complete()
-    return table
+    return table, scored
+
+
+def collect_rank_table(net: Supernet, *, epoch: int = 0) -> RankTable:
+    """Average stable rank of every candidate's final conv per cell type,
+    from one ``stable_rank`` call per final conv.
+
+    Degenerate convolutions flag their whole (type, edge, operator) entry.
+    """
+    return _scored_rank_table(net, epoch)[0]
 
 
 def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
     """Structured text report: averaged and per-cell ranks, spectral norms
     and Frobenius norms of the matrix view for every candidate's final
-    conv. The spectral norms are those the rank table divides by."""
-    table = collect_rank_table(net, epoch=epoch)
+    conv, each conv scored once. The spectral norms are those the rank
+    table divides by."""
+    table, scored = _scored_rank_table(net, epoch)
     lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
     detail: dict[tuple, list[str]] = {}
-    for cell, edge, op in net.candidates():
-        scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
-        if scored is None:
-            # A degenerate conv's weight is zero.
-            rank_text, sigma, fro = "degenerate", np.nan, 0.0
-        else:
-            # The rank is fro^2 / sigma^2.
-            rank, sigma = scored
-            rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
-        detail.setdefault((cell.cell_type, edge, op.kind.value), []).append(
-            f"  cell={cell.index} rank={rank_text} "
-            f"sigma={sigma:.6g} fro={fro:.6g}"
-        )
+    for key, pairs in scored.items():
+        for cell, result in pairs:
+            if result is None:
+                # A degenerate conv's weight is zero.
+                rank_text, sigma, fro = "degenerate", np.nan, 0.0
+            else:
+                # The rank is fro^2 / sigma^2.
+                rank, sigma = result
+                rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
+            detail.setdefault(key, []).append(
+                f"  cell={cell.index} rank={rank_text} "
+                f"sigma={sigma:.6g} fro={fro:.6g}"
+            )
     for cell_type in CELL_TYPES:
         for edge in cell_edges(net.cfg.nodes):
             for kind in OPERATOR_ORDER:

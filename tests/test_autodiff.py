@@ -9,8 +9,8 @@ import pytest
 
 from msrnas import autodiff as ad
 from msrnas.autodiff import Tensor
-from msrnas.errors import DimensionError, StateError
-from msrnas.layers import cross_entropy
+from msrnas.errors import ArgumentError, DimensionError, StateError
+from msrnas.layers import BatchNorm2d, Conv2d, cross_entropy
 from msrnas.spectral import SpectralConfig
 from msrnas.supernet import SupernetConfig, build_supernet
 
@@ -118,6 +118,16 @@ def test_concat_and_slice_gradients(rng):
     fd_check(loss, [a, b], rng)
 
 
+def test_slice_refuses_index_arrays(rng):
+    x = Tensor(rng.standard_normal(3), requires_grad=True)
+    # A repeated index would lose gradient in the backward's +=.
+    for key in (np.array([0, 0, 1]), [0, 0, 1], (np.array([0, 0]),)):
+        with pytest.raises(ArgumentError):
+            x[key]
+    ad.sum_(x[1:]).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
+
+
 def test_pad2d_roundtrip_gradient(rng):
     x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
     padded = ad.pad2d(x, (0, 1, 0, 1))
@@ -138,7 +148,7 @@ def test_no_grad_suppresses_graph(rng):
     with ad.no_grad():
         out = ad.sum_(x * 2.0)
     assert not out.requires_grad
-    assert out._parents == ()
+    assert out._node is None
 
 
 def test_deep_graph_backward_does_not_recurse(rng):
@@ -211,6 +221,51 @@ def test_unconsumed_graph_freed_without_cycle_collector(tiny_step):
         assert interior() is None
     finally:
         gc.enable()
+
+
+def test_forward_frees_activations_backward_does_not_read(tiny_step, monkeypatch):
+    net, _, images, labels = tiny_step
+    dead, alive = [], []
+    bn_forward, relu, concat, conv_forward = (
+        BatchNorm2d.forward, ad.relu, ad.concat, Conv2d.forward)
+
+    def record_bn(module, x):
+        # Each BatchNorm input is a conv output, or the concat of two in
+        # FactorizedReduce; the closed-form backward reads only x̂.
+        out = bn_forward(module, x)
+        dead.extend([weakref.ref(x.data), weakref.ref(out.data)])
+        return out
+
+    def record_relu(x):
+        out = relu(x)
+        alive.append(weakref.ref(out.data))
+        return out
+
+    def record_concat(tensors, axis=0):
+        out = concat(tensors, axis=axis)
+        dead.append(weakref.ref(out.data))
+        return out
+
+    def record_conv(module, x):
+        out = conv_forward(module, x)
+        if module.spec.groups > 1:
+            alive.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(BatchNorm2d, "forward", record_bn)
+    monkeypatch.setattr(ad, "relu", record_relu)
+    monkeypatch.setattr(ad, "concat", record_concat)
+    monkeypatch.setattr(Conv2d, "forward", record_conv)
+    gc.disable()
+    try:
+        loss = cross_entropy(net(images), labels)
+        assert loss.requires_grad
+        assert dead and all(ref() is None for ref in dead)
+        assert alive and all(ref() is not None for ref in alive)
+    finally:
+        gc.enable()
+    depthwise = [m for m in net.modules() if isinstance(m, Conv2d) and m.spec.groups > 1]
+    assert len(alive) > len(depthwise)
 
 
 def test_second_backward_raises_and_leaves_keep_grad(rng):

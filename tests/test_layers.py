@@ -199,7 +199,7 @@ def test_cross_entropy_is_one_node_with_float32_gradient(rng):
     labels = np.array([0, 4, 2, 2, 1, 3])
     logits = Tensor(z.astype(np.float32), requires_grad=True)
     loss = cross_entropy(logits, labels)
-    assert loss._parents == (logits,)
+    assert loss._node.parents == (logits._node,)
     loss.backward()
     softmax = np.exp(z - z.max(axis=1, keepdims=True))
     softmax /= softmax.sum(axis=1, keepdims=True)

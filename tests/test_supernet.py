@@ -118,17 +118,17 @@ def test_mixed_edge_unit_weights(small_net):
     np.testing.assert_array_equal(total.data, expected)
 
 
-def relu_inputs(out: Tensor) -> list[Tensor]:
-    """Input tensor of every ReLU node in the graph that produced ``out``."""
-    seen, stack, inputs = set(), [out], []
+def relu_inputs(out: Tensor) -> list:
+    """Input node of every ReLU node in the graph that produced ``out``."""
+    seen, stack, inputs = set(), [out._node], []
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        node = stack.pop()
+        if id(node) in seen:
             continue
-        seen.add(id(t))
-        if t._backward is not None and t._backward.__qualname__.startswith("relu."):
-            inputs.append(t._parents[0])
-        stack.extend(t._parents)
+        seen.add(id(node))
+        if node.backward is not None and node.backward.__qualname__.startswith("relu."):
+            inputs.append(node.parents[0])
+        stack.extend(node.parents)
     return inputs
 
 
@@ -171,7 +171,7 @@ def test_cells_apply_one_relu_per_state(small_net):
     inputs = relu_inputs(features)
     assert len({id(t) for t in inputs}) == len(inputs)
     assert len(inputs) == 3 + 3 * 4
-    assert features._backward.__qualname__.startswith("concat.")
+    assert features._node.backward.__qualname__.startswith("concat.")
 
 
 def test_forward_requires_adjustment_each_step(small_net):
@@ -425,6 +425,22 @@ def test_conv_rank_report_structure(small_net):
         assert got == pytest.approx(expected[op, int(fields["cell"])], rel=1e-5)
         seen += 1
     assert seen == len(list(net.candidates()))
+
+
+def test_conv_rank_report_scores_each_final_conv_once(small_net, monkeypatch):
+    from msrnas import supernet
+
+    _, net = small_net
+    calls = []
+
+    def counting(spec, input_hw):
+        calls.append(spec)
+        return stable_rank(spec, input_hw)
+
+    monkeypatch.setattr(supernet, "stable_rank", counting)
+    conv_rank_report(net)
+    assert len(calls) == len(list(net.candidates()))
+    assert len({id(spec) for spec in calls}) == len(calls)
 
 
 def test_operator_kind_enumeration():
