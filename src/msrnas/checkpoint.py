@@ -8,11 +8,17 @@ power-iteration vectors, the epoch counter, and enough configuration scalars
 to rebuild the network from the file alone. Gradients are not stored,
 because every step clears them before use; ``grad/*`` records and the
 ``meta/spectral/frobenius_kernel`` scalar of older files are ignored on load.
+
+Every run-dir artifact that is rewritten whole (checkpoints, rank tables,
+metrics, config echo, result) goes through ``atomic_open``, so a run killed
+mid-write leaves the previous version of the file, never a truncated one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -25,9 +31,25 @@ VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``<path>.tmp`` for writing and move it over ``path`` once the
+    block completes; if the block raises, the temporary file is removed and
+    ``path`` keeps its earlier contents. Text modes write UTF-8."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named float arrays; iteration order is preserved on load."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name, arr in tensors.items():

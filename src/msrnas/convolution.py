@@ -11,9 +11,14 @@ meet the band matrix ``T_k`` (g, cg*wp, og*wo) whose only nonzeros are
 ``T_k[(c, x*s + l*d), (o, x)] = w[o, c, k, l]``, kernel row k repeated down
 the diagonals. The forward is ``sum_k A_k @ T_k``; the weight gradient sums
 the band diagonals of ``A_k^T @ G`` over x. A row's copy is about the input's
-size, not kh*kw times it. ``T_k`` has ``g*cg*og*wp*wo`` entries, which stays
-small because the only dense kxk conv in the network is the 3-channel stem
-(the depthwise convs have cg = og = 1).
+size, not kh*kw times it; for one image with one input channel per group (a
+stacked depthwise conv in power iteration) ``A_k`` is a strided view of the
+padded input and nothing is copied. ``T_k`` has ``g*cg*og*wp*wo`` entries,
+which stays small because the only dense kxk conv in the network is the
+3-channel stem (the depthwise convs have cg = og = 1). Each call builds its
+band from the weight unless it is handed one: ``conv_bands`` builds a conv's
+forward and adjoint bands once for a caller that runs both maps many times
+on an unchanged weight.
 
 The adjoint runs on the same kernel (Dumoulin & Visin, arXiv 1603.07285):
 the cotangent, spread out with step ``s`` onto a zero canvas of
@@ -117,14 +122,20 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
 
 def _input_rows(x: np.ndarray, spec: ConvSpec, ho: int):
     """Yield ``A_k`` for k = 0, 1, ...: the padded input rows ``y*s + k*d``
-    (y < ho) as (g, n*ho, cg*wp), in one buffer reused across k."""
+    (y < ho) as (g, n*ho, cg*wp). For one image with one input channel per
+    group (a stacked depthwise conv in power iteration) ``A_k`` is a strided
+    view of the padded input; otherwise it is copied into one buffer reused
+    across k."""
     xp = _pad_input(x, spec.padding)
     n, c, _, wp = xp.shape
     g, s = spec.groups, spec.stride
-    rows = np.empty((g, n, ho, c // g, wp), dtype=x.dtype)
+    rows = None if n == 1 and c == g else np.empty((g, n, ho, c // g, wp), dtype=x.dtype)
     for k in range(spec.kernel_h):
         start = k * spec.dilation
         view = xp[:, :, start: start + (ho - 1) * s + 1: s]
+        if rows is None:
+            yield view[0]
+            continue
         rows[...] = view.reshape(n, g, c // g, ho, wp).transpose(1, 0, 3, 2, 4)
         yield rows.reshape(g, n * ho, c // g * wp)
 
@@ -151,6 +162,36 @@ def _band_matrices(spec: ConvSpec, wp: int, wo: int, dtype) -> np.ndarray:
     return band.reshape(kh, g, cg * wp, og * wo)
 
 
+def _adjoint_spec(spec: ConvSpec) -> ConvSpec:
+    """The conv the adjoint correlates its canvas with: the flipped kernel,
+    input and output channels swapped within each group, stride 1, no
+    padding."""
+    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    og = spec.out_channels // g
+    return ConvSpec(
+        spec.in_channels, spec.out_channels, kh, kw, dilation=spec.dilation,
+        groups=g, weight=spec.weight.reshape(g, og, -1, kh, kw)
+        .transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1].reshape(-1, og, kh, kw))
+
+
+def conv_bands(spec: ConvSpec, input_hw: tuple[int, int], dtype
+               ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The bands that ``conv2d_forward`` and ``conv2d_transpose_forward``
+    build for ``spec`` at input extents ``input_hw``, for a caller that runs
+    both maps many times on one weight; None for a map that is a plain
+    matmul. They are only valid while the weight does not change."""
+    h, w = input_hw
+    _, wo = spec.out_hw(h, w)
+    forward = adjoint = None
+    if not spec.is_pointwise:
+        forward = _band_matrices(spec, w + 2 * spec.padding, wo, dtype)
+    flipped = _adjoint_spec(spec)
+    if not flipped.is_pointwise:
+        adjoint = _band_matrices(flipped, w + (spec.kernel_w - 1) * spec.dilation,
+                                 w, dtype)
+    return forward, adjoint
+
+
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
     if x.ndim != 4:
         raise DimensionError(f"conv input must be NCHW, got ndim={x.ndim}")
@@ -160,8 +201,10 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
         )
 
 
-def _correlate(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlation of an NCHW array whose channels match ``spec``."""
+def _correlate(x: np.ndarray, spec: ConvSpec, band: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Cross-correlation of an NCHW array whose channels match ``spec``;
+    ``band`` is the prebuilt ``_band_matrices`` result, if any."""
     n = x.shape[0]
     ho, wo = spec.out_hw(x.shape[2], x.shape[3])
     g = spec.groups
@@ -170,8 +213,15 @@ def _correlate(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         xs = x[:, :, ::s, ::s].reshape(n, g, spec.in_channels // g, ho * wo)
         out = np.matmul(spec.weight.reshape(g, spec.out_channels // g, -1), xs)
         return out.reshape(n, spec.out_channels, ho, wo).astype(x.dtype, copy=False)
-    og = spec.out_channels // g
-    band = _band_matrices(spec, x.shape[3] + 2 * spec.padding, wo, x.dtype)
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    wp = x.shape[3] + 2 * spec.padding
+    if band is None:
+        band = _band_matrices(spec, wp, wo, x.dtype)
+    elif band.shape != (spec.kernel_h, g, cg * wp, og * wo) or band.dtype != x.dtype:
+        raise DimensionError(
+            f"band {band.shape} {band.dtype} does not fit a {x.dtype} input of "
+            f"width {x.shape[3]} for {spec}"
+        )
     acc = np.empty((g, n * ho, og * wo), dtype=x.dtype)
     prod = np.empty_like(acc)
     for k, rows in enumerate(_input_rows(x, spec, ho)):
@@ -183,11 +233,13 @@ def _correlate(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(n, spec.out_channels, ho, wo)
 
 
-def conv2d_forward(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlation with zero padding in NCHW layout."""
+def conv2d_forward(x: np.ndarray, spec: ConvSpec,
+                   band: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation with zero padding in NCHW layout; ``band`` is the
+    forward band of ``conv_bands``, built here when not given."""
     x = np.asarray(x)
     _check_input(x, spec)
-    return _correlate(x, spec)
+    return _correlate(x, spec, band)
 
 
 def _landing(offset: int, step: int, count: int, size: int) -> tuple[slice, slice]:
@@ -199,16 +251,15 @@ def _landing(offset: int, step: int, count: int, size: int) -> tuple[slice, slic
 
 
 def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
-                             input_hw: tuple[int, int]) -> np.ndarray:
+                             input_hw: tuple[int, int],
+                             band: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of ``conv2d_forward`` at input extents ``input_hw``
-    (several input sizes can share one output size when stride > 1)."""
+    (several input sizes can share one output size when stride > 1);
+    ``band`` is the adjoint band of ``conv_bands``, built here when not
+    given."""
     y = np.asarray(y)
-    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
-    og = spec.out_channels // g
-    flipped = ConvSpec(
-        spec.in_channels, spec.out_channels, kh, kw, dilation=spec.dilation,
-        groups=g, weight=spec.weight.reshape(g, og, -1, kh, kw)
-        .transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1].reshape(-1, og, kh, kw))
+    kh, kw = spec.kernel_h, spec.kernel_w
+    flipped = _adjoint_spec(spec)
     _check_input(y, flipped)
     n, _, ho, wo = y.shape
     h, w = input_hw
@@ -218,13 +269,13 @@ def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
         )
     p, s, d = spec.padding, spec.stride, spec.dilation
     if spec.is_pointwise and s == 1:
-        return _correlate(y, flipped)
+        return _correlate(y, flipped, band)
     canvas = np.zeros((n, spec.out_channels, h + (kh - 1) * d, w + (kw - 1) * d),
                       dtype=y.dtype)
     src_h, dst_h = _landing((kh - 1) * d - p, s, ho, canvas.shape[2])
     src_w, dst_w = _landing((kw - 1) * d - p, s, wo, canvas.shape[3])
     canvas[:, :, dst_h, dst_w] = y[:, :, src_h, src_w]
-    return _correlate(canvas, flipped)
+    return _correlate(canvas, flipped, band)
 
 
 def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:

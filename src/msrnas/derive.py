@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .checkpoint import atomic_open
 from .errors import ArgumentError, DerivationError, FormatError, GenotypeError
 from .operators import OPERATOR_NAMES
 
@@ -282,7 +283,7 @@ def rank_table_from_text(text: str) -> RankTable:
 
 
 def save_rank_table(path, table: RankTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(rank_table_to_text(table))
 
 

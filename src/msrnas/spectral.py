@@ -18,6 +18,9 @@ every member by one iteration; norms and normalization stay per member, and
 so do the persistent vectors. A single handle is a group of one, so the
 stacked path is the only path. A grouped 1x1 stack is one batched matmul
 in ``convolution``, any other stack one batched band GEMM per kernel row.
+The weights do not change within a ``power_iteration`` call, so it builds
+the stacked conv's forward band and its adjoint's band once (``conv_bands``)
+and hands them to every conv call; they are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
+from .convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward, conv_bands
 from .errors import ArgumentError, ConfigError, DegenerateOperatorError
 
 @dataclass
@@ -140,10 +143,11 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
     out_shape = (1, spec.out_channels) + spec.out_hw(*first.in_hw)
     # Row k of a (and of b) is member k's iterate.
     a = np.concatenate([handle.vector.reshape(1, -1) for handle in handles])
+    band, adjoint_band = conv_bands(spec, first.in_hw, a.dtype)
     restarted: set[int] = set()
     i = 0
     while i < iterations:
-        b = conv2d_forward(a.reshape(in_shape), spec).reshape(m, -1)
+        b = conv2d_forward(a.reshape(in_shape), spec, band=band).reshape(m, -1)
         nb = np.linalg.norm(b, axis=1)
         collapsed = np.flatnonzero(nb == 0.0)
         if collapsed.size:
@@ -160,8 +164,8 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
                 restarted.add(k)
             continue
         b /= nb[:, None]
-        a = conv2d_transpose_forward(b.reshape(out_shape), spec,
-                                     input_hw=first.in_hw).reshape(m, -1)
+        a = conv2d_transpose_forward(b.reshape(out_shape), spec, input_hw=first.in_hw,
+                                     band=adjoint_band).reshape(m, -1)
         na = np.linalg.norm(a, axis=1)
         for k in np.flatnonzero(na == 0.0):
             raise DegenerateOperatorError(
@@ -171,7 +175,7 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
         i += 1
     for k, handle in enumerate(handles):
         handle.vector = a[k].reshape(vec_shape)
-    out = conv2d_forward(a.reshape(in_shape), spec).reshape(m, -1)
+    out = conv2d_forward(a.reshape(in_shape), spec, band=band).reshape(m, -1)
     return np.linalg.norm(out, axis=1).astype(np.float64)
 
 

@@ -2,7 +2,10 @@
 
 A run directory owns: a config echo, a lock file, metrics.csv (deterministic
 columns only), log.txt (human lines including wall time) and, for a search,
-per-epoch checkpoints and rank tables.
+per-epoch checkpoints and rank tables. Every artifact but log.txt and the
+lock is written whole through ``checkpoint.atomic_open``, so a killed run
+leaves each one complete. The lock records its owner's pid; a lock left by a
+process that no longer runs is taken over.
 
 Both stages run one epoch loop (``_train_epochs``): shuffle, batches, loss,
 backward, momentum SGD, the held-out pass, metrics.csv and the log line. A
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import layers
 from .autodiff import Tensor, no_grad
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .config import RunConfig
 from .data import Dataset, batches, split_train_val
 from .derive import Genotype, RankTable, load_rank_table, save_rank_table
@@ -140,15 +143,22 @@ class RunDir:
         return os.path.join(self.ranks, f"epoch_{epoch:04d}.txt")
 
     def acquire_lock(self) -> None:
+        """Create the run directory and its lock file, which records this
+        process's pid. A lock whose pid names no running process is stale:
+        it is removed and the exclusive create retried once, so of several
+        runs that find the same stale lock only one gets the directory."""
         os.makedirs(self.root, exist_ok=True)
         lock = os.path.join(self.root, "lock")
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockError(
-                f"run directory {self.root} is locked by another run "
-                f"(remove {lock} if stale)"
-            ) from None
+        for retry in (False, True):
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not _remove_stale_lock(lock):
+                    raise LockError(
+                        f"run directory {self.root} is locked by another run "
+                        f"(remove {lock} if stale)"
+                    ) from None
         os.write(fd, f"pid {os.getpid()}\n".encode())
         os.close(fd)
         self._lock_handle = lock
@@ -161,6 +171,48 @@ class RunDir:
     def log_line(self, text: str) -> None:
         with open(self.log_path, "a", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _remove_stale_lock(lock: str) -> bool:
+    """Remove ``lock`` if the pid it records is not a running process;
+    returns whether the caller may retry creating it. An unreadable or
+    unparseable lock, or a live pid, is left in place."""
+    try:
+        with open(lock, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return True  # released meanwhile
+    except (OSError, UnicodeDecodeError):
+        return False
+    try:
+        tag, pid = text.split()
+        pid = int(pid)
+    except ValueError:
+        return False
+    if tag != "pid" or not 0 < pid < 2**31:
+        return False
+    try:
+        os.kill(pid, 0)
+        return False
+    except ProcessLookupError:
+        pass
+    except OSError:  # EPERM: the process runs under another user
+        return False
+    # Move the lock aside before deleting it: a run that took the same stale
+    # lock over first has replaced it with its own by now, and that one is
+    # put back.
+    aside = f"{lock}.{os.getpid()}"
+    try:
+        os.rename(lock, aside)
+    except FileNotFoundError:
+        return True
+    with open(aside, encoding="utf-8", errors="replace") as fh:
+        moved = fh.read()
+    if moved != text:
+        os.rename(aside, lock)
+        return False
+    os.unlink(aside)
+    return True
 
 
 def _epoch_shuffle_seed(base_seed: int, epoch: int, salt: int) -> int:
@@ -214,7 +266,7 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
     params = net.parameters()
     metrics = MetricsLog()
     held_out_pass = None
-    with open(run.metrics_path, "w", encoding="utf-8") as fh:
+    with atomic_open(run.metrics_path) as fh:
         fh.write(metrics.to_csv())
     for epoch in range(1, hyper.epochs + 1):
         t0 = time.time()
@@ -249,7 +301,7 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
                              wall_time=time.time() - t0)
         metrics.append(record)
         end_epoch(epoch)
-        with open(run.metrics_path, "w", encoding="utf-8") as fh:
+        with atomic_open(run.metrics_path) as fh:
             fh.write(metrics.to_csv())
         run.log_line(
             f"epoch {epoch}: train_loss={train_loss:.4f} "
@@ -266,7 +318,7 @@ def _locked_run(cfg: RunConfig, out_dir: str | None):
     run = RunDir(out_dir or cfg["run.output_dir"])
     run.acquire_lock()
     try:
-        with open(run.config_path, "w", encoding="utf-8") as fh:
+        with atomic_open(run.config_path) as fh:
             fh.write(cfg.to_text())
         yield run
     finally:
@@ -376,7 +428,7 @@ def run_eval(cfg: RunConfig, genotype: Genotype,
         test_loss, test_error = (last_pass
                                  or _held_out_pass(net, test_ds, hyper.batch_size))
         run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")
-        with open(os.path.join(run.root, "result.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(run.root, "result.txt")) as fh:
             fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")
     return EvalResult(run_dir=run, metrics=metrics, test_loss=test_loss,
                       test_error=test_error, net=net)

@@ -5,6 +5,7 @@ import pytest
 
 from msrnas.checkpoint import (
     MAGIC,
+    atomic_open,
     load_checkpoint,
     load_tensors,
     save_checkpoint,
@@ -34,6 +35,27 @@ def test_tensor_container_roundtrip(tmp_path, rng):
 def test_container_rejects_non_float(tmp_path):
     with pytest.raises(FormatError, match="dtype"):
         save_tensors(tmp_path / "x.msrn", {"ints": np.arange(4)})
+
+
+def test_write_that_raises_midway_keeps_the_earlier_file(tmp_path, rng):
+    path = tmp_path / "t.msrn"
+    save_tensors(path, {"w": rng.standard_normal((3, 3))})
+    before = path.read_bytes()
+    # The first record is written before the second one's dtype is refused.
+    with pytest.raises(FormatError, match="dtype"):
+        save_tensors(path, {"v": rng.standard_normal(5), "ints": np.arange(4)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.msrn"]
+
+    text = tmp_path / "metrics.csv"
+    with atomic_open(text) as fh:
+        fh.write("epoch\n1\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(text) as fh:
+            fh.write("epoch\n")
+            raise RuntimeError("killed")
+    assert text.read_text(encoding="utf-8") == "epoch\n1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "t.msrn"]
 
 
 def test_container_rejects_bad_magic(tmp_path):

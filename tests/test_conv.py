@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrnas import convolution
 from msrnas.autodiff import Tensor
 from msrnas.convolution import (
     ConvSpec,
@@ -16,6 +17,7 @@ from msrnas.convolution import (
     conv2d_forward,
     conv2d_transpose_forward,
     conv2d_weight_grad,
+    conv_bands,
 )
 from msrnas.derive import Genotype
 from msrnas.errors import ConstructionError, DimensionError
@@ -394,3 +396,63 @@ def test_pointwise_float32_matches_tap_loop(rng):
     assert gw.shape == w1.shape and gw.dtype == np.float32
     np.testing.assert_allclose(gw[:, :, 0, 0], tap_conv2d_weight_grad(x, gy, tap)[:, :, 1, 1],
                                rtol=1e-4, atol=1e-4)
+
+
+# (kernel, stride, dilation) of stacked depthwise convs, as power iteration
+# runs them: one image, one input channel per group, DARTS padding.
+STACKED_DEPTHWISE_CASES = [(k, s, d) for k in (3, 5) for s in (1, 2) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("case", STACKED_DEPTHWISE_CASES)
+def test_batch_one_depthwise_rows_are_views_and_match_oracles(case, monkeypatch):
+    k, s, d = case
+    rng = np.random.default_rng(k * 100 + s * 10 + d)
+    c, (h, w) = 6, (11, 8)
+    spec = ConvSpec(c, c, k, k, stride=s, padding=d * (k - 1) // 2, dilation=d,
+                    groups=c, weight=rng.standard_normal((c, 1, k, k)))
+    ho, wo = spec.out_hw(h, w)
+    x = rng.standard_normal((1, c, h, w))
+    gy = rng.standard_normal((1, c, ho, wo))
+    m = materialize_conv_matrix(spec, (h, w))
+    np.testing.assert_allclose(conv2d_forward(x, spec).reshape(-1), m @ x.reshape(-1),
+                               atol=1e-10)
+    np.testing.assert_allclose(
+        conv2d_transpose_forward(gy, spec, input_hw=(h, w)).reshape(-1),
+        m.T @ gy.reshape(-1), atol=1e-10)
+    gw = conv2d_weight_grad(x, gy, spec)
+    for idx in np.ndindex(spec.weight.shape):
+        num = central_difference(
+            lambda: float((conv2d_forward(x, spec) * gy).sum()), spec.weight, idx, 0.5)
+        assert abs(gw[idx] - num) < 1e-10 * max(1.0, abs(num))
+
+    padded = []
+    pad = convolution._pad_input
+    monkeypatch.setattr(convolution, "_pad_input",
+                        lambda *args: padded.append(pad(*args)) or padded[-1])
+    rows = list(convolution._input_rows(x, spec, ho))
+    assert len(rows) == k
+    for i, row in enumerate(rows):
+        assert np.shares_memory(row, padded[0])
+        want = padded[0][0, :, i * d: i * d + (ho - 1) * s + 1: s]
+        np.testing.assert_array_equal(row, want)
+    # A batch of two is copied out, into one buffer reused across rows.
+    copied = list(convolution._input_rows(np.concatenate([x, x]), spec, ho))
+    assert not any(np.shares_memory(row, padded[-1]) for row in copied)
+
+
+def test_prebuilt_band_must_fit_the_input():
+    rng = np.random.default_rng(3)
+    spec = ConvSpec(4, 4, 3, 3, padding=1, groups=4,
+                    weight=rng.standard_normal((4, 1, 3, 3)))
+    band, adjoint_band = conv_bands(spec, (6, 8), np.float64)
+    x = rng.standard_normal((1, 4, 6, 8))
+    y = rng.standard_normal((1, 4, 6, 8))
+    np.testing.assert_array_equal(conv2d_forward(x, spec, band=band),
+                                  conv2d_forward(x, spec))
+    np.testing.assert_array_equal(
+        conv2d_transpose_forward(y, spec, input_hw=(6, 8), band=adjoint_band),
+        conv2d_transpose_forward(y, spec, input_hw=(6, 8)))
+    with pytest.raises(DimensionError):
+        conv2d_forward(rng.standard_normal((1, 4, 6, 9)), spec, band=band)
+    with pytest.raises(DimensionError):
+        conv2d_forward(x.astype(np.float32), spec, band=band)

@@ -2,6 +2,7 @@
 and the closed-form stable rank of 1x1 convs, checked against the dense SVD
 oracle."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnas.convolution import ConvSpec, conv2d_forward
+from msrnas import convolution
+from msrnas.convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
 from msrnas.errors import ArgumentError, DegenerateOperatorError
 from msrnas.spectral import (
     ConvHandle,
@@ -237,12 +239,12 @@ GROUP_KINDS = {
 }
 
 
-def tiny_supernet(seed: int = 0):
+def tiny_supernet(seed: int = 0, dtype=np.float64):
     from msrnas.supernet import SupernetConfig, build_supernet
 
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
                          input_hw=(10, 10))
-    return build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=seed)
+    return build_supernet(cfg, SpectralConfig(), dtype=dtype, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +348,54 @@ def test_power_iteration_rejects_mixed_geometries():
     b = ConvHandle(identity_spec(2), (5, 5))
     with pytest.raises(ArgumentError):
         power_iteration([a, b], 1)
+
+
+def probes_of(group):
+    """Fresh handles on the group's convs, so the group's own vectors stay."""
+    return [ConvHandle(h.spec, h.in_hw, seed=h.seed, name=h.name) for h in group]
+
+
+@pytest.mark.parametrize("iterations", [5, 50])
+def test_power_iteration_builds_two_bands_per_group(monkeypatch, iterations):
+    # Rebuilding the bands in every conv call would take 2 * iterations + 1.
+    built = []
+    band_matrices = convolution._band_matrices
+    monkeypatch.setattr(convolution, "_band_matrices",
+                        lambda *args: built.append(1) or band_matrices(*args))
+    net = tiny_supernet(dtype=np.float32)
+    for group in net.handle_groups:
+        built.clear()
+        power_iteration(probes_of(group), iterations)
+        assert len(built) == (0 if group[0].spec.is_pointwise else 2)
+
+
+def reference_power_iteration(handles, iterations):
+    """The stacked power-iteration loop with no null-space restarts, every
+    conv call building its own band; returns the estimates and unit vectors."""
+    spec, hw, m = handles[0].spec, handles[0].in_hw, len(handles)
+    stacked = dataclasses.replace(
+        spec, out_channels=m * spec.out_channels, in_channels=m * spec.in_channels,
+        groups=m * spec.groups, weight=np.concatenate([h.spec.weight for h in handles]))
+    in_shape = (1, stacked.in_channels) + hw
+    out_shape = (1, stacked.out_channels) + stacked.out_hw(*hw)
+    a = np.concatenate([h.vector.reshape(1, -1) for h in handles])
+    for _ in range(iterations):
+        b = conv2d_forward(a.reshape(in_shape), stacked).reshape(m, -1)
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        a = conv2d_transpose_forward(b.reshape(out_shape), stacked,
+                                     input_hw=hw).reshape(m, -1)
+        a /= np.linalg.norm(a, axis=1)[:, None]
+    out = conv2d_forward(a.reshape(in_shape), stacked).reshape(m, -1)
+    return np.linalg.norm(out, axis=1).astype(np.float64), a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prebuilt_bands_match_per_call_bands_exactly(dtype):
+    net = tiny_supernet(seed=2, dtype=dtype)
+    for group in net.handle_groups:
+        probes = probes_of(group)
+        sigmas = power_iteration(probes, 5)
+        want_sigmas, want_vectors = reference_power_iteration(probes_of(group), 5)
+        np.testing.assert_array_equal(sigmas, want_sigmas)
+        for probe, want in zip(probes, want_vectors):
+            np.testing.assert_array_equal(probe.vector.reshape(-1), want)

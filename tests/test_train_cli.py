@@ -4,6 +4,8 @@ subcommands, artifact round-trips, and determinism."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,62 @@ def test_lock_excludes_concurrent_runs(tmp_path):
     other.release_lock()
 
 
+def dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+def write_lock(root, text: str) -> str:
+    os.makedirs(root, exist_ok=True)
+    lock = os.path.join(root, "lock")
+    with open(lock, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return lock
+
+
+def test_lock_of_a_dead_process_is_taken_over(tmp_path):
+    run = RunDir(str(tmp_path / "r"))
+    lock = write_lock(run.root, f"pid {dead_pid()}\n")
+    run.acquire_lock()
+    with open(lock, encoding="utf-8") as fh:
+        assert fh.read() == f"pid {os.getpid()}\n"
+    assert os.listdir(run.root) == ["lock"]
+    run.release_lock()
+
+
+@pytest.mark.parametrize("text", [f"pid {os.getpid()}\n", "", "pid\n", "pid x\n",
+                                  "pid -1\n", "lock 12\n"])
+def test_lock_of_a_live_process_or_unparseable_lock_is_kept(tmp_path, text):
+    run = RunDir(str(tmp_path / "r"))
+    lock = write_lock(run.root, text)
+    with pytest.raises(LockError):
+        run.acquire_lock()
+    with open(lock, encoding="utf-8") as fh:
+        assert fh.read() == text
+    assert os.listdir(run.root) == ["lock"]
+
+
+def test_stale_lock_taken_over_by_another_run_first_is_kept(tmp_path, monkeypatch):
+    # Two runs find the same stale lock. The other one removes it and
+    # creates its own while this one checks the recorded pid.
+    run = RunDir(str(tmp_path / "r"))
+    lock = write_lock(run.root, f"pid {dead_pid()}\n")
+    kill = os.kill
+
+    def other_run_takes_over(pid, sig):
+        os.unlink(lock)
+        write_lock(run.root, f"pid {os.getppid()}\n")
+        return kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", other_run_takes_over)
+    with pytest.raises(LockError):
+        run.acquire_lock()
+    with open(lock, encoding="utf-8") as fh:
+        assert fh.read() == f"pid {os.getppid()}\n"
+    assert os.listdir(run.root) == ["lock"]
+
+
 @pytest.fixture(scope="module")
 def one_epoch_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("search"))
@@ -166,6 +224,8 @@ def test_search_writes_all_artifacts(one_epoch_run):
         assert os.path.exists(os.path.join(out, "checkpoints", f"epoch_{epoch:04d}.msrn"))
         assert os.path.exists(os.path.join(out, "ranks", f"epoch_{epoch:04d}.txt"))
     assert not os.path.exists(os.path.join(out, "lock"))
+    assert not [name for _, _, names in os.walk(out) for name in names
+                if name.endswith(".tmp")]
     assert len(result.metrics.records) == 1
 
 
