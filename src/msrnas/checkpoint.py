@@ -9,9 +9,10 @@ to rebuild the network from the file alone. Gradients are not stored,
 because every step clears them before use; ``grad/*`` records and the
 ``meta/spectral/frobenius_kernel`` scalar of older files are ignored on load.
 
-Every run-dir artifact that is rewritten whole (checkpoints, rank tables,
-metrics, config echo, result) goes through ``atomic_open``, so a run killed
-mid-write leaves the previous version of the file, never a truncated one.
+Every file msrnas writes whole (checkpoints, rank tables, metrics, config
+echo, result, derived genotype, rank report) goes through ``atomic_open``,
+so a run killed mid-write leaves the previous version of the file, never a
+truncated one.
 """
 
 from __future__ import annotations

@@ -61,20 +61,21 @@ def _cmd_search(args) -> int:
 def _cmd_derive(args) -> int:
     import os
 
+    from .checkpoint import atomic_open
     from .config import load_run_config
     from .derive import SelectionMode, derive_genotype
     from .train import RunDir, choose_epoch, load_epoch_table
 
-    config_path = RunDir(args.run).config_path
-    if not os.path.exists(config_path):
+    run = RunDir(args.run)
+    if not os.path.exists(run.config_path):
         raise ArgumentError(f"{args.run} is not a search run (no config.txt)")
-    cfg = load_run_config(config_path)
+    cfg = load_run_config(run.config_path)
     mode = SelectionMode(args.mode) if args.mode else cfg["derive.mode"]
     epoch = choose_epoch(args.run, args.epoch, cfg["derive.epoch_policy"])
     table = load_epoch_table(args.run, epoch)
     genotype = derive_genotype(table, mode=mode)
-    out_path = args.out or os.path.join(args.run, f"genotype_{mode.value}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    out_path = args.out or run.genotype_path(mode.value)
+    with atomic_open(out_path) as fh:
         fh.write(genotype.to_json_str())
     print(f"derived {mode.value}-mode genotype from epoch {epoch} -> {out_path}")
     return 0
@@ -99,13 +100,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    from .checkpoint import load_checkpoint
+    from .checkpoint import atomic_open, load_checkpoint
     from .supernet import conv_rank_report
 
     net, epoch = load_checkpoint(args.checkpoint)
     report = conv_rank_report(net, epoch=epoch)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(report)
         print(f"rank report -> {args.out}")
     else:

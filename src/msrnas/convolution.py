@@ -309,14 +309,11 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
     return np.ascontiguousarray(gw.transpose(2, 4, 3, 0, 1)).reshape(spec.weight.shape)
 
 
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0,
-           dilation: int = 1, groups: int = 1) -> Tensor:
-    """Differentiable convolution; weight layout [out, in/groups, kh, kw].
+def conv2d(x: Tensor, weight: Tensor, spec: ConvSpec) -> Tensor:
+    """Differentiable convolution by ``spec``, whose weight array is
+    ``weight.data`` (layout [out, in/groups, kh, kw]).
 
     The graph keeps the input only for the weight gradient."""
-    out_channels, cg, kh, kw = weight.data.shape
-    spec = ConvSpec(out_channels, cg * groups, kh, kw, stride, padding, dilation,
-                    groups, weight=weight.data)
     in_hw = x.data.shape[2:]
     nx, nw = _node(x), _node(weight)
     x_data = x.data if nw is not None else None

@@ -130,9 +130,7 @@ class Conv2d(Module):
         self.in_hw = in_hw
 
     def forward(self, x: Tensor) -> Tensor:
-        s = self.spec
-        return conv2d(x, self.weight, stride=s.stride, padding=s.padding,
-                      dilation=s.dilation, groups=s.groups)
+        return conv2d(x, self.weight, self.spec)
 
 
 class BatchNorm2d(Module):

@@ -334,7 +334,8 @@ def build_discrete_network(genotype: Genotype, cfg: SupernetConfig, *,
 
 def _scored_rank_table(net: Supernet, epoch: int) -> tuple[RankTable, dict]:
     """The rank table, from one ``stable_rank`` call per final conv, and
-    the ``(cell, stable_rank result)`` pairs behind each of its entries."""
+    the ``(cell, stable_rank result)`` pairs behind each of its entries, in
+    cell index order."""
     present = {cell.cell_type for cell in net.cells}
     missing = [t for t in CELL_TYPES if t not in present]
     if missing:
@@ -370,20 +371,6 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
     table divides by."""
     table, scored = _scored_rank_table(net, epoch)
     lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
-    detail: dict[tuple, list[str]] = {}
-    for key, pairs in scored.items():
-        for cell, result in pairs:
-            if result is None:
-                # A degenerate conv's weight is zero.
-                rank_text, sigma, fro = "degenerate", np.nan, 0.0
-            else:
-                # The rank is fro^2 / sigma^2.
-                rank, sigma = result
-                rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
-            detail.setdefault(key, []).append(
-                f"  cell={cell.index} rank={rank_text} "
-                f"sigma={sigma:.6g} fro={fro:.6g}"
-            )
     for cell_type in CELL_TYPES:
         for edge in cell_edges(net.cfg.nodes):
             for kind in OPERATOR_ORDER:
@@ -394,9 +381,19 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
                     f"op {cell_type} edge=({edge[0]},{edge[1]}) "
                     f"kind={kind.value} rbar={avg_text}"
                 )
-                lines.extend(sorted(detail[key]))
+                # Cells in index order, as ``Supernet.candidates`` yields them.
+                for cell, result in scored[key]:
+                    if result is None:
+                        # A degenerate conv's weight is zero.
+                        rank_text, sigma, fro = "degenerate", np.nan, 0.0
+                    else:
+                        # The rank is fro^2 / sigma^2.
+                        rank, sigma = result
+                        rank_text, fro = f"{rank:.6g}", sigma * np.sqrt(rank)
+                    lines.append(f"  cell={cell.index} rank={rank_text} "
+                                 f"sigma={sigma:.6g} fro={fro:.6g}")
     lines.append(
         f"total rows={2 * len(cell_edges(net.cfg.nodes)) * len(OPERATOR_ORDER)} "
-        f"handles={len(net.handles)} fin_convs={sum(map(len, detail.values()))}"
+        f"handles={len(net.handles)} fin_convs={sum(map(len, scored.values()))}"
     )
     return "\n".join(lines) + "\n"

@@ -2,10 +2,14 @@
 
 A run directory owns: a config echo, a lock file, metrics.csv (deterministic
 columns only), log.txt (human lines including wall time) and, for a search,
-per-epoch checkpoints and rank tables. Every artifact but log.txt and the
-lock is written whole through ``checkpoint.atomic_open``, so a killed run
-leaves each one complete. The lock records its owner's pid; a lock left by a
-process that no longer runs is taken over.
+per-epoch checkpoints, rank tables and the genotypes ``msrnas derive``
+writes; for an eval, result.txt. ``RunDir`` alone names these paths. Every
+artifact but log.txt and the lock is written whole through
+``checkpoint.atomic_open``, so a killed run leaves each one complete. A run
+owns its directory by holding an exclusive ``flock`` (POSIX) on the lock
+file. The kernel drops it when the run exits, however it exits, so the lock
+file a killed run leaves is taken by the next run whatever it says; the pid
+written in it is for people only.
 
 Both stages run one epoch loop (``_train_epochs``): shuffle, batches, loss,
 backward, momentum SGD, the held-out pass, metrics.csv and the log line. A
@@ -22,6 +26,7 @@ that fails to build leaves no run directory.
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 import time
@@ -98,7 +103,10 @@ class MetricsLog:
             if not all(map(math.isfinite, (record.train_loss, record.val_loss,
                                            record.lr))):
                 raise FormatError(f"bad number in metrics row {ln!r}: not finite")
-            log.append(record)
+            try:
+                log.append(record)
+            except StateError as exc:
+                raise FormatError(f"bad metrics row {ln!r}: {exc}") from exc
         return log
 
     def best_epoch(self) -> int:
@@ -110,11 +118,12 @@ class MetricsLog:
 
 
 class RunDir:
-    """Paths and exclusive ownership of one run's output directory."""
+    """Paths and exclusive ownership of one run's output directory; the one
+    place that knows the run-dir layout."""
 
     def __init__(self, root: str):
         self.root = root
-        self._lock_handle = None
+        self._lock_fd: int | None = None
 
     @property
     def checkpoints(self) -> str:
@@ -136,6 +145,17 @@ class RunDir:
     def config_path(self) -> str:
         return os.path.join(self.root, "config.txt")
 
+    @property
+    def lock_path(self) -> str:
+        return os.path.join(self.root, "lock")
+
+    @property
+    def result_path(self) -> str:
+        return os.path.join(self.root, "result.txt")
+
+    def genotype_path(self, mode: str) -> str:
+        return os.path.join(self.root, f"genotype_{mode}.json")
+
     def checkpoint_path(self, epoch: int) -> str:
         return os.path.join(self.checkpoints, f"epoch_{epoch:04d}.msrn")
 
@@ -143,76 +163,47 @@ class RunDir:
         return os.path.join(self.ranks, f"epoch_{epoch:04d}.txt")
 
     def acquire_lock(self) -> None:
-        """Create the run directory and its lock file, which records this
-        process's pid. A lock whose pid names no running process is stale:
-        it is removed and the exclusive create retried once, so of several
-        runs that find the same stale lock only one gets the directory."""
+        """Create the run directory and hold an exclusive ``flock`` on its lock
+        file until ``release_lock``; the kernel drops it when this process
+        exits. The pid written into the file is for people; nothing reads it."""
         os.makedirs(self.root, exist_ok=True)
-        lock = os.path.join(self.root, "lock")
-        for retry in (False, True):
+        while True:
+            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY)
             try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LockError(f"run directory {self.root} is locked by "
+                                "another run") from None
+            # A holder releasing between our open and our flock has unlinked
+            # the file we now hold; lock the one at the path instead.
+            if _names(self.lock_path, fd):
                 break
-            except FileExistsError:
-                if retry or not _remove_stale_lock(lock):
-                    raise LockError(
-                        f"run directory {self.root} is locked by another run "
-                        f"(remove {lock} if stale)"
-                    ) from None
+            os.close(fd)
+        self._lock_fd = fd
+        os.ftruncate(fd, 0)
         os.write(fd, f"pid {os.getpid()}\n".encode())
-        os.close(fd)
-        self._lock_handle = lock
 
     def release_lock(self) -> None:
-        if self._lock_handle and os.path.exists(self._lock_handle):
-            os.unlink(self._lock_handle)
-        self._lock_handle = None
+        # Unlink before unlocking, so no run locks a file about to vanish;
+        # a path that names another file is not this run's to remove.
+        if self._lock_fd is not None:
+            if _names(self.lock_path, self._lock_fd):
+                os.unlink(self.lock_path)
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def log_line(self, text: str) -> None:
         with open(self.log_path, "a", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
-def _remove_stale_lock(lock: str) -> bool:
-    """Remove ``lock`` if the pid it records is not a running process;
-    returns whether the caller may retry creating it. An unreadable or
-    unparseable lock, or a live pid, is left in place."""
+def _names(path: str, fd: int) -> bool:
+    """Whether ``path`` still names the open file ``fd``."""
     try:
-        with open(lock, encoding="utf-8") as fh:
-            text = fh.read()
+        return os.path.samestat(os.stat(path), os.fstat(fd))
     except FileNotFoundError:
-        return True  # released meanwhile
-    except (OSError, UnicodeDecodeError):
         return False
-    try:
-        tag, pid = text.split()
-        pid = int(pid)
-    except ValueError:
-        return False
-    if tag != "pid" or not 0 < pid < 2**31:
-        return False
-    try:
-        os.kill(pid, 0)
-        return False
-    except ProcessLookupError:
-        pass
-    except OSError:  # EPERM: the process runs under another user
-        return False
-    # Move the lock aside before deleting it: a run that took the same stale
-    # lock over first has replaced it with its own by now, and that one is
-    # put back.
-    aside = f"{lock}.{os.getpid()}"
-    try:
-        os.rename(lock, aside)
-    except FileNotFoundError:
-        return True
-    with open(aside, encoding="utf-8", errors="replace") as fh:
-        moved = fh.read()
-    if moved != text:
-        os.rename(aside, lock)
-        return False
-    os.unlink(aside)
-    return True
 
 
 def _epoch_shuffle_seed(base_seed: int, epoch: int, salt: int) -> int:
@@ -316,8 +307,8 @@ def _locked_run(cfg: RunConfig, out_dir: str | None):
     """Yield the run directory, holding its lock, after writing the config
     echo into it."""
     run = RunDir(out_dir or cfg["run.output_dir"])
-    run.acquire_lock()
     try:
+        run.acquire_lock()
         with atomic_open(run.config_path) as fh:
             fh.write(cfg.to_text())
         yield run
@@ -428,7 +419,7 @@ def run_eval(cfg: RunConfig, genotype: Genotype,
         test_loss, test_error = (last_pass
                                  or _held_out_pass(net, test_ds, hyper.batch_size))
         run.log_line(f"final: test_loss={test_loss:.4f} test_error={test_error:.4f}")
-        with atomic_open(os.path.join(run.root, "result.txt")) as fh:
+        with atomic_open(run.result_path) as fh:
             fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")
     return EvalResult(run_dir=run, metrics=metrics, test_loss=test_loss,
                       test_error=test_error, net=net)

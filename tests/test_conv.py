@@ -169,8 +169,7 @@ def test_conv_gradients_match_finite_differences(rng):
     )
 
     def loss_tensor():
-        out = conv2d(x, weight, stride=spec.stride, padding=spec.padding,
-                     dilation=spec.dilation, groups=spec.groups)
+        out = conv2d(x, weight, spec)
         diff = out - target
         return (diff * diff).sum()
 
@@ -362,10 +361,11 @@ def test_pointwise_gradients_match_finite_differences(rng, case):
     o, c, g, s, h, w = case
     x = Tensor(rng.standard_normal((2, c, h, w)), requires_grad=True)
     weight = Tensor(rng.standard_normal((o, c // g, 1, 1)), requires_grad=True)
+    spec = ConvSpec(o, c, 1, 1, stride=s, groups=g, weight=weight.data)
     target = rng.standard_normal((2, o, (h - 1) // s + 1, (w - 1) // s + 1))
 
     def loss_tensor():
-        diff = conv2d(x, weight, stride=s, groups=g) - target
+        diff = conv2d(x, weight, spec) - target
         return (diff * diff).sum()
 
     loss_tensor().backward()

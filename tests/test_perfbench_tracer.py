@@ -198,3 +198,23 @@ def test_search_checks_pass_on_a_tiny_search(tmp_path):
         "finite_losses", "rank_table_derives", "checkpoint_reproduces_ranks",
         "sigma_estimate_oracle", "sigma_oracle"]
     assert all(ok for _, ok, _ in results), results
+
+
+def test_eval_checks_pass_on_a_tiny_eval(tmp_path):
+    """The benchmark's eval checks read metrics.csv and result.txt of an
+    eval run dir by name, and its digest covers both."""
+    checks = load_perfbench("checks")
+    cfg = config_from_text(TINY)
+    searched = train.run_search(cfg, str(tmp_path / "search"))
+    root = str(tmp_path / "eval")
+    result = train.run_eval(cfg, derive_genotype(searched.final_table), root)
+    run = train.RunDir(root)
+    results = checks.eval_checks(run)
+    assert [name for name, _, _ in results] == ["finite_losses", "finite_test_result"]
+    assert all(ok for _, ok, _ in results), results
+    assert results[1][2] == f"{result.test_loss:.4f} {result.test_error:.4f}"
+    digest = checks.run_digest(run, b"")
+    assert len(digest) == 64
+    with open(run.result_path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert checks.run_digest(run, b"") != digest

@@ -427,6 +427,25 @@ def test_conv_rank_report_structure(small_net):
     assert seen == len(list(net.candidates()))
 
 
+def test_conv_rank_report_lists_cells_in_index_order():
+    # With 10 or more cells a text sort would put cell=10 before cell=2.
+    net = build_supernet(tiny_config(cells=12, nodes=4, channels=2, hw=(8, 8)),
+                         SpectralConfig(), dtype=np.float32, seed=1)
+    by_type = {t: [cell.index for cell in net.cells if cell.cell_type == t]
+               for t in ("normal", "reduce")}
+    assert max(by_type["normal"]) >= 10
+    listed = {}
+    for line in conv_rank_report(net).splitlines()[2:-1]:
+        if line.startswith("op "):
+            op = line
+            listed[op] = []
+        else:
+            listed[op].append(int(line.split()[0].removeprefix("cell=")))
+    assert len(listed) == 2 * len(net.cells[0].edges) * 4
+    for op, cells in listed.items():
+        assert cells == by_type[op.split()[1]], op
+
+
 def test_conv_rank_report_scores_each_final_conv_once(small_net, monkeypatch):
     from msrnas import supernet
 

@@ -1,11 +1,15 @@
 """Pipeline harness: run directories, metrics, derivation policy, CLI
 subcommands, artifact round-trips, and determinism."""
 
+import errno
+import fcntl
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -83,6 +87,20 @@ def test_metrics_bad_number_is_format_error(tmp_path, capsys, row):
     assert main(["derive", "--run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[format]: bad number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", [["1,0.5,0.6,0.1", "1,0.5,0.6,0.1"],
+                                  ["2,0.5,0.6,0.1", "1,0.5,0.6,0.1"]],
+                         ids=["repeated", "decreasing"])
+def test_metrics_epoch_out_of_order_is_format_error(tmp_path, capsys, rows):
+    text = "\n".join([METRICS_HEADER, *rows]) + "\n"
+    with pytest.raises(FormatError, match="bad metrics row '1,0.5,0.6,0.1': epoch 1"):
+        MetricsLog.from_csv(text)
+    (tmp_path / "config.txt").write_text(RunConfig().to_text())
+    (tmp_path / "metrics.csv").write_text(text)
+    assert main(["derive", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]: bad metrics row") and err.count("\n") == 1
 
 
 def test_best_epoch_argmin():
@@ -175,36 +193,124 @@ def test_lock_of_a_dead_process_is_taken_over(tmp_path):
     run.release_lock()
 
 
-@pytest.mark.parametrize("text", [f"pid {os.getpid()}\n", "", "pid\n", "pid x\n",
-                                  "pid -1\n", "lock 12\n"])
-def test_lock_of_a_live_process_or_unparseable_lock_is_kept(tmp_path, text):
+# Takes the run-dir lock of argv[1], says so, then holds it until killed or
+# until its stdin closes.
+HOLD_LOCK = """
+import sys
+from msrnas.train import RunDir
+RunDir(sys.argv[1]).acquire_lock()
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+@contextmanager
+def lock_holder(root: str):
+    """A child process holding the lock of run directory ``root``; it is
+    killed and waited for on exit."""
+    src = os.path.dirname(os.path.dirname(train.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-c", HOLD_LOCK, root], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.readline() == b"locked\n"
+            yield child
+        finally:
+            child.kill()
+
+
+def test_lock_held_by_a_live_process_is_kept_until_it_is_killed(tmp_path):
     run = RunDir(str(tmp_path / "r"))
-    lock = write_lock(run.root, text)
-    with pytest.raises(LockError):
-        run.acquire_lock()
-    with open(lock, encoding="utf-8") as fh:
-        assert fh.read() == text
+    with lock_holder(run.root) as child:
+        with open(run.lock_path, encoding="utf-8") as fh:
+            held = fh.read()
+        assert held == f"pid {child.pid}\n"
+        with pytest.raises(LockError, match="locked by another run"):
+            run.acquire_lock()
+        with open(run.lock_path, encoding="utf-8") as fh:
+            assert fh.read() == held
+        child.kill()
+        child.wait()
+    # The killed holder left its lock file; no one removes it.
     assert os.listdir(run.root) == ["lock"]
+    run.acquire_lock()
+    with open(run.lock_path, encoding="utf-8") as fh:
+        assert fh.read() == f"pid {os.getpid()}\n"
+    run.release_lock()
+    assert os.listdir(run.root) == []
 
 
-def test_stale_lock_taken_over_by_another_run_first_is_kept(tmp_path, monkeypatch):
-    # Two runs find the same stale lock. The other one removes it and
-    # creates its own while this one checks the recorded pid.
+@pytest.mark.parametrize("text", ["pid {own}\n", "pid 1\n", "", "lock 12\n",
+                                  "pid 4194304 of a run killed long ago\n"])
+def test_lock_file_no_process_holds_is_taken_whatever_it_says(tmp_path, text):
     run = RunDir(str(tmp_path / "r"))
-    lock = write_lock(run.root, f"pid {dead_pid()}\n")
-    kill = os.kill
-
-    def other_run_takes_over(pid, sig):
-        os.unlink(lock)
-        write_lock(run.root, f"pid {os.getppid()}\n")
-        return kill(pid, sig)
-
-    monkeypatch.setattr(os, "kill", other_run_takes_over)
-    with pytest.raises(LockError):
-        run.acquire_lock()
-    with open(lock, encoding="utf-8") as fh:
-        assert fh.read() == f"pid {os.getppid()}\n"
+    write_lock(run.root, text.format(own=os.getpid()))
+    run.acquire_lock()
+    with open(run.lock_path, encoding="utf-8") as fh:
+        assert fh.read() == f"pid {os.getpid()}\n"
     assert os.listdir(run.root) == ["lock"]
+    run.release_lock()
+
+
+@pytest.mark.parametrize("replaced", [True, False], ids=["replaced", "removed"])
+def test_lock_released_between_open_and_flock_is_retried(tmp_path, monkeypatch,
+                                                         replaced):
+    # A holder releases (unlinks the file, then unlocks) after this run
+    # opened the file and before it locks it; another run may already have
+    # created a new one. This run must end up holding the file at the path.
+    run = RunDir(str(tmp_path / "r"))
+    lock = write_lock(run.root, "pid 1\n")
+    flock = fcntl.flock
+    calls = []
+
+    def released_meanwhile(fd, op):
+        calls.append(op)
+        if len(calls) == 1:
+            os.unlink(lock)
+            if replaced:
+                write_lock(run.root, "pid 1\n")
+        return flock(fd, op)
+
+    monkeypatch.setattr(fcntl, "flock", released_meanwhile)
+    run.acquire_lock()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    with open(lock, encoding="utf-8") as fh:
+        assert fh.read() == f"pid {os.getpid()}\n"
+    with pytest.raises(LockError):
+        RunDir(run.root).acquire_lock()
+    run.release_lock()
+    assert os.listdir(run.root) == []
+
+
+def test_release_leaves_a_lock_file_it_does_not_hold(tmp_path):
+    # The lock file of a live run was removed by hand and another run has
+    # locked a new one; the first run's release must not remove it.
+    run = RunDir(str(tmp_path / "r"))
+    run.acquire_lock()
+    os.unlink(run.lock_path)
+    other = RunDir(run.root)
+    other.acquire_lock()
+    run.release_lock()
+    assert os.listdir(run.root) == ["lock"]
+    other.release_lock()
+    assert os.listdir(run.root) == []
+
+
+def test_lock_is_released_when_writing_its_pid_fails(tmp_path, monkeypatch):
+    def disk_full(fd, length):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    root = str(tmp_path / "r")
+    monkeypatch.setattr(os, "ftruncate", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        with train._locked_run(tiny_cfg(root), None):
+            pass
+    monkeypatch.undo()
+    assert os.listdir(root) == []
+    run = RunDir(root)
+    run.acquire_lock()
+    run.release_lock()
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +535,30 @@ def test_derive_is_deterministic_bytes(tmp_path, one_epoch_run):
     assert main(["derive", "--run", out, "--out", str(a)]) == 0
     assert main(["derive", "--run", out, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_derive_writes_the_run_dirs_genotype_whole(tmp_path, one_epoch_run,
+                                                 monkeypatch, capsys):
+    out = str(tmp_path / "search")
+    shutil.copytree(one_epoch_run[0], out)
+    run = RunDir(out)
+    assert main(["derive", "--run", out, "--mode", "max"]) == 0
+    assert capsys.readouterr().out.endswith(f"-> {run.genotype_path('max')}\n")
+    with open(run.genotype_path("max"), encoding="utf-8") as fh:
+        written = fh.read()
+    Genotype.from_json_str(written).validate()
+
+    # A derive that fails while writing keeps the earlier genotype.
+    def failing(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Genotype, "to_json_str", failing)
+    with pytest.raises(OSError):
+        main(["derive", "--run", out, "--mode", "max"])
+    with open(run.genotype_path("max"), encoding="utf-8") as fh:
+        assert fh.read() == written
+    assert not [name for _, _, names in os.walk(out) for name in names
+                if name.endswith(".tmp")]
 
 
 def test_ranks_report_stable_across_invocations(tmp_path, one_epoch_run, capsys):
