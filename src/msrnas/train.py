@@ -185,8 +185,7 @@ class RunDir:
         os.write(fd, f"pid {os.getpid()}\n".encode())
 
     def release_lock(self) -> None:
-        # Unlink before unlocking, so no run locks a file about to vanish;
-        # a path that names another file is not this run's to remove.
+        # Unlink before unlocking, and only while the path names this run's file.
         if self._lock_fd is not None:
             if _names(self.lock_path, self._lock_fd):
                 os.unlink(self.lock_path)
