@@ -2,12 +2,21 @@
 
 Layout: 4 magic bytes "MSRN", little-endian u32 version, then a sequence of
 records, each: u32 name length, utf-8 name, u8 dtype code (0=f32, 1=f64),
-u32 ndim, ndim x u64 extents, raw row-major data. The checkpoint stores all
-parameter tensors (value, momentum), batchnorm running statistics,
-power-iteration vectors, the epoch counter, and enough configuration scalars
-to rebuild the network from the file alone. Gradients are not stored,
-because every step clears them before use; ``grad/*`` records and the
-``meta/spectral/frobenius_kernel`` scalar of older files are ignored on load.
+u32 ndim, ndim x u64 extents, raw row-major data.
+
+A checkpoint holds the epoch counter and dtype, one ``meta/net/*`` or
+``meta/spectral/*`` scalar per field of ``SupernetConfig`` and
+``SpectralConfig`` (``input_hw`` as ``input_h`` and ``input_w``), enough to
+rebuild the network from the file alone, and then the network's arrays.
+One list names those arrays (``_state_records``): per parameter
+``param/<name>`` and ``momentum/<name>``, then every ``buffer/<name>``
+(batchnorm running statistics), then every ``pivec/<handle>``
+(power-iteration vector). Saving writes that list; loading walks the same
+list, and every record on it must be present with the shape of the array it
+is copied into, or a ``FormatError`` names it. Records off the list are
+ignored on load: ``grad/*`` (every step clears gradients before use) and
+the ``meta/spectral/frobenius_kernel`` and ``meta/net/input_channels``
+scalars of older files.
 
 Every file msrnas writes whole (checkpoints, rank tables, metrics, config
 echo, result, derived genotype, rank report) goes through ``atomic_open``,
@@ -20,11 +29,13 @@ from __future__ import annotations
 import os
 import struct
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import FormatError
 from .spectral import SpectralConfig
+from .supernet import SupernetConfig, build_supernet
 
 MAGIC = b"MSRN"
 VERSION = 1
@@ -112,48 +123,53 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 # Network-level checkpointing -------------------------------------------------
 
+# A tuple config field is stored as one scalar record per element.
+_ELEMENTS = {"input_hw": ("input_h", "input_w")}
+
 
 def _meta_scalar(value) -> np.ndarray:
     return np.asarray(float(value), dtype=np.float64)
 
 
-def checkpoint_tensors(net, epoch: int) -> dict[str, np.ndarray]:
-    """Collect every persistent array of a supernet into one named dict."""
-    cfg = net.cfg
-    scfg = net.spectral_cfg
-    tensors: dict[str, np.ndarray] = {
-        "meta/epoch": _meta_scalar(epoch),
-        "meta/dtype": _meta_scalar(0 if net.dtype == np.float32 else 1),
-        "meta/net/cells": _meta_scalar(cfg.cells),
-        "meta/net/nodes": _meta_scalar(cfg.nodes),
-        "meta/net/initial_channels": _meta_scalar(cfg.initial_channels),
-        "meta/net/num_classes": _meta_scalar(cfg.num_classes),
-        "meta/net/input_channels": _meta_scalar(cfg.input_channels),
-        "meta/net/input_h": _meta_scalar(cfg.input_hw[0]),
-        "meta/net/input_w": _meta_scalar(cfg.input_hw[1]),
-        "meta/spectral/target_norm": _meta_scalar(scfg.target_norm),
-        "meta/spectral/iterations": _meta_scalar(scfg.iterations),
-        "meta/spectral/rank_iterations": _meta_scalar(scfg.rank_iterations),
-        "meta/spectral/seed": _meta_scalar(scfg.seed),
-    }
+def _config_records(section: str, cfg) -> dict[str, np.ndarray]:
+    """``meta/<section>/<field>`` scalars, one per field of a config dataclass."""
+    records = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in _ELEMENTS:
+            pairs = zip(_ELEMENTS[f.name], value)
+        else:
+            pairs = [(f.name, value)]
+        for name, element in pairs:
+            records[f"meta/{section}/{name}"] = _meta_scalar(element)
+    return records
+
+
+def _state_records(net):
+    """Every array of the network a checkpoint stores, as ``(record name,
+    live array)`` pairs in file order: per parameter its value then its
+    momentum, then the buffers, then the power-iteration vectors."""
     for name, param in net.named_parameters():
-        tensors[f"param/{name}"] = param.data
-        tensors[f"momentum/{name}"] = param.momentum
+        yield f"param/{name}", param.data
+        yield f"momentum/{name}", param.momentum
     for name, buf in net.named_buffers():
-        tensors[f"buffer/{name}"] = buf
+        yield f"buffer/{name}", buf
     for handle in net.handles:
-        tensors[f"pivec/{handle.name}"] = handle.vector
-    return tensors
+        yield f"pivec/{handle.name}", handle.vector
 
 
 def save_checkpoint(path, net, epoch: int) -> None:
-    save_tensors(path, checkpoint_tensors(net, epoch))
+    save_tensors(path, {
+        "meta/epoch": _meta_scalar(epoch),
+        "meta/dtype": _meta_scalar(0 if net.dtype == np.float32 else 1),
+        **_config_records("net", net.cfg),
+        **_config_records("spectral", net.spectral_cfg),
+        **dict(_state_records(net)),
+    })
 
 
 def load_checkpoint(path):
     """Rebuild the supernet stored at `path`; returns (net, epoch)."""
-    from .supernet import SupernetConfig, build_supernet
-
     tensors = load_tensors(path)
 
     def meta(name: str) -> float:
@@ -162,53 +178,33 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: checkpoint missing metadata '{key}'")
         return float(tensors[key])
 
-    cfg = SupernetConfig(
-        cells=int(meta("net/cells")),
-        nodes=int(meta("net/nodes")),
-        initial_channels=int(meta("net/initial_channels")),
-        num_classes=int(meta("net/num_classes")),
-        input_channels=int(meta("net/input_channels")),
-        input_hw=(int(meta("net/input_h")), int(meta("net/input_w"))),
-    )
-    scfg = SpectralConfig(
-        target_norm=meta("spectral/target_norm"),
-        iterations=int(meta("spectral/iterations")),
-        rank_iterations=int(meta("spectral/rank_iterations")),
-        seed=int(meta("spectral/seed")),
-    )
+    def config(section: str, cls):
+        values = {}
+        for f in fields(cls):
+            if f.name in _ELEMENTS:
+                values[f.name] = tuple(int(meta(f"{section}/{name}"))
+                                       for name in _ELEMENTS[f.name])
+            else:
+                values[f.name] = type(f.default)(meta(f"{section}/{f.name}"))
+        return cls(**values)
+
     dtype = np.float32 if meta("dtype") == 0 else np.float64
-    net = build_supernet(cfg, scfg, dtype=dtype, seed=0)
+    net = build_supernet(config("net", SupernetConfig), config("spectral", SpectralConfig),
+                         dtype=dtype, seed=0)
     restore_into(net, tensors, path)
     return net, int(meta("epoch"))
 
 
-def restore_into(net, tensors: dict[str, np.ndarray], origin: str = "checkpoint") -> None:
-    """Copy stored arrays into a freshly built network, matching by name.
+def restore_into(net, tensors: dict[str, np.ndarray], origin: str) -> None:
+    """Copy stored arrays into a freshly built network, in place.
 
-    Every record must have the shape of the array it replaces.
+    Every record ``_state_records`` names must be present, with the shape of
+    the array it replaces.
     """
-
-    def stored(key: str, shape: tuple, dtype) -> np.ndarray:
-        value = tensors[key]
-        if value.shape != shape:
-            raise FormatError(f"{origin}: record '{key}' shape {value.shape} != {shape}")
-        return value.astype(dtype)
-
-    for name, param in net.named_parameters():
-        key = f"param/{name}"
+    for key, array in _state_records(net):
         if key not in tensors:
-            raise FormatError(f"{origin}: missing parameter '{name}'")
-        param.data[...] = stored(key, param.data.shape, param.data.dtype)
-        mom_key = f"momentum/{name}"
-        if mom_key in tensors:
-            param.momentum = stored(mom_key, param.data.shape, param.data.dtype)
-    for name, buf in net.named_buffers():
-        key = f"buffer/{name}"
-        if key not in tensors:
-            raise FormatError(f"{origin}: missing buffer '{name}'")
-        buf[...] = stored(key, buf.shape, buf.dtype)
-    for handle in net.handles:
-        key = f"pivec/{handle.name}"
-        if key in tensors:
-            shape = (1, handle.spec.in_channels, *handle.in_hw)
-            handle.vector = stored(key, shape, handle.spec.weight.dtype)
+            raise FormatError(f"{origin}: missing record '{key}'")
+        if tensors[key].shape != array.shape:
+            raise FormatError(
+                f"{origin}: record '{key}' shape {tensors[key].shape} != {array.shape}")
+        array[...] = tensors[key]

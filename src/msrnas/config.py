@@ -187,7 +187,6 @@ class RunConfig:
             nodes=int(self["net.nodes"]),
             initial_channels=int(self["net.channels"]),
             num_classes=self.num_classes,
-            input_channels=3,
             input_hw=self.input_hw,
         )
 

@@ -57,7 +57,7 @@ class ConvSpec:
     padding: int = 0
     dilation: int = 1
     groups: int = 1
-    weight: np.ndarray = field(default=None, repr=False)
+    weight: np.ndarray = field(repr=False, kw_only=True)
 
     def __post_init__(self):
         for name in ("out_channels", "in_channels", "kernel_h", "kernel_w",
@@ -73,8 +73,6 @@ class ConvSpec:
             )
         expected = (self.out_channels, self.in_channels // self.groups,
                     self.kernel_h, self.kernel_w)
-        if self.weight is None:
-            self.weight = np.zeros(expected)
         self.weight = np.asarray(self.weight)
         if self.weight.shape != expected:
             raise ConstructionError(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .checkpoint import atomic_open
 from .errors import ArgumentError, DerivationError, FormatError, GenotypeError
 from .operators import OPERATOR_NAMES
 
@@ -280,11 +279,6 @@ def rank_table_from_text(text: str) -> RankTable:
         epoch=meta.get("epoch", 0),
         seed=meta.get("seed", 0),
     )
-
-
-def save_rank_table(path, table: RankTable) -> None:
-    with atomic_open(path) as fh:
-        fh.write(rank_table_to_text(table))
 
 
 def load_rank_table(path) -> RankTable:

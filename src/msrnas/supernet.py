@@ -28,12 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .derive import CELL_TYPES, Genotype, RankTable, cell_edges, intermediate_nodes
-from .errors import (
-    ConstructionError,
-    DimensionError,
-    GenotypeError,
-    StateError,
-)
+from .errors import ConstructionError, GenotypeError, StateError
 from .layers import BatchNorm2d, Conv2d, Linear, Module, global_avg_pool
 from .operators import (
     OPERATOR_ORDER,
@@ -60,7 +55,6 @@ class SupernetConfig:
     nodes: int = 7
     initial_channels: int = 16
     num_classes: int = 10
-    input_channels: int = 3
     input_hw: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
@@ -197,12 +191,12 @@ class DiscreteCell(_Cell):
 
 
 class Stem(Module):
-    """3x3 conv to the stem width followed by BN (no ReLU)."""
+    """3x3 conv from the 3 (RGB) input channels to the stem width followed
+    by BN (no ReLU)."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 in_hw: tuple[int, int], *, rng, dtype):
+    def __init__(self, out_channels: int, in_hw: tuple[int, int], *, rng, dtype):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, padding=1, in_hw=in_hw,
+        self.conv = Conv2d(3, out_channels, 3, padding=1, in_hw=in_hw,
                            rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
@@ -219,8 +213,7 @@ class _NetworkBase(Module):
         self.dtype = dtype
         rng = np.random.Generator(np.random.PCG64([seed & 0xFFFFFFFF, 0x5EED]))
         stem_channels = STEM_MULTIPLIER * cfg.initial_channels
-        self.stem = Stem(cfg.input_channels, stem_channels, cfg.input_hw,
-                         rng=rng, dtype=dtype)
+        self.stem = Stem(stem_channels, cfg.input_hw, rng=rng, dtype=dtype)
         self.cells: list[_Cell] = []
         c_pp, c_p = stem_channels, stem_channels
         hw_pp, hw_p = cfg.input_hw, cfg.input_hw
@@ -296,11 +289,6 @@ class Supernet(_NetworkBase):
             raise StateError(
                 "spectral adjustment has not been applied this step; call "
                 "adjust_all() after begin_step() and before the forward pass"
-            )
-        if x.data.shape[1] != self.cfg.input_channels:
-            raise DimensionError(
-                f"expected {self.cfg.input_channels} input channels, "
-                f"got {x.data.shape[1]}"
             )
         return self.logits(x)
 

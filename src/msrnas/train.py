@@ -40,17 +40,11 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import atomic_open, save_checkpoint
 from .config import RunConfig
 from .data import Dataset, batches, split_train_val
-from .derive import Genotype, RankTable, load_rank_table, save_rank_table
+from .derive import Genotype, RankTable, load_rank_table, rank_table_to_text
 from .errors import ArgumentError, FormatError, LockError, NumericsError, StateError
 from .layers import cross_entropy
 from .optim import TrainHyper, cosine_lr, sgd_momentum_step
-from .supernet import (
-    DiscreteNetwork,
-    Supernet,
-    build_discrete_network,
-    build_supernet,
-    collect_rank_table,
-)
+from .supernet import build_discrete_network, build_supernet, collect_rank_table
 
 METRICS_HEADER = "epoch,train_loss,val_loss,lr"
 
@@ -324,7 +318,6 @@ class SearchResult:
     run_dir: RunDir
     metrics: MetricsLog
     final_table: RankTable
-    net: Supernet
 
 
 def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
@@ -341,7 +334,8 @@ def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
         nonlocal table
         table = collect_rank_table(net, epoch=epoch)
         save_checkpoint(run.checkpoint_path(epoch), net, epoch)
-        save_rank_table(run.rank_table_path(epoch), table)
+        with atomic_open(run.rank_table_path(epoch)) as fh:
+            fh.write(rank_table_to_text(table))
 
     def adjust() -> None:
         net.begin_step()
@@ -362,7 +356,7 @@ def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
         metrics, _ = _train_epochs(cfg, hyper, run, net, train_ds, val_ds, "val",
                                    salt=0xBA7C, before_step=adjust,
                                    end_epoch=snapshot)
-    return SearchResult(run_dir=run, metrics=metrics, final_table=table, net=net)
+    return SearchResult(run_dir=run, metrics=metrics, final_table=table)
 
 
 def choose_epoch(run_root: str, epoch: int | None, policy: str) -> int:
@@ -395,7 +389,6 @@ class EvalResult:
     metrics: MetricsLog
     test_loss: float
     test_error: float
-    net: DiscreteNetwork
 
 
 def run_eval(cfg: RunConfig, genotype: Genotype,
@@ -421,4 +414,4 @@ def run_eval(cfg: RunConfig, genotype: Genotype,
         with atomic_open(run.result_path) as fh:
             fh.write(f"test_loss {test_loss!r}\ntest_error {test_error!r}\n")
     return EvalResult(run_dir=run, metrics=metrics, test_loss=test_loss,
-                      test_error=test_error, net=net)
+                      test_error=test_error)

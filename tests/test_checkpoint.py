@@ -11,9 +11,10 @@ from msrnas.checkpoint import (
     save_checkpoint,
     save_tensors,
 )
+from msrnas.derive import rank_table_to_text
 from msrnas.errors import FormatError
 from msrnas.spectral import SpectralConfig
-from msrnas.supernet import SupernetConfig, build_supernet
+from msrnas.supernet import SupernetConfig, build_supernet, collect_rank_table
 
 
 def test_tensor_container_roundtrip(tmp_path, rng):
@@ -77,7 +78,7 @@ def test_container_rejects_truncation(tmp_path, rng):
 def test_checkpoint_restores_network_state(tmp_path, rng):
     # Every field differs from its default, so a dropped metadata record shows.
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
-                         input_channels=2, input_hw=(8, 12))
+                         input_hw=(8, 12))
     scfg = SpectralConfig(target_norm=1.5, iterations=2, rank_iterations=7, seed=11)
     net = build_supernet(cfg, scfg, dtype=np.float64, seed=3)
     net.begin_step()
@@ -115,17 +116,18 @@ def test_checkpoint_file_stable_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_checkpoint_missing_param_detected(tmp_path):
+@pytest.mark.parametrize("prefix", ["param", "momentum", "buffer", "pivec"])
+def test_checkpoint_missing_param_detected(tmp_path, prefix):
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
                          input_hw=(8, 8))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
     path = tmp_path / "ck.msrn"
     save_checkpoint(path, net, epoch=0)
     tensors = load_tensors(path)
-    victim = next(k for k in tensors if k.startswith("param/"))
+    victim = next(k for k in tensors if k.startswith(f"{prefix}/"))
     del tensors[victim]
     save_tensors(path, tensors)
-    with pytest.raises(FormatError, match="missing parameter"):
+    with pytest.raises(FormatError, match=f"missing record '{victim}'"):
         load_checkpoint(path)
 
 
@@ -161,6 +163,28 @@ def test_checkpoint_with_frobenius_kernel_key_loads(tmp_path):
     originals = dict(net.named_parameters())
     for name, param in restored.named_parameters():
         np.testing.assert_array_equal(param.data, originals[name].data)
+
+
+def test_checkpoint_with_input_channels_key_loads(tmp_path):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=3)
+    tensors = load_tensors(path)
+    assert "meta/net/input_channels" not in tensors
+    # Files written while the input channel count was a setting carry it
+    # after the class count.
+    names = list(tensors)
+    at = names.index("meta/net/num_classes") + 1
+    names.insert(at, "meta/net/input_channels")
+    tensors["meta/net/input_channels"] = np.asarray(3.0)
+    save_tensors(path, {name: tensors[name] for name in names})
+    restored, epoch = load_checkpoint(path)
+    assert epoch == 3
+    assert restored.cfg == cfg
+    assert (rank_table_to_text(collect_rank_table(restored, epoch=epoch))
+            == rank_table_to_text(collect_rank_table(net, epoch=epoch)))
 
 
 def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from msrnas.autodiff import Tensor, no_grad
 from msrnas.derive import SelectionMode, derive_genotype
-from msrnas.errors import ConstructionError, GenotypeError, StateError
+from msrnas.errors import ConstructionError, DimensionError, GenotypeError, StateError
 from msrnas.layers import cross_entropy
 from msrnas.operators import OPERATOR_NAMES, OperatorKind
 from msrnas.spectral import SpectralConfig, power_iteration, stable_rank
@@ -189,6 +189,17 @@ def test_forward_requires_adjustment_each_step(small_net):
     with pytest.raises(StateError):
         net(x)
     net.adjust_all()
+
+
+def test_stem_conv_rejects_a_batch_that_is_not_rgb(small_net):
+    _, net = small_net
+    x = Tensor(np.zeros((2, 2, 16, 16), dtype=np.float32))
+    net.eval()
+    # The message is the stem conv's own input check.
+    with no_grad(), pytest.raises(DimensionError,
+                                  match="conv expects 3 input channels, got 2"):
+        net(x)
+    net.train()
 
 
 def test_eval_mode_forward_is_batch_order_equivariant(small_net):
@@ -425,6 +436,21 @@ def test_conv_rank_report_structure(small_net):
         assert got == pytest.approx(expected[op, int(fields["cell"])], rel=1e-5)
         seen += 1
     assert seen == len(list(net.candidates()))
+
+
+def test_conv_rank_report_marks_a_zero_conv_degenerate():
+    net = build_supernet(tiny_config(cells=3, nodes=5, channels=4, hw=(8, 8)),
+                         SpectralConfig(), dtype=np.float64, seed=4)
+    cell, edge, op = next(net.candidates())
+    op.fin_conv.spec.weight[...] = 0.0
+    lines = conv_rank_report(net).splitlines()
+    head = (f"op {cell.cell_type} edge=({edge[0]},{edge[1]}) "
+            f"kind={op.kind.value} rbar=degenerate")
+    at = lines.index(head)
+    # A 3-cell net has one normal cell, so the entry lists that cell only.
+    assert lines[at + 1] == f"  cell={cell.index} rank=degenerate sigma=nan fro=0"
+    assert lines[at + 2].startswith("op ")
+    assert sum("degenerate" in line for line in lines) == 2
 
 
 def test_conv_rank_report_lists_cells_in_index_order():

@@ -142,6 +142,37 @@ def test_non_finite_held_out_loss_stops_before_its_row(tmp_path, capsys, monkeyp
     assert not os.path.exists(tmp_path / "cli" / "result.txt")
 
 
+def test_non_finite_training_loss_names_the_stem_conv(tmp_path, capsys, monkeypatch):
+    def one_inf_pixel(ds, batch_size, *, shuffle_seed, augment):
+        for imgs, labels in train_batches(ds, batch_size, shuffle_seed=shuffle_seed,
+                                          augment=augment):
+            if shuffle_seed is not None:  # a training batch
+                imgs[0, 0, 0, 0] = np.inf
+            yield imgs, labels
+
+    train_batches = train.batches
+    monkeypatch.setattr(train, "batches", one_inf_pixel)
+    message = ("non-finite loss at epoch 1; first bad tensor: "
+               "non-finite output in net.stem.conv")
+    out = tmp_path / "api"
+    # inf times a zero band entry is nan: numpy warns, and warnings fail the suite.
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as caught:
+        run_search(tiny_cfg(str(out)))
+    assert str(caught.value) == message
+    with open(out / "metrics.csv") as fh:
+        assert fh.read() == METRICS_HEADER + "\n"
+    assert os.listdir(out / "checkpoints") == ["epoch_0000.msrn"]
+    assert os.listdir(out / "ranks") == ["epoch_0000.txt"]
+    assert not os.path.exists(out / "lock")
+
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY + f"run.output_dir = {tmp_path / 'cli'}\n")
+    with np.errstate(invalid="ignore"):
+        assert main(["search", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error[numerics]: {message}\n"
+    assert not os.path.exists(tmp_path / "cli" / "lock")
+
+
 def test_reading_a_run_creates_no_directory(tmp_path, capsys):
     missing = tmp_path / "missing"
     run = RunDir(str(missing))
