@@ -114,10 +114,6 @@ class Tensor:
         self._node = _Node(self.data.shape, self.data.dtype) if requires_grad else None
 
     @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -181,23 +177,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -205,14 +189,8 @@ class Tensor:
     def __getitem__(self, key):
         return slice_(self, key)
 
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ArgumentError, MsrnasError
+from .errors import MsrnasError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,12 +23,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--config", required=True, help="run config file")
     p_search.add_argument("--out", default=None, help="override run.output_dir")
 
-    p_derive = sub.add_parser("derive", help="derive a genotype from a search run")
+    p_derive = sub.add_parser(
+        "derive", help="derive a genotype from a search run's rank tables")
     p_derive.add_argument("--run", required=True, help="search run directory")
     p_derive.add_argument("--epoch", type=int, default=None,
-                          help="use this epoch's rank table (default: policy)")
-    p_derive.add_argument("--mode", choices=("min", "max"), default=None,
-                          help="selection mode (default: from run config)")
+                          help="use this epoch's rank table "
+                               "(default: the epoch with the least val_loss)")
+    p_derive.add_argument("--mode", choices=("min", "max"), default="min",
+                          help="keep each edge's minimum (default) or "
+                               "maximum stable-rank operator")
     p_derive.add_argument("--out", default=None, help="genotype output path")
 
     p_eval = sub.add_parser("eval", help="train a derived architecture from scratch")
@@ -59,22 +62,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    import os
-
     from .checkpoint import atomic_open
-    from .config import load_run_config
     from .derive import SelectionMode, derive_genotype
     from .train import RunDir, choose_epoch, load_epoch_table
 
-    run = RunDir(args.run)
-    if not os.path.exists(run.config_path):
-        raise ArgumentError(f"{args.run} is not a search run (no config.txt)")
-    cfg = load_run_config(run.config_path)
-    mode = SelectionMode(args.mode) if args.mode else cfg["derive.mode"]
-    epoch = choose_epoch(args.run, args.epoch, cfg["derive.epoch_policy"])
+    mode = SelectionMode(args.mode)
+    epoch = choose_epoch(args.run, args.epoch)
     table = load_epoch_table(args.run, epoch)
     genotype = derive_genotype(table, mode=mode)
-    out_path = args.out or run.genotype_path(mode.value)
+    out_path = args.out or RunDir(args.run).genotype_path(mode.value)
     with atomic_open(out_path) as fh:
         fh.write(genotype.to_json_str())
     print(f"derived {mode.value}-mode genotype from epoch {epoch} -> {out_path}")

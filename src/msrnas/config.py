@@ -2,13 +2,14 @@
 
 Each non-comment line reads ``section.key = value``. Unknown or duplicate
 keys are errors so typos in experiment sweeps fail loudly. A RunConfig
-aggregates everything the pipeline commands need and knows how to build the
-dataset, supernet config, and hyperparameters from itself.
+aggregates everything a search or an eval run needs and knows how to build
+the dataset, supernet config, and hyperparameters from itself.
 
 The ``split.*``, ``train.*`` and ``spectral.*`` keys are the fields of
 SplitSpec, TrainHyper and SpectralConfig; their defaults live only in those
-dataclasses. The ``data.*``, ``net.*``, ``run.*`` and ``derive.*`` defaults
-live in SCHEMA below.
+dataclasses. The ``data.*``, ``net.*`` and ``run.*`` defaults live in SCHEMA
+below. Nothing here configures derivation: ``msrnas derive`` reads only a
+run's rank tables and metrics.csv.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import CIFAR_CLASSES, Dataset, SplitSpec, load_cifar10, synth_dataset
-from .derive import SelectionMode
 from .errors import ConfigError
 from .optim import TrainHyper
 from .spectral import SpectralConfig
@@ -40,27 +40,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got '{text}'")
     return value
-
-
-def _parse_mode(text: str) -> SelectionMode:
-    try:
-        return SelectionMode(text)
-    except ValueError:
-        raise ConfigError(f"mode must be 'min' or 'max', got '{text}'") from None
-
-
-def _parse_policy(text: str) -> str:
-    if text == "min_val_loss":
-        return text
-    if text.startswith("fixed:"):
-        try:
-            int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad fixed-epoch policy '{text}'") from None
-        return text
-    raise ConfigError(
-        f"epoch policy must be 'min_val_loss' or 'fixed:<epoch>', got '{text}'"
-    )
 
 
 def _fields_of(section: str, cls) -> dict[str, tuple]:
@@ -93,8 +72,6 @@ SCHEMA: dict[str, tuple] = {
     "run.seed": (int, 0),
     "run.output_dir": (str, "run"),
     "run.dtype": (str, "float32"),
-    "derive.mode": (_parse_mode, SelectionMode.MIN_STABLE_RANK),
-    "derive.epoch_policy": (_parse_policy, "min_val_loss"),
 }
 
 
@@ -211,8 +188,6 @@ class RunConfig:
         value = self.values[key]
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, SelectionMode):
-            return value.value
         return str(value)
 
 

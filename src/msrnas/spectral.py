@@ -71,15 +71,10 @@ class ConvHandle:
         self.name = name
         self.seed = seed
         self.geometry = conv_geometry(spec, self.in_hw)
-        self.vector = self.fresh_vector()
-
-    def fresh_vector(self) -> np.ndarray:
-        """The unit vector this handle's iteration starts from."""
-        rng = np.random.Generator(np.random.PCG64(_seed_for(self.name, self.seed)))
-        h, w = self.in_hw
-        v = rng.standard_normal((1, self.spec.in_channels, h, w))
-        v = v.astype(self.spec.weight.dtype)
-        return v / np.linalg.norm(v)
+        rng = np.random.Generator(np.random.PCG64(_seed_for(name, seed)))
+        v = rng.standard_normal((1, spec.in_channels) + self.in_hw)
+        v = v.astype(spec.weight.dtype)
+        self.vector = v / np.linalg.norm(v)
 
 
 def conv_geometry(spec: ConvSpec, in_hw: tuple[int, int]) -> tuple:
@@ -122,7 +117,10 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
     block-diagonal conv, one forward and one adjoint call per iteration,
     with norms taken per member, so each member's iterates are those of a
     run on its own. Each estimate is an under-estimate of the true norm and
-    is non-decreasing across iterations (Rayleigh-quotient ascent).
+    is non-decreasing across iterations (Rayleigh-quotient ascent). An
+    all-zero kernel or an iterate that vanishes raises
+    DegenerateOperatorError naming the member, and no member's vector
+    changes.
     """
     first = handles[0]
     for handle in handles:
@@ -144,25 +142,13 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
     # Row k of a (and of b) is member k's iterate.
     a = np.concatenate([handle.vector.reshape(1, -1) for handle in handles])
     band, adjoint_band = conv_bands(spec, first.in_hw, a.dtype)
-    restarted: set[int] = set()
-    i = 0
-    while i < iterations:
+    for _ in range(iterations):
         b = conv2d_forward(a.reshape(in_shape), spec, band=band).reshape(m, -1)
         nb = np.linalg.norm(b, axis=1)
-        collapsed = np.flatnonzero(nb == 0.0)
-        if collapsed.size:
-            # a member's vector landed in its null space; one reseed is enough
-            # for any nonzero kernel outside measure-zero cases. The others
-            # keep their iterates and repeat this iteration unchanged.
-            for k in collapsed:
-                if k in restarted:
-                    raise DegenerateOperatorError(
-                        f"power iteration collapsed twice in {handles[k].name}",
-                        handle=handles[k],
-                    )
-                a[k] = handles[k].fresh_vector().reshape(-1)
-                restarted.add(k)
-            continue
+        for k in np.flatnonzero(nb == 0.0):
+            raise DegenerateOperatorError(
+                f"forward iterate vanished in {handles[k].name}", handle=handles[k]
+            )
         b /= nb[:, None]
         a = conv2d_transpose_forward(b.reshape(out_shape), spec, input_hw=first.in_hw,
                                      band=adjoint_band).reshape(m, -1)
@@ -172,7 +158,6 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
                 f"adjoint iterate vanished in {handles[k].name}", handle=handles[k]
             )
         a /= na[:, None]
-        i += 1
     for k, handle in enumerate(handles):
         handle.vector = a[k].reshape(vec_shape)
     out = conv2d_forward(a.reshape(in_shape), spec, band=band).reshape(m, -1)

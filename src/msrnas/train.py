@@ -265,12 +265,14 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
             for p in params:
                 p.zero_grad()
             images = Tensor(imgs)
-            loss = cross_entropy(net(images), labels)
-            if not np.isfinite(loss.data).all():
-                culprit = _diagnose_non_finite(net, images, labels)
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}; first bad tensor: {culprit}"
-                )
+            # The finite-loss check reports a non-finite input; numpy need not.
+            with np.errstate(invalid="ignore", over="ignore"):
+                loss = cross_entropy(net(images), labels)
+                if not np.isfinite(loss.data).all():
+                    culprit = _diagnose_non_finite(net, images, labels)
+                    raise NumericsError(
+                        f"non-finite loss at epoch {epoch}; first bad tensor: {culprit}"
+                    )
             loss.backward()
             sgd_momentum_step(params, lr, hyper)
             total_loss += float(loss.data) * len(labels)
@@ -359,12 +361,11 @@ def run_search(cfg: RunConfig, out_dir: str | None = None) -> SearchResult:
     return SearchResult(run_dir=run, metrics=metrics, final_table=table)
 
 
-def choose_epoch(run_root: str, epoch: int | None, policy: str) -> int:
-    """Resolve which epoch's rank table derivation should use."""
+def choose_epoch(run_root: str, epoch: int | None) -> int:
+    """The epoch whose rank table derivation uses: ``epoch`` when given,
+    else the one with the least validation loss in metrics.csv."""
     if epoch is not None:
         return epoch
-    if policy.startswith("fixed:"):
-        return int(policy.split(":", 1)[1])
     metrics_path = RunDir(run_root).metrics_path
     try:
         with open(metrics_path, "r", encoding="utf-8") as fh:

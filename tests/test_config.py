@@ -5,7 +5,6 @@ import pytest
 
 from msrnas.cli import main
 from msrnas.config import RunConfig, config_from_text, parse_config_text
-from msrnas.derive import SelectionMode
 from msrnas.errors import ConfigError
 
 
@@ -22,7 +21,6 @@ def test_defaults_match_search_protocol():
     assert spectral.target_norm == 1.0 and spectral.iterations == 5
     split = cfg.make_split_spec()
     assert split.train_fraction == 0.8
-    assert cfg["derive.mode"] is SelectionMode.MIN_STABLE_RANK
 
 
 def test_parse_known_keys_and_comments():
@@ -32,18 +30,26 @@ def test_parse_known_keys_and_comments():
         train.initial_lr = 0.05   # bumped
         net.cells = 4
         data.augment = true
-        derive.epoch_policy = fixed:38
         """
     )
-    assert values["train.initial_lr"] == 0.05
-    assert values["net.cells"] == 4
-    assert values["data.augment"] is True
-    assert values["derive.epoch_policy"] == "fixed:38"
+    assert values == {"train.initial_lr": 0.05, "net.cells": 4, "data.augment": True}
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("train.initial_lrr = 0.05")
+
+
+@pytest.mark.parametrize("line", ["derive.mode = max", "derive.epoch_policy = fixed:3"])
+def test_derive_keys_rejected(tmp_path, capsys, line):
+    # Derivation reads only a run's rank tables and metrics.csv.
+    with pytest.raises(ConfigError, match="line 2: unknown key 'derive"):
+        parse_config_text("net.cells = 3\n" + line)
+    path = tmp_path / "cfg.txt"
+    path.write_text(line + "\n")
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: line 1: unknown key") and err.count("\n") == 1
 
 
 def test_duplicate_key_rejected():
@@ -61,10 +67,6 @@ def test_bad_value_rejected():
         parse_config_text("net.cells = quattro")
     with pytest.raises(ConfigError, match="boolean"):
         parse_config_text("data.augment = sometimes")
-    with pytest.raises(ConfigError, match="mode"):
-        parse_config_text("derive.mode = median")
-    with pytest.raises(ConfigError, match="policy"):
-        parse_config_text("derive.epoch_policy = best")
 
 
 @pytest.mark.parametrize("line", [
@@ -124,7 +126,7 @@ def test_num_classes_follows_data():
 
 
 def test_config_echo_roundtrip():
-    cfg = config_from_text("net.cells = 3\ntrain.epochs = 2\nderive.mode = max")
+    cfg = config_from_text("net.cells = 3\ntrain.epochs = 2\ndata.augment = true")
     echoed = config_from_text(cfg.to_text())
     assert echoed.values == cfg.values
     assert echoed.to_text() == cfg.to_text()
@@ -159,8 +161,6 @@ DEFAULT_ECHO_LINES = (
     "run.seed = 0",
     "run.output_dir = run",
     "run.dtype = float32",
-    "derive.mode = min",
-    "derive.epoch_policy = min_val_loss",
 )
 
 

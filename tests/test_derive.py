@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msrnas.cli import main
-from msrnas.config import RunConfig
 from msrnas.derive import (
     CELL_TYPES,
     Genotype,
@@ -376,7 +375,6 @@ def test_rank_table_rejects_non_finite_and_repeated_rows(case):
 @pytest.mark.parametrize("case", ["sep3-nan", "repeated", "edge-reversed"])
 def test_derive_cli_rejects_damaged_rank_table(tmp_path, capsys, case):
     damage, message = DAMAGED_TABLES[case]
-    (tmp_path / "config.txt").write_text(RunConfig().to_text())
     (tmp_path / "ranks").mkdir()
     (tmp_path / "ranks" / "epoch_0000.txt").write_text(
         damage(rank_table_to_text(random_table(5, seed=1))))

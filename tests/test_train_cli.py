@@ -1,4 +1,4 @@
-"""Pipeline harness: run directories, metrics, derivation policy, CLI
+"""Pipeline harness: run directories, metrics, derivation epoch, CLI
 subcommands, artifact round-trips, and determinism."""
 
 import errno
@@ -17,7 +17,7 @@ import pytest
 from msrnas import train
 from msrnas.autodiff import Tensor
 from msrnas.cli import main
-from msrnas.config import RunConfig, config_from_text
+from msrnas.config import config_from_text
 from msrnas.derive import Genotype, SelectionMode, derive_genotype, load_rank_table
 from msrnas.errors import ArgumentError, FormatError, LockError, NumericsError, StateError
 from msrnas.layers import Linear, Module
@@ -82,7 +82,6 @@ def test_metrics_bad_number_is_format_error(tmp_path, capsys, row):
     text = f"{METRICS_HEADER}\n{row}\n"
     with pytest.raises(FormatError, match="bad number in metrics row"):
         MetricsLog.from_csv(text)
-    (tmp_path / "config.txt").write_text(RunConfig().to_text())
     (tmp_path / "metrics.csv").write_text(text)
     assert main(["derive", "--run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -96,7 +95,6 @@ def test_metrics_epoch_out_of_order_is_format_error(tmp_path, capsys, rows):
     text = "\n".join([METRICS_HEADER, *rows]) + "\n"
     with pytest.raises(FormatError, match="bad metrics row '1,0.5,0.6,0.1': epoch 1"):
         MetricsLog.from_csv(text)
-    (tmp_path / "config.txt").write_text(RunConfig().to_text())
     (tmp_path / "metrics.csv").write_text(text)
     assert main(["derive", "--run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -118,9 +116,9 @@ def test_choose_epoch_policies(tmp_path):
         log.append(EpochRecord(e, 1.0, v, 0.02))
     with open(run.metrics_path, "w") as fh:
         fh.write(log.to_csv())
-    assert choose_epoch(run.root, None, "min_val_loss") == 2
-    assert choose_epoch(run.root, None, "fixed:3") == 3
-    assert choose_epoch(run.root, 1, "min_val_loss") == 1
+    assert choose_epoch(run.root, None) == 2
+    assert choose_epoch(run.root, 3) == 3
+    assert choose_epoch(run.root, 1) == 1
 
 
 def test_non_finite_held_out_loss_stops_before_its_row(tmp_path, capsys, monkeypatch):
@@ -155,8 +153,8 @@ def test_non_finite_training_loss_names_the_stem_conv(tmp_path, capsys, monkeypa
     message = ("non-finite loss at epoch 1; first bad tensor: "
                "non-finite output in net.stem.conv")
     out = tmp_path / "api"
-    # inf times a zero band entry is nan: numpy warns, and warnings fail the suite.
-    with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as caught:
+    # inf times a zero band entry is nan; a numpy warning would fail the suite.
+    with pytest.raises(NumericsError) as caught:
         run_search(tiny_cfg(str(out)))
     assert str(caught.value) == message
     with open(out / "metrics.csv") as fh:
@@ -167,8 +165,7 @@ def test_non_finite_training_loss_names_the_stem_conv(tmp_path, capsys, monkeypa
 
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY + f"run.output_dir = {tmp_path / 'cli'}\n")
-    with np.errstate(invalid="ignore"):
-        assert main(["search", "--config", str(cfg_path)]) == 1
+    assert main(["search", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"error[numerics]: {message}\n"
     assert not os.path.exists(tmp_path / "cli" / "lock")
 
@@ -178,7 +175,7 @@ def test_reading_a_run_creates_no_directory(tmp_path, capsys):
     run = RunDir(str(missing))
     assert not missing.exists()
     with pytest.raises(ArgumentError):
-        choose_epoch(run.root, None, "min_val_loss")
+        choose_epoch(run.root, None)
     with pytest.raises(ArgumentError):
         load_epoch_table(run.root, 0)
     assert main(["derive", "--run", str(missing)]) == 1
@@ -381,7 +378,7 @@ def test_epoch_zero_snapshot_normalized(one_epoch_run):
 
 def test_derive_from_run_and_eval(tmp_path, one_epoch_run):
     out, _, _ = one_epoch_run
-    epoch = choose_epoch(out, None, "min_val_loss")
+    epoch = choose_epoch(out, None)
     table = load_epoch_table(out, epoch)
     geno = derive_genotype(table, mode=SelectionMode.MIN_STABLE_RANK)
     eval_cfg = tiny_cfg(str(tmp_path / "eval"), epochs=1)
@@ -393,12 +390,18 @@ def test_derive_from_run_and_eval(tmp_path, one_epoch_run):
     assert result.test_loss == result.metrics.records[-1].val_loss
 
 
-def test_eval_run_dir_has_no_search_dirs(tmp_path, one_epoch_run):
+def test_eval_run_dir_has_no_search_dirs(tmp_path, capsys, one_epoch_run):
     _, _, searched = one_epoch_run
     geno = derive_genotype(searched.final_table, mode=SelectionMode.MIN_STABLE_RANK)
     result = run_eval(tiny_cfg(str(tmp_path / "eval"), epochs=1), geno)
-    assert sorted(os.listdir(result.run_dir.root)) == [
+    root = result.run_dir.root
+    assert sorted(os.listdir(root)) == [
         "config.txt", "log.txt", "metrics.csv", "result.txt"]
+    # Its config echo does not make it a search run to derive from.
+    assert main(["derive", "--run", root]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error[argument]: no rank table for epoch 1 at "
+                   f"{RunDir(root).rank_table_path(1)}\n")
 
 
 def test_search_epochs_zero_emits_init_only(tmp_path):
@@ -411,7 +414,7 @@ def test_search_epochs_zero_emits_init_only(tmp_path):
     with open(os.path.join(out, "metrics.csv")) as fh:
         assert fh.read().strip() == "epoch,train_loss,val_loss,lr"
     with pytest.raises(ArgumentError):
-        choose_epoch(out, None, "min_val_loss")
+        choose_epoch(out, None)
 
     # A 0-epoch eval shares the loop: a header-only metrics.csv, then the
     # test metrics of the untrained network.
@@ -504,7 +507,9 @@ def test_cli_error_categories(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[config]:")
 
     assert main(["derive", "--run", str(tmp_path / "nope")]) == 1
-    assert capsys.readouterr().err.startswith("error[argument]:")
+    err = capsys.readouterr().err
+    assert err.startswith("error[argument]: cannot resolve epoch: no metrics at")
+    assert err.count("\n") == 1
 
     assert main(["ranks", "--checkpoint", str(tmp_path / "nope.msrn")]) == 1
     assert capsys.readouterr().err.startswith("error[format]:")
@@ -566,6 +571,19 @@ def test_derive_is_deterministic_bytes(tmp_path, one_epoch_run):
     assert main(["derive", "--run", out, "--out", str(a)]) == 0
     assert main(["derive", "--run", out, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_derive_reads_no_config_echo(tmp_path, one_epoch_run):
+    # Derivation reads only ranks/ and metrics.csv, so a config echo that
+    # names a key this version does not know does not stop it.
+    out = str(tmp_path / "search")
+    shutil.copytree(one_epoch_run[0], out)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main(["derive", "--run", out, "--out", str(before)]) == 0
+    with open(RunDir(out).config_path, "a", encoding="utf-8") as fh:
+        fh.write("spectral.frobenius_mode = exact\n")
+    assert main(["derive", "--run", out, "--out", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_derive_writes_the_run_dirs_genotype_whole(tmp_path, one_epoch_run,
