@@ -18,8 +18,8 @@ backward reads it. Each closure saves only that:
 - ``matmul`` and ``mul``: their operands; ``power``: its input;
 - ``BatchNorm2d``: x̂, 1/σ and γ;
 - ``cross_entropy``: the shifted exponentials and their row sums;
-- ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``concat``, ``slice_``
-  and ``pad2d``: shapes only.
+- ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
+  ``concat``, ``slice_`` and ``pad2d``: shapes only.
 
 A closure references its input nodes, never its own output node, so the
 graph holds no reference cycles and is freed by reference counting as soon
@@ -382,6 +382,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (na,), bw)
 
 
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes, as ``np.transpose`` does (reversed when ``axes`` is
+    None); the result is a view."""
+    a = _as_tensor(a)
+    na = _node(a)
+    inverse = None if axes is None else tuple(np.argsort(axes))
+
+    def bw(g):
+        na.accumulate(g.transpose(inverse))
+
+    return _make(a.data.transpose(axes), (na,), bw)
+
+
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     nodes = [_node(t) for t in ts]
@@ -415,15 +428,14 @@ def slice_(a: Tensor, key) -> Tensor:
 
 
 def pad2d(a: Tensor, pad: tuple) -> Tensor:
-    """Zero-pad the two trailing (spatial) axes: pad = (top, bottom, left, right)."""
+    """Zero-pad the spatial axes, H and W, of a (C, H, N, W) tensor:
+    pad = (top, bottom, left, right)."""
     a = _as_tensor(a)
     na = _node(a)
     top, bottom, left, right = pad
-    widths = [(0, 0)] * (a.data.ndim - 2) + [(top, bottom), (left, right)]
-    data = np.pad(a.data, widths)
-    key = (*[slice(None)] * (a.data.ndim - 2),
-           slice(top, data.shape[-2] - bottom),
-           slice(left, data.shape[-1] - right))
+    data = np.pad(a.data, [(0, 0), (top, bottom), (0, 0), (left, right)])
+    key = (slice(None), slice(top, data.shape[1] - bottom),
+           slice(None), slice(left, data.shape[3] - right))
 
     def bw(g):
         na.accumulate(g[key])

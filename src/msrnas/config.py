@@ -94,8 +94,6 @@ def parse_config_text(text: str) -> dict[str, object]:
         parser = SCHEMA[key][0]
         try:
             values[key] = parser(val)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
     return values

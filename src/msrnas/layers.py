@@ -134,7 +134,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel affine batch normalization with running statistics."""
+    """Per-channel affine batch normalization with running statistics, over
+    a (C, H, N, W) activation: each channel's statistics reduce over its
+    trailing axes."""
 
     eps = 1e-5
     momentum = 0.1   # weight of the current batch in the running statistics
@@ -148,23 +150,24 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Normalize per channel, recording one graph node.
+        """Normalize each channel of a (C, H, N, W) tensor over its trailing
+        axes, recording one graph node.
 
         The output takes the same numpy operations, in the same order, as
         the composite-op reference in the tests, which requires it to be
         bit-identical. The closed-form backward (Ioffe & Szegedy, 2015)
         keeps only x̂, 1/σ and γ; in eval mode the map is per-channel affine.
         """
-        if x.data.ndim != 4 or x.data.shape[1] != self.channels:
+        if x.data.ndim != 4 or x.data.shape[0] != self.channels:
             raise DimensionError(
                 f"batchnorm over {self.channels} channels got shape {x.data.shape}"
             )
-        shape = (1, self.channels, 1, 1)
+        shape = (self.channels, 1, 1, 1)
         training = self.training
         if training:
-            mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
+            mu = x.data.mean(axis=(1, 2, 3), keepdims=True)
             xhat = x.data - mu
-            var = (xhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+            var = (xhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
             # Track stats outside the graph.
             m = self.momentum
             self.running_mean *= 1.0 - m
@@ -183,8 +186,8 @@ class BatchNorm2d(Module):
         nx, ngamma, nbeta = _node(x), _node(self.gamma), _node(self.beta)
 
         def bw(g):
-            gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-            gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            gsum = g.sum(axis=(1, 2, 3), keepdims=True)
+            gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
             if nbeta is not None:
                 nbeta.accumulate(gsum.reshape(-1), own=True)
             if ngamma is not None:
@@ -220,8 +223,8 @@ class Linear(Module):
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """NCHW -> (N, C) spatial mean."""
-    return ad.mean(x, axis=(2, 3))
+    """(C, H, N, W) -> (N, C) spatial mean."""
+    return ad.transpose(ad.mean(x, axis=(1, 3)))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -159,5 +159,5 @@ class FactorizedReduce(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         # Second branch samples the grid shifted by one pixel.
-        shifted = ad.pad2d(x, (0, 1, 0, 1))[:, :, 1:, 1:]
-        return self.bn(ad.concat([self.conv_a(x), self.conv_b(shifted)], axis=1))
+        shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
+        return self.bn(ad.concat([self.conv_a(x), self.conv_b(shifted)], axis=0))

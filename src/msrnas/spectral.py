@@ -19,8 +19,10 @@ so do the persistent vectors. A single handle is a group of one, so the
 stacked path is the only path. A grouped 1x1 stack is one batched matmul
 in ``convolution``, any other stack one batched band GEMM per kernel row.
 The weights do not change within a ``power_iteration`` call, so it builds
-the stacked conv's forward band and its adjoint's band once (``conv_bands``)
-and hands them to every conv call; they are dropped when the call returns.
+the stacked conv's one band once (``conv_bands``) and hands it to every
+forward and adjoint call; it is dropped when the call returns. A handle's
+vector is (1, C, H, W), which in memory is the (C, H, 1, W) batch of one
+image the conv routines take.
 """
 
 from __future__ import annotations
@@ -136,12 +138,17 @@ def power_iteration(handles: Sequence[ConvHandle], iterations: int) -> np.ndarra
             )
     m = len(handles)
     spec = _stacked_spec(handles)
-    vec_shape = (1, first.spec.in_channels) + first.in_hw
-    in_shape = (1, spec.in_channels) + first.in_hw
-    out_shape = (1, spec.out_channels) + spec.out_hw(*first.in_hw)
+    (h, w), (ho, wo) = first.in_hw, spec.out_hw(*first.in_hw)
+    vec_shape = (1, first.spec.in_channels, h, w)
+    in_shape = (spec.in_channels, h, 1, w)
+    out_shape = (spec.out_channels, ho, 1, wo)
     # Row k of a (and of b) is member k's iterate.
     a = np.concatenate([handle.vector.reshape(1, -1) for handle in handles])
-    band, adjoint_band = conv_bands(spec, first.in_hw, a.dtype)
+    band = conv_bands(spec, first.in_hw, a.dtype)
+    # The same band laid out for the adjoint, which multiplies by its
+    # transpose: so laid out, it is not copied in every adjoint call.
+    adjoint_band = None if band is None else np.ascontiguousarray(
+        band.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
     for _ in range(iterations):
         b = conv2d_forward(a.reshape(in_shape), spec, band=band).reshape(m, -1)
         nb = np.linalg.norm(b, axis=1)

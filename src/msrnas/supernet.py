@@ -152,7 +152,7 @@ class _Cell(Module):
                 contribution = module(relu_states[i])
                 total = contribution if total is None else total + contribution
             states.append(total)
-        return ad.concat(states[2:], axis=1)
+        return ad.concat(states[2:], axis=0)
 
 
 class MixedCell(_Cell):
@@ -231,6 +231,10 @@ class _NetworkBase(Module):
         self.assign_paths("net")
 
     def forward_features(self, x: Tensor) -> Tensor:
+        """The last cell's output, (C, H, N, W), for NCHW images ``x``."""
+        # The network's activations are channel-major (see convolution.py);
+        # the images are transposed once, here.
+        x = ad.transpose(x, (1, 2, 0, 3))
         # The stem output and each cell output but the last are rectified once
         # for both cells that read them; the classifier reads the last as is.
         s0 = s1 = ad.relu(self.stem(x))

@@ -1,5 +1,9 @@
 """Shared fixtures, independent numerical oracles and file writers for the
-test suite."""
+test suite.
+
+The conv oracles (``naive_conv2d``, the tap loop, ``materialize_conv_matrix``)
+take and return NCHW arrays; the program's conv routines work on
+channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert."""
 
 import numpy as np
 import pytest
@@ -7,6 +11,16 @@ import pytest
 from msrnas.convolution import ConvSpec, conv2d_forward
 
 DENSE_MATRIX_CAP = 4096 * 4096  # max rows*cols a materialized matrix may hold
+
+
+def to_chnw(a: np.ndarray) -> np.ndarray:
+    """An NCHW array in the program's (C, H, N, W) layout."""
+    return np.ascontiguousarray(np.asarray(a).transpose(1, 2, 0, 3))
+
+
+def to_nchw(a: np.ndarray) -> np.ndarray:
+    """A (C, H, N, W) array in NCHW."""
+    return np.ascontiguousarray(np.asarray(a).transpose(2, 0, 1, 3))
 
 
 def naive_conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -109,7 +123,7 @@ def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],
     if rows * cols > cap:
         raise ValueError(f"dense matrix {rows}x{cols} exceeds cap of {cap} entries")
     basis = np.eye(cols, dtype=np.float64).reshape(cols, spec.in_channels, h, w)
-    out = conv2d_forward(basis, ConvSpec(
+    out = conv2d_forward(to_chnw(basis), ConvSpec(
         out_channels=spec.out_channels,
         in_channels=spec.in_channels,
         kernel_h=spec.kernel_h,
@@ -120,7 +134,7 @@ def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],
         groups=spec.groups,
         weight=spec.weight.astype(np.float64),
     ))
-    return out.reshape(cols, rows).T.copy()
+    return to_nchw(out).reshape(cols, rows).T.copy()
 
 
 def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:

@@ -129,11 +129,24 @@ def test_slice_refuses_index_arrays(rng):
 
 
 def test_pad2d_roundtrip_gradient(rng):
-    x = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-    padded = ad.pad2d(x, (0, 1, 0, 1))
-    assert padded.data.shape == (1, 2, 4, 4)
-    fd_check(lambda: ad.sum_(ad.pad2d(x, (0, 1, 0, 1))[:, :, 1:, 1:] ** 2.0),
+    # (C, H, N, W): the spatial axes are 1 and 3.
+    x = Tensor(rng.standard_normal((2, 3, 1, 3)), requires_grad=True)
+    padded = ad.pad2d(x, (0, 1, 2, 1))
+    assert padded.data.shape == (2, 4, 1, 6)
+    np.testing.assert_array_equal(padded.data[:, :3, :, 2:5], x.data)
+    fd_check(lambda: ad.sum_(ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:] ** 2.0),
              [x], rng)
+
+
+def test_transpose_gradient(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    weights = rng.standard_normal((3, 4, 2, 5))
+    moved = ad.transpose(x, (1, 2, 0, 3))
+    np.testing.assert_array_equal(moved.data, x.data.transpose(1, 2, 0, 3))
+    fd_check(lambda: ad.sum_(ad.transpose(x, (1, 2, 0, 3)) * weights), [x], rng)
+    reversed_ = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    fd_check(lambda: ad.sum_(ad.transpose(reversed_) * weights[:2, 0, 0, :3]),
+             [reversed_], rng)
 
 
 def test_gradient_accumulates_over_reuse(rng):

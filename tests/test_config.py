@@ -40,6 +40,14 @@ def test_unknown_key_rejected():
         parse_config_text("train.initial_lrr = 0.05")
 
 
+def test_parser_config_error_surfaces_unchanged():
+    # A parser's own ConfigError is not a ValueError, so it is not rewrapped
+    # as a "bad value" error.
+    with pytest.raises(ConfigError) as caught:
+        parse_config_text("net.cells = 4\ndata.augment = sometimes")
+    assert str(caught.value) == "expected a boolean, got 'sometimes'"
+
+
 @pytest.mark.parametrize("line", ["derive.mode = max", "derive.epoch_policy = fixed:3"])
 def test_derive_keys_rejected(tmp_path, capsys, line):
     # Derivation reads only a run's rank tables and metrics.csv.

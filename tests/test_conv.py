@@ -1,5 +1,8 @@
 """Convolution forward/adjoint checks against hand values, a naive loop
-reference, the tap-loop reference and the dense matrix oracle."""
+reference, the tap-loop reference and the dense matrix oracle.
+
+The oracles take NCHW arrays and the kernels channel-major (C, H, N, W)
+ones; the ``*_nchw`` wrappers run a kernel on NCHW arrays."""
 
 import pathlib
 import tracemalloc
@@ -9,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnas import convolution
 from msrnas.autodiff import Tensor
 from msrnas.convolution import (
     ConvSpec,
@@ -35,9 +37,19 @@ from conftest import (
     tap_conv2d_forward,
     tap_conv2d_transpose,
     tap_conv2d_weight_grad,
+    to_chnw,
+    to_nchw,
 )
 
 GENOTYPE_7NODE = pathlib.Path(__file__).parents[1] / "perfbench" / "genotype_min_7node.json"
+
+
+def forward_nchw(x, spec):
+    return to_nchw(conv2d_forward(to_chnw(x), spec))
+
+
+def adjoint_nchw(y, spec, input_hw):
+    return to_nchw(conv2d_transpose_forward(to_chnw(y), spec, input_hw=input_hw))
 
 
 def spec_1x1(value: float) -> ConvSpec:
@@ -47,12 +59,12 @@ def spec_1x1(value: float) -> ConvSpec:
 def test_hand_forced_window_sums():
     x = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)
     spec = ConvSpec(1, 1, 2, 2, weight=np.ones((1, 1, 2, 2)))
-    out = conv2d_forward(x, spec)
+    out = forward_nchw(x, spec)
     np.testing.assert_array_equal(out[0, 0], [[12.0, 16.0], [24.0, 28.0]])
 
 
 def test_identity_1x1_kernel_passthrough(rng):
-    x = rng.standard_normal((2, 1, 5, 4))
+    x = rng.standard_normal((1, 5, 2, 4))
     out = conv2d_forward(x, spec_1x1(1.0))
     np.testing.assert_array_equal(out, x)
 
@@ -61,7 +73,7 @@ def test_dilated_conv_matches_matrix_oracle(rng):
     weight = rng.standard_normal((4, 3, 3, 3))
     spec = ConvSpec(4, 3, 3, 3, stride=1, padding=2, dilation=2, weight=weight)
     x = rng.standard_normal((2, 3, 5, 5))
-    out = conv2d_forward(x, spec)
+    out = forward_nchw(x, spec)
     m = materialize_conv_matrix(spec, (5, 5))
     expected = (m @ x.reshape(2, -1).T).T.reshape(out.shape)
     np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -73,7 +85,7 @@ def test_forward_matches_naive_reference_corpus(rng):
         h, w = fitting_input_hw(spec, rng)
         x = rng.standard_normal((2, spec.in_channels, h, w))
         np.testing.assert_allclose(
-            conv2d_forward(x, spec), naive_conv2d(x, spec), atol=1e-10
+            forward_nchw(x, spec), naive_conv2d(x, spec), atol=1e-10
         )
 
 
@@ -81,7 +93,7 @@ def test_adjoint_identity_random_specs(rng):
     for _ in range(25):
         spec = random_conv_spec(rng)
         h, w = fitting_input_hw(spec, rng)
-        a = rng.standard_normal((1, spec.in_channels, h, w))
+        a = rng.standard_normal((spec.in_channels, h, 2, w))
         fwd = conv2d_forward(a, spec)
         b = rng.standard_normal(fwd.shape)
         lhs = float((fwd * b).sum())
@@ -90,7 +102,7 @@ def test_adjoint_identity_random_specs(rng):
 
 
 def test_transpose_of_1x1_kernel_multiplies(rng):
-    y = rng.standard_normal((1, 1, 4, 4))
+    y = rng.standard_normal((1, 4, 3, 4))
     out = conv2d_transpose_forward(y, spec_1x1(2.5), input_hw=(4, 4))
     np.testing.assert_allclose(out, 2.5 * y, atol=1e-12)
 
@@ -104,7 +116,7 @@ def test_transpose_matches_matrix_transpose(rng):
     b = rng.standard_normal((1, 2, ho, wo))
     expected = (m.T @ b.reshape(-1)).reshape(1, 2, h, w)
     np.testing.assert_allclose(
-        conv2d_transpose_forward(b, spec, input_hw=(h, w)), expected, atol=1e-10
+        adjoint_nchw(b, spec, (h, w)), expected, atol=1e-10
     )
 
 
@@ -114,8 +126,8 @@ def test_linearity(seed, alpha, beta):
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = random_conv_spec(rng)
     h, w = fitting_input_hw(spec, rng)
-    a = rng.standard_normal((1, spec.in_channels, h, w))
-    b = rng.standard_normal((1, spec.in_channels, h, w))
+    a = rng.standard_normal((spec.in_channels, h, 1, w))
+    b = rng.standard_normal((spec.in_channels, h, 1, w))
     mixed = conv2d_forward(alpha * a + beta * b, spec)
     separate = alpha * conv2d_forward(a, spec) + beta * conv2d_forward(b, spec)
     np.testing.assert_allclose(mixed, separate, atol=1e-10)
@@ -123,7 +135,7 @@ def test_linearity(seed, alpha, beta):
 
 def test_channel_mismatch_raises(rng):
     spec = random_conv_spec(rng)
-    x = rng.standard_normal((1, spec.in_channels + 1, 8, 8))
+    x = rng.standard_normal((spec.in_channels + 1, 8, 1, 8))
     with pytest.raises(DimensionError):
         conv2d_forward(x, spec)
 
@@ -137,7 +149,7 @@ def test_kernel_larger_than_input_raises():
 def test_transpose_shape_mismatch_raises(rng):
     spec = ConvSpec(1, 1, 3, 3, stride=2, weight=rng.standard_normal((1, 1, 3, 3)))
     with pytest.raises(DimensionError):
-        conv2d_transpose_forward(np.ones((1, 1, 3, 3)), spec, input_hw=(5, 5))
+        conv2d_transpose_forward(np.ones((1, 3, 1, 3)), spec, input_hw=(5, 5))
 
 
 def test_spec_validation():
@@ -156,17 +168,16 @@ def test_output_size_formula(rng):
     ho, wo = spec.out_hw(h, w)
     assert ho == (11 + 2 - 2 * 2 - 1) // 2 + 1
     assert wo == (9 + 2 - 2 * 2 - 1) // 2 + 1
-    assert conv2d_forward(np.zeros((1, 1, h, w)), spec).shape == (1, 1, ho, wo)
+    assert conv2d_forward(np.zeros((1, h, 2, w)), spec).shape == (1, ho, 2, wo)
 
 
 def test_conv_gradients_match_finite_differences(rng):
     spec = random_conv_spec(rng)
     h, w = fitting_input_hw(spec, rng)
-    x = Tensor(rng.standard_normal((2, spec.in_channels, h, w)), requires_grad=True)
+    x = Tensor(rng.standard_normal((spec.in_channels, h, 2, w)), requires_grad=True)
     weight = Tensor(spec.weight, requires_grad=True)
-    target = rng.standard_normal(
-        (2, spec.out_channels) + spec.out_hw(h, w)
-    )
+    ho, wo = spec.out_hw(h, w)
+    target = rng.standard_normal((spec.out_channels, ho, 2, wo))
 
     def loss_tensor():
         out = conv2d(x, weight, spec)
@@ -223,15 +234,15 @@ def test_wide_corpus_matches_naive_and_matrix_oracles(kind):
         spec = wide_conv_spec(rng, kind)
         h, w = wide_input_hw(spec, rng)
         x = rng.standard_normal((2, spec.in_channels, h, w))
-        y = conv2d_forward(x, spec)
+        y = conv2d_forward(to_chnw(x), spec)
         assert y.flags.c_contiguous
-        np.testing.assert_allclose(y, naive_conv2d(x, spec), atol=1e-10)
+        np.testing.assert_allclose(to_nchw(y), naive_conv2d(x, spec), atol=1e-10)
         m = materialize_conv_matrix(spec, (h, w))
-        b = rng.standard_normal(y.shape)
-        adj = conv2d_transpose_forward(b, spec, input_hw=(h, w))
+        b = rng.standard_normal(to_nchw(y).shape)
+        adj = conv2d_transpose_forward(to_chnw(b), spec, input_hw=(h, w))
         assert adj.flags.c_contiguous
         expected = (m.T @ b.reshape(2, -1).T).T.reshape(x.shape)
-        np.testing.assert_allclose(adj, expected, atol=1e-10)
+        np.testing.assert_allclose(to_nchw(adj), expected, atol=1e-10)
 
 
 def test_weight_grad_matches_matrix_form():
@@ -241,8 +252,9 @@ def test_weight_grad_matches_matrix_form():
     for kind in WIDE_KINDS * 15:
         spec = wide_conv_spec(rng, kind)
         h, w = wide_input_hw(spec, rng)
-        x = rng.standard_normal((2, spec.in_channels, h, w))
-        gy = rng.standard_normal((2, spec.out_channels) + spec.out_hw(h, w))
+        ho, wo = spec.out_hw(h, w)
+        x = rng.standard_normal((spec.in_channels, h, 2, w))
+        gy = rng.standard_normal((spec.out_channels, ho, 2, wo))
         gw = conv2d_weight_grad(x, gy, spec)
         assert gw.flags.c_contiguous and gw.shape == spec.weight.shape
         for idx in np.ndindex(spec.weight.shape):
@@ -287,16 +299,17 @@ def test_kernels_match_tap_loop_on_workload_geometries(batch):
     for spec, (h, w) in geometries:
         x = rng.standard_normal((batch, spec.in_channels, h, w)).astype(np.float32)
         taps = spec.kernel_h * spec.kernel_w
-        y = conv2d_forward(x, spec)
-        _assert_float32_close(y, tap_conv2d_forward(x, spec),
+        y = conv2d_forward(to_chnw(x), spec)
+        _assert_float32_close(y, to_chnw(tap_conv2d_forward(x, spec)),
                               spec.in_channels // spec.groups * taps)
-        gy = rng.standard_normal(y.shape).astype(np.float32)
-        _assert_float32_close(conv2d_transpose_forward(gy, spec, input_hw=(h, w)),
-                              tap_conv2d_transpose(gy, spec, (h, w)),
-                              spec.out_channels // spec.groups * taps)
-        _assert_float32_close(conv2d_weight_grad(x, gy, spec),
+        gy = to_nchw(rng.standard_normal(y.shape).astype(np.float32))
+        _assert_float32_close(
+            conv2d_transpose_forward(to_chnw(gy), spec, input_hw=(h, w)),
+            to_chnw(tap_conv2d_transpose(gy, spec, (h, w))),
+            spec.out_channels // spec.groups * taps)
+        _assert_float32_close(conv2d_weight_grad(to_chnw(x), to_chnw(gy), spec),
                               tap_conv2d_weight_grad(x, gy, spec),
-                              batch * y.shape[2] * y.shape[3])
+                              batch * y.shape[1] * y.shape[3])
 
 
 # (channels in, out, groups, kernel, stride, padding, dilation) at batch 64
@@ -314,8 +327,9 @@ def test_kernel_transient_memory_bound(case):
     rng = np.random.default_rng(0)
     spec = ConvSpec(o, c, k, k, stride=s, padding=p, dilation=d, groups=g,
                     weight=rng.standard_normal((o, c // g, k, k)).astype(np.float32))
-    x = rng.standard_normal((64, c, 16, 16)).astype(np.float32)
-    gy = rng.standard_normal((64, o) + spec.out_hw(16, 16)).astype(np.float32)
+    ho, wo = spec.out_hw(16, 16)
+    x = rng.standard_normal((c, 16, 64, 16)).astype(np.float32)
+    gy = rng.standard_normal((o, ho, 64, wo)).astype(np.float32)
     bound = 4 * max(64 * c * (16 + 2 * p) ** 2, gy.size) * 4
     calls = [lambda: conv2d_forward(x, spec),
              lambda: conv2d_transpose_forward(gy, spec, input_hw=(16, 16)),
@@ -347,22 +361,21 @@ def test_pointwise_matches_naive_and_matrix_transpose(rng, case):
                     weight=rng.standard_normal((o, c // g, 1, 1)))
     assert spec.is_pointwise
     x = rng.standard_normal((3, c, h, w))
-    np.testing.assert_allclose(conv2d_forward(x, spec), naive_conv2d(x, spec),
+    np.testing.assert_allclose(forward_nchw(x, spec), naive_conv2d(x, spec),
                                atol=1e-12)
     m = materialize_conv_matrix(spec, (h, w))
     b = rng.standard_normal((3, o) + spec.out_hw(h, w))
     expected = (m.T @ b.reshape(3, -1).T).T.reshape(3, c, h, w)
-    np.testing.assert_allclose(conv2d_transpose_forward(b, spec, input_hw=(h, w)),
-                               expected, atol=1e-12)
+    np.testing.assert_allclose(adjoint_nchw(b, spec, (h, w)), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", POINTWISE_CASES)
 def test_pointwise_gradients_match_finite_differences(rng, case):
     o, c, g, s, h, w = case
-    x = Tensor(rng.standard_normal((2, c, h, w)), requires_grad=True)
+    x = Tensor(rng.standard_normal((c, h, 2, w)), requires_grad=True)
     weight = Tensor(rng.standard_normal((o, c // g, 1, 1)), requires_grad=True)
     spec = ConvSpec(o, c, 1, 1, stride=s, groups=g, weight=weight.data)
-    target = rng.standard_normal((2, o, (h - 1) // s + 1, (w - 1) // s + 1))
+    target = rng.standard_normal((o, (h - 1) // s + 1, 2, (w - 1) // s + 1))
 
     def loss_tensor():
         diff = conv2d(x, weight, spec) - target
@@ -385,14 +398,15 @@ def test_pointwise_float32_matches_tap_loop(rng):
     pw = ConvSpec(8, 6, 1, 1, stride=2, weight=w1)
     tap = ConvSpec(8, 6, 3, 3, stride=2, padding=1, weight=w3)
     x = rng.standard_normal((4, 6, 9, 9)).astype(np.float32)
-    y = conv2d_forward(x, pw)
+    y = conv2d_forward(to_chnw(x), pw)
     assert y.dtype == np.float32
-    np.testing.assert_allclose(y, tap_conv2d_forward(x, tap), rtol=1e-5, atol=1e-5)
-    gy = rng.standard_normal(y.shape).astype(np.float32)
-    np.testing.assert_allclose(conv2d_transpose_forward(gy, pw, input_hw=(9, 9)),
+    np.testing.assert_allclose(to_nchw(y), tap_conv2d_forward(x, tap), rtol=1e-5,
+                               atol=1e-5)
+    gy = to_nchw(rng.standard_normal(y.shape).astype(np.float32))
+    np.testing.assert_allclose(adjoint_nchw(gy, pw, (9, 9)),
                                tap_conv2d_transpose(gy, tap, (9, 9)),
                                rtol=1e-5, atol=1e-5)
-    gw = conv2d_weight_grad(x, gy, pw)
+    gw = conv2d_weight_grad(to_chnw(x), to_chnw(gy), pw)
     assert gw.shape == w1.shape and gw.dtype == np.float32
     np.testing.assert_allclose(gw[:, :, 0, 0], tap_conv2d_weight_grad(x, gy, tap)[:, :, 1, 1],
                                rtol=1e-4, atol=1e-4)
@@ -403,16 +417,31 @@ def test_pointwise_float32_matches_tap_loop(rng):
 STACKED_DEPTHWISE_CASES = [(k, s, d) for k in (3, 5) for s in (1, 2) for d in (1, 2)]
 
 
+def matmul_operands(call) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run ``call()`` and return the operands of every ``np.matmul`` it made."""
+    seen = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        seen.append((a, b))
+        return matmul(a, b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "matmul", recording)
+        call()
+    return seen
+
+
 @pytest.mark.parametrize("case", STACKED_DEPTHWISE_CASES)
-def test_batch_one_depthwise_rows_are_views_and_match_oracles(case, monkeypatch):
+def test_batch_one_depthwise_rows_are_views_and_match_oracles(case):
     k, s, d = case
     rng = np.random.default_rng(k * 100 + s * 10 + d)
     c, (h, w) = 6, (11, 8)
     spec = ConvSpec(c, c, k, k, stride=s, padding=d * (k - 1) // 2, dilation=d,
                     groups=c, weight=rng.standard_normal((c, 1, k, k)))
     ho, wo = spec.out_hw(h, w)
-    x = rng.standard_normal((1, c, h, w))
-    gy = rng.standard_normal((1, c, ho, wo))
+    x = rng.standard_normal((c, h, 1, w))
+    gy = rng.standard_normal((c, ho, 1, wo))
     m = materialize_conv_matrix(spec, (h, w))
     np.testing.assert_allclose(conv2d_forward(x, spec).reshape(-1), m @ x.reshape(-1),
                                atol=1e-10)
@@ -425,34 +454,33 @@ def test_batch_one_depthwise_rows_are_views_and_match_oracles(case, monkeypatch)
             lambda: float((conv2d_forward(x, spec) * gy).sum()), spec.weight, idx, 0.5)
         assert abs(gw[idx] - num) < 1e-10 * max(1.0, abs(num))
 
-    padded = []
-    pad = convolution._pad_input
-    monkeypatch.setattr(convolution, "_pad_input",
-                        lambda *args: padded.append(pad(*args)) or padded[-1])
-    rows = list(convolution._input_rows(x, spec, ho))
-    assert len(rows) == k
-    for i, row in enumerate(rows):
-        assert np.shares_memory(row, padded[0])
-        want = padded[0][0, :, i * d: i * d + (ho - 1) * s + 1: s]
-        np.testing.assert_array_equal(row, want)
-    # A batch of two is copied out, into one buffer reused across rows.
-    copied = list(convolution._input_rows(np.concatenate([x, x]), spec, ho))
-    assert not any(np.shares_memory(row, padded[-1]) for row in copied)
+    # At batch 64, every kernel-row operand is a view of its input: the
+    # cotangent's rows always, the input's rows at stride 1.
+    x = rng.standard_normal((c, h, 64, w))
+    gy = rng.standard_normal((c, ho, 64, wo))
+    forward = matmul_operands(lambda: conv2d_forward(x, spec))
+    adjoint = matmul_operands(lambda: conv2d_transpose_forward(gy, spec, input_hw=(h, w)))
+    wgrad = matmul_operands(lambda: conv2d_weight_grad(x, gy, spec))
+    assert len(forward) == len(adjoint) == len(wgrad) == k
+    assert all(np.shares_memory(rows, gy) for rows, _ in adjoint)
+    assert all(np.shares_memory(rows, gy) for _, rows in wgrad)
+    if s == 1:
+        assert all(np.shares_memory(rows, x) for rows, _ in forward + wgrad)
 
 
 def test_prebuilt_band_must_fit_the_input():
     rng = np.random.default_rng(3)
     spec = ConvSpec(4, 4, 3, 3, padding=1, groups=4,
                     weight=rng.standard_normal((4, 1, 3, 3)))
-    band, adjoint_band = conv_bands(spec, (6, 8), np.float64)
-    x = rng.standard_normal((1, 4, 6, 8))
-    y = rng.standard_normal((1, 4, 6, 8))
+    band = conv_bands(spec, (6, 8), np.float64)
+    x = rng.standard_normal((4, 6, 1, 8))
+    y = rng.standard_normal((4, 6, 1, 8))
     np.testing.assert_array_equal(conv2d_forward(x, spec, band=band),
                                   conv2d_forward(x, spec))
     np.testing.assert_array_equal(
-        conv2d_transpose_forward(y, spec, input_hw=(6, 8), band=adjoint_band),
+        conv2d_transpose_forward(y, spec, input_hw=(6, 8), band=band),
         conv2d_transpose_forward(y, spec, input_hw=(6, 8)))
     with pytest.raises(DimensionError):
-        conv2d_forward(rng.standard_normal((1, 4, 6, 9)), spec, band=band)
+        conv2d_forward(rng.standard_normal((4, 6, 1, 9)), spec, band=band)
     with pytest.raises(DimensionError):
         conv2d_forward(x.astype(np.float32), spec, band=band)

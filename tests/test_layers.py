@@ -15,24 +15,24 @@ from msrnas.layers import (
     global_avg_pool,
 )
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, relative_error, to_chnw, to_nchw
 
 
 def test_batchnorm_constant_input_returns_beta(rng):
     bn = BatchNorm2d(3, dtype=np.float64)
     bn.beta.data[:] = [1.0, -2.0, 0.5]
-    x = np.ones((4, 3, 5, 5)) * np.array([3.0, -1.0, 7.0]).reshape(1, 3, 1, 1)
+    x = np.ones((3, 5, 4, 5)) * np.array([3.0, -1.0, 7.0]).reshape(3, 1, 1, 1)
     out = bn(Tensor(x))
     for c, b in enumerate([1.0, -2.0, 0.5]):
-        np.testing.assert_allclose(out.data[:, c], b, atol=1e-3)
+        np.testing.assert_allclose(out.data[c], b, atol=1e-3)
 
 
 def test_batchnorm_identity_on_standardized_batch(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((64, 2, 8, 8))
     x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-    out = bn(Tensor(x))
-    np.testing.assert_allclose(out.data, x, atol=1e-4)
+    out = bn(Tensor(to_chnw(x)))
+    np.testing.assert_allclose(to_nchw(out.data), x, atol=1e-4)
 
 
 def test_batchnorm_output_statistics(rng):
@@ -40,7 +40,7 @@ def test_batchnorm_output_statistics(rng):
     bn.gamma.data[:] = [2.0, 0.5, 1.5]
     bn.beta.data[:] = [1.0, -1.0, 0.0]
     x = rng.standard_normal((32, 3, 6, 6)) * 4.0 + 2.0
-    out = bn(Tensor(x)).data
+    out = to_nchw(bn(Tensor(to_chnw(x))).data)
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), bn.beta.data, atol=1e-3)
     np.testing.assert_allclose(out.std(axis=(0, 2, 3)), np.abs(bn.gamma.data), atol=1e-3)
 
@@ -48,23 +48,23 @@ def test_batchnorm_output_statistics(rng):
 def test_batchnorm_running_stats_track_batches(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((16, 2, 4, 4)) + 3.0
-    bn(Tensor(x))
+    bn(Tensor(to_chnw(x)))
     # Momentum 0.1: the running stats move a tenth of the way to the batch's.
     np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
     np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)),
                                rtol=1e-12)
     bn.eval()
     before = bn.running_mean.copy()
-    bn(Tensor(x))
+    bn(Tensor(to_chnw(x)))
     np.testing.assert_array_equal(bn.running_mean, before)
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((32, 2, 4, 4)) * 2.0 + 1.0
-    bn(Tensor(x))
+    bn(Tensor(to_chnw(x)))
     bn.eval()
-    out = bn(Tensor(x)).data
+    out = to_nchw(bn(Tensor(to_chnw(x))).data)
     mean = 0.1 * x.mean(axis=(0, 2, 3), keepdims=True)
     var = 0.9 + 0.1 * x.var(axis=(0, 2, 3), keepdims=True)
     expected = (x - mean) / np.sqrt(var + 1e-5)
@@ -74,7 +74,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
 def test_batchnorm_channel_mismatch(rng):
     bn = BatchNorm2d(3)
     with pytest.raises(DimensionError):
-        bn(Tensor(rng.standard_normal((2, 4, 3, 3))))
+        bn(Tensor(rng.standard_normal((4, 3, 2, 3))))
 
 
 def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
@@ -83,11 +83,11 @@ def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
     The reference for the layer's one-node forward and closed-form backward;
     it reads the running statistics but does not update them.
     """
-    shape = (1, bn.channels, 1, 1)
+    shape = (bn.channels, 1, 1, 1)
     if bn.training:
-        mu = ad.mean(x, axis=(0, 2, 3), keepdims=True)
+        mu = ad.mean(x, axis=(1, 2, 3), keepdims=True)
         centered = x - mu
-        var = ad.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
+        var = ad.mean(centered * centered, axis=(1, 2, 3), keepdims=True)
     else:
         mu = Tensor(bn.running_mean.reshape(shape))
         var = Tensor(bn.running_var.reshape(shape))
@@ -108,8 +108,8 @@ def _batchnorm_with_state(rng, training: bool, dtype=np.float64):
 
 
 def _fd_check_batchnorm(bn: BatchNorm2d, rng) -> None:
-    x = Tensor(rng.standard_normal((6, bn.channels, 3, 3)), requires_grad=True)
-    weights = rng.standard_normal((6, bn.channels, 3, 3))
+    x = Tensor(rng.standard_normal((bn.channels, 3, 6, 3)), requires_grad=True)
+    weights = rng.standard_normal((bn.channels, 3, 6, 3))
 
     def loss():
         return (bn(x) * weights).sum()
@@ -137,8 +137,8 @@ def test_batchnorm_eval_gradients_finite_difference(rng):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
 def test_batchnorm_node_matches_composite_graph(rng, training, dtype, tol):
     bn = _batchnorm_with_state(rng, training, dtype)
-    x = (rng.standard_normal((4, 3, 5, 5)) * 2.0 + 1.0).astype(dtype)
-    weights = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
+    x = (rng.standard_normal((3, 5, 4, 5)) * 2.0 + 1.0).astype(dtype)
+    weights = rng.standard_normal((3, 5, 4, 5)).astype(dtype)
     params = (bn.gamma, bn.beta)
 
     def run(forward):
@@ -219,7 +219,7 @@ def test_cross_entropy_shape_errors():
 def test_global_avg_pool(rng):
     x = rng.standard_normal((2, 3, 4, 5))
     np.testing.assert_allclose(
-        global_avg_pool(Tensor(x)).data, x.mean(axis=(2, 3)), atol=1e-12
+        global_avg_pool(Tensor(to_chnw(x))).data, x.mean(axis=(2, 3)), atol=1e-12
     )
 
 

@@ -66,7 +66,7 @@ def test_mixed_edge_sums_operators(small_net):
     _, net = small_net
     rng = np.random.default_rng(0)
     edge = net.cells[0].edges[(0, 2)]
-    x = Tensor(rng.standard_normal((2, 8, 16, 16)).astype(np.float32))
+    x = Tensor(rng.standard_normal((8, 16, 2, 16)).astype(np.float32))
     net.eval()
     with no_grad():
         total = edge(x)
@@ -87,7 +87,7 @@ def test_mixed_edge_zeroed_ops_leave_remaining(small_net):
         saved.append((bn, bn.gamma.data.copy(), bn.beta.data.copy()))
         bn.gamma.data[:] = 0.0
         bn.beta.data[:] = 0.0
-    x = Tensor(rng.standard_normal((2, 8, 16, 16)).astype(np.float32))
+    x = Tensor(rng.standard_normal((8, 16, 2, 16)).astype(np.float32))
     net.eval()
     with no_grad():
         total = edge(x)
@@ -106,7 +106,7 @@ def test_mixed_edge_unit_weights(small_net):
     rng = np.random.default_rng(6)
     edge = net.cells[1].edges[(0, 2)]
     assert all(op.conv_layers[0].spec.stride == 2 for op in edge.ops)
-    x = Tensor(rng.standard_normal((2, 16, 16, 16)).astype(np.float32))
+    x = Tensor(rng.standard_normal((16, 16, 2, 16)).astype(np.float32))
     net.eval()
     with no_grad():
         total = edge(x)
@@ -138,9 +138,9 @@ def test_cells_apply_one_relu_per_state(small_net):
     _, net = small_net
     rng = np.random.default_rng(7)
     cell = net.cells[0]
-    s0 = Tensor(rng.standard_normal((2, 24, 16, 16)).astype(np.float32),
+    s0 = Tensor(rng.standard_normal((24, 16, 2, 16)).astype(np.float32),
                 requires_grad=True)
-    s1 = Tensor(rng.standard_normal((2, 24, 16, 16)).astype(np.float32),
+    s1 = Tensor(rng.standard_normal((24, 16, 2, 16)).astype(np.float32),
                 requires_grad=True)
     inputs = relu_inputs(cell(s0, s1))
     assert len({id(t) for t in inputs}) == len(inputs)
@@ -154,9 +154,9 @@ def test_cells_apply_one_relu_per_state(small_net):
     geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
                     normal=[list(r) for r in rows], reduce=[list(r) for r in rows])
     disc = build_discrete_network(geno, cfg, dtype=np.float32, seed=9)
-    s = Tensor(rng.standard_normal((2, 12, 16, 16)).astype(np.float32),
+    s = Tensor(rng.standard_normal((12, 16, 2, 16)).astype(np.float32),
                requires_grad=True)
-    t = Tensor(rng.standard_normal((2, 12, 16, 16)).astype(np.float32),
+    t = Tensor(rng.standard_normal((12, 16, 2, 16)).astype(np.float32),
                requires_grad=True)
     inputs = relu_inputs(disc.cells[0](s, t))
     assert len({id(t) for t in inputs}) == len(inputs)
@@ -215,6 +215,25 @@ def test_eval_mode_forward_is_batch_order_equivariant(small_net):
     net.train()
 
 
+def test_eval_logits_of_a_batch_equal_each_image_alone():
+    # Activations are (C, H, N, W); a layer that mixed the batch axis with
+    # another would make an image's logits depend on the rest of its batch.
+    from msrnas.derive import Genotype
+
+    cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(10, 10))
+    rows = [[("sep5", 0), ("dil3", 1)], [("dil5", 2), ("sep3", 1)]]
+    geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                    normal=rows, reduce=rows)
+    images = np.random.default_rng(12).standard_normal((4, 3, 10, 10))
+    for net in (build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=12),
+                build_discrete_network(geno, cfg, dtype=np.float64, seed=12)):
+        net.eval()
+        with no_grad():
+            batch = net(Tensor(images)).data
+            alone = [net(Tensor(images[i:i + 1])).data[0] for i in range(4)]
+        np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-12)
+
+
 def test_zero_batch_logits_finite(small_net):
     _, net = small_net
     net.eval()
@@ -227,14 +246,16 @@ def test_zero_batch_logits_finite(small_net):
 def test_channel_and_spatial_bookkeeping(small_net):
     cfg, net = small_net
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
+    x = Tensor(rng.standard_normal((3, 16, 2, 16)).astype(np.float32))
     net.eval()
     with no_grad():
         s0 = s1 = net.stem(x)
         sizes = []
         for cell in net.cells:
             s0, s1 = s1, cell(s0, s1)
-            sizes.append((s1.data.shape[1], s1.data.shape[2:]))
+            c, h, n, w = s1.data.shape
+            assert n == 2
+            sizes.append((c, (h, w)))
     net.train()
     # L=4 with reductions at 1 and 2: channels double there, spatial halves.
     multiplier = cfg.multiplier
