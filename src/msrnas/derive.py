@@ -1,9 +1,11 @@
 """Discrete-architecture derivation from averaged stable-rank tables.
 
-Per edge, the operator with the smallest averaged stable rank wins; per
-intermediate node, the two predecessors whose edges have the greatest
-strength (negated minimum rank) are retained. The maximum-rank ablation
-baseline differs only by the sign of each entry's score. All ties break
+``derive_genotype`` scores each edge into an intermediate node once: by
+its best entry, the smallest averaged stable rank, which also picks the
+edge's operator. Per node it keeps the two best-scoring edges. The
+maximum-rank ablation baseline differs only by the sign of each entry's
+score; a degenerate entry scores worst in both modes, and a kept edge whose
+entries are all degenerate raises ``DerivationError``. All ties break
 toward the lower operator index (sep3 < sep5 < dil3 < dil5) and the lower
 node index. A rank-table file holds each entry once, as a finite number or
 ``degenerate``.
@@ -75,43 +77,6 @@ class RankTable:
                 f"rank table incomplete: {len(missing)} missing entries, "
                 f"first {missing[0]}"
             )
-
-
-def _scores(table: RankTable, cell_type: str, edge: tuple[int, int],
-            mode: SelectionMode) -> list[float]:
-    """Per-operator score, lower is better: the rank in min mode, its
-    negation in the max-rank ablation, and +inf for a degenerate entry."""
-    sign = 1.0 if mode is SelectionMode.MIN_STABLE_RANK else -1.0
-    values = (table.get(cell_type, edge, op) for op in OPERATOR_NAMES)
-    return [math.inf if v is None else sign * v for v in values]
-
-
-def best_operator(table: RankTable, cell_type: str, edge: tuple[int, int],
-                  mode: SelectionMode) -> str:
-    """Operator with minimum (or, in the ablation mode, maximum) average rank."""
-    if all(table.get(cell_type, edge, op) is None for op in OPERATOR_NAMES):
-        raise DerivationError(
-            f"every operator on {cell_type} edge {edge} is degenerate"
-        )
-    scores = _scores(table, cell_type, edge, mode)
-    return OPERATOR_NAMES[scores.index(min(scores))]
-
-
-def edge_strength(table: RankTable, cell_type: str, edge: tuple[int, int],
-                  mode: SelectionMode) -> float:
-    """Negated best score: minus the minimum rank (in max mode, the maximum
-    rank); -inf when every entry is degenerate."""
-    return -min(_scores(table, cell_type, edge, mode))
-
-
-def select_predecessors(table: RankTable, cell_type: str, node: int,
-                        mode: SelectionMode) -> tuple[int, int]:
-    """The two strongest predecessors of an intermediate node, strongest first."""
-    if node < 2:
-        raise ArgumentError(f"node {node} has fewer than two predecessors")
-    strengths = [edge_strength(table, cell_type, (i, node), mode)
-                 for i in range(node)]
-    return tuple(sorted(range(node), key=lambda i: -strengths[i])[:2])
 
 
 @dataclass
@@ -189,20 +154,30 @@ class Genotype:
 
 def derive_genotype(table: RankTable,
                     mode: SelectionMode = SelectionMode.MIN_STABLE_RANK) -> Genotype:
-    """Replace each retained edge with its best operator and keep the two
-    strongest predecessors per intermediate node."""
+    """Keep, per intermediate node, the two predecessors whose edges score
+    best, each with the operator that gives its edge that score."""
     table.require_complete()
+    sign = 1.0 if mode is SelectionMode.MIN_STABLE_RANK else -1.0
     per_type: dict[str, list[list[tuple[str, int]]]] = {}
     for cell_type in CELL_TYPES:
         rows = []
         for node in intermediate_nodes(table.nodes):
-            picked = select_predecessors(table, cell_type, node, mode)
-            pairs = sorted(
-                ((best_operator(table, cell_type, (i, node), mode), i)
-                 for i in picked),
-                key=lambda pair: pair[1],
-            )
-            rows.append(pairs)
+            # Per predecessor: its edge's best score, and the operator with
+            # it (None when every entry of the edge is degenerate).
+            scores, picks = [], []
+            for i in range(node):
+                values = [table.get(cell_type, (i, node), op) for op in OPERATOR_NAMES]
+                op_scores = [math.inf if v is None else sign * v for v in values]
+                scores.append(min(op_scores))
+                picks.append(None if all(v is None for v in values)
+                             else OPERATOR_NAMES[op_scores.index(scores[-1])])
+            kept = sorted(sorted(range(node), key=scores.__getitem__)[:2])
+            for i in kept:
+                if picks[i] is None:
+                    raise DerivationError(
+                        f"every operator on {cell_type} edge {(i, node)} is degenerate"
+                    )
+            rows.append([(picks[i], i) for i in kept])
         per_type[cell_type] = rows
     geno = Genotype(
         mode=mode.value,

@@ -9,19 +9,18 @@ nodes. Every convolution registers a spectral handle, and
 ``collect_rank_table`` scores the final pointwise conv of each candidate
 (``Supernet.candidates``) on its own.
 
-Both networks share one cell body (``_Cell``): the preprocessing of the two
-input states, the output geometry, the stride/extent rule for an edge leaving
-state ``i`` and the forward, which sums each intermediate node's ``(source
-state, module)`` inputs and rectifies each state it reads once. ``MixedCell``
-and ``DiscreteCell`` only build those input lists: a ``MixedEdge`` per DAG
-edge, or the genotype's two picks per node.
+Both networks are built from one cell class, ``MixedCell``, which takes per
+intermediate node the ``(source state, operator kinds)`` pairs it sums and
+holds one ``MixedEdge`` per pair: the supernet passes every edge with every
+operator, the discrete network the genotype's two picks per node, one
+operator each. So both networks share module paths (``edge_{i}_{j}.op_{kind}``)
+and per-layer names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -78,19 +77,22 @@ class SupernetConfig:
 
 
 class MixedEdge(Module):
-    """Unit-weight sum of all candidate operators; mixing is not learned."""
+    """Unit-weight sum of the given candidate operators, in the given order;
+    mixing is not learned. A one-operator edge returns that operator's
+    output as is."""
 
-    def __init__(self, channels: int, stride: int, in_hw: tuple[int, int], *,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, kinds: tuple[OperatorKind, ...], channels: int, stride: int,
+                 in_hw: tuple[int, int], *, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.ops: list[OpInstance] = []
-        for kind in OPERATOR_ORDER:
+        for kind in kinds:
             op = build_operator(kind, channels, stride, in_hw, rng=rng, dtype=dtype)
             self.add_module(f"op_{kind.value}", op)
             self.ops.append(op)
 
     def forward(self, x: Tensor) -> Tensor:
-        """``x`` is the ReLU of the edge's source state (see _Cell)."""
+        """``x`` is the ReLU of the edge's source state (see MixedCell)."""
         total = self.ops[0](x)
         for op in self.ops[1:]:
             total = total + op(x)
@@ -104,90 +106,51 @@ def _preprocess(in_channels: int, out_channels: int, in_hw: tuple[int, int],
     return ReLUConvBN(in_channels, out_channels, in_hw, rng=rng, dtype=dtype)
 
 
-class _Cell(Module):
-    """The cell body both networks share: preprocessing of the two input
-    states, output geometry, the edge stride/extent rule and the forward.
+class MixedCell(Module):
+    """One cell of either network.
 
-    Subclasses fill ``inputs`` with, per intermediate node, the ``(source
-    state, module)`` pairs whose outputs the node sums.
+    ``inputs`` maps each cell type to, per intermediate node j, the ``(source
+    state i, operator kinds)`` pairs the node sums; each pair is a
+    ``MixedEdge`` registered as ``edge_{i}_{j}``. A reduction cell strides
+    only the edges leaving its input states.
     """
 
     def __init__(self, cfg: SupernetConfig, index: int, channels: int,
                  prev_channels: int, prev_prev_channels: int,
-                 in_hw_pp: tuple[int, int], in_hw_p: tuple[int, int], *,
+                 in_hw_pp: tuple[int, int], in_hw_p: tuple[int, int], inputs, *,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.index = index
-        self.reduction = index in cfg.reduction_indices
-        self.cell_type = "reduce" if self.reduction else "normal"
-        self.in_hw = in_hw_p
+        reduction = index in cfg.reduction_indices
+        self.cell_type = "reduce" if reduction else "normal"
         h, w = in_hw_p
-        self.out_hw = ((h + 1) // 2, (w + 1) // 2) if self.reduction else in_hw_p
-        self.channels = channels
+        self.out_hw = ((h + 1) // 2, (w + 1) // 2) if reduction else in_hw_p
         self.out_channels = channels * cfg.multiplier
         self.pre0 = _preprocess(prev_prev_channels, channels, in_hw_pp,
                                 index - 1 in cfg.reduction_indices,
                                 rng=rng, dtype=dtype)
         self.pre1 = _preprocess(prev_channels, channels, in_hw_p, False,
                                 rng=rng, dtype=dtype)
-        self.inputs: list[list[tuple[int, Module]]] = []
-
-    def edge_geometry(self, i: int) -> tuple[int, tuple[int, int]]:
-        """Stride and input extents of an op on an edge leaving state ``i``:
-        a reduction cell strides only the edges leaving its input states."""
-        if self.reduction and i < 2:
-            return 2, self.in_hw
-        return 1, self.out_hw
-
-    def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
-        # Every op starts with a ReLU of its source state; it is applied once
-        # per state that some input reads and shared by all of them.
-        states = [self.pre0(s0), self.pre1(s1)]
-        relu_states: dict[int, Tensor] = {}
-        for node_inputs in self.inputs:
-            total = None
-            for i, module in node_inputs:
-                if i not in relu_states:
-                    relu_states[i] = ad.relu(states[i])
-                contribution = module(relu_states[i])
-                total = contribution if total is None else total + contribution
-            states.append(total)
-        return ad.concat(states[2:], axis=0)
-
-
-class MixedCell(_Cell):
-    """One supernet cell: a full mixed edge per DAG edge."""
-
-    def __init__(self, cfg: SupernetConfig, *args, rng: np.random.Generator,
-                 dtype=np.float32):
-        super().__init__(cfg, *args, rng=rng, dtype=dtype)
         self.edges: dict[tuple[int, int], MixedEdge] = {}
-        for j in intermediate_nodes(cfg.nodes):
-            node_inputs = []
-            for i in range(j):
-                edge = MixedEdge(self.channels, *self.edge_geometry(i),
-                                 rng=rng, dtype=dtype)
+        for j, node_inputs in zip(intermediate_nodes(cfg.nodes), inputs[self.cell_type]):
+            for i, kinds in node_inputs:
+                stride, hw = (2, in_hw_p) if reduction and i < 2 else (1, self.out_hw)
+                edge = MixedEdge(kinds, channels, stride, hw, rng=rng, dtype=dtype)
                 self.add_module(f"edge_{i}_{j}", edge)
                 self.edges[(i, j)] = edge
-                node_inputs.append((i, edge))
-            self.inputs.append(node_inputs)
 
-
-class DiscreteCell(_Cell):
-    """Genotype-pruned cell: two retained (operator, predecessor) edges per node."""
-
-    def __init__(self, cfg: SupernetConfig, *args, genotype: Genotype,
-                 rng: np.random.Generator, dtype=np.float32):
-        super().__init__(cfg, *args, rng=rng, dtype=dtype)
-        rows = genotype.rows(self.cell_type)
-        for j, pairs in zip(intermediate_nodes(cfg.nodes), rows):
-            node_inputs = []
-            for op_name, i in pairs:
-                op = build_operator(OperatorKind(op_name), self.channels,
-                                    *self.edge_geometry(i), rng=rng, dtype=dtype)
-                self.add_module(f"node{j}_from{i}_{op_name}", op)
-                node_inputs.append((i, op))
-            self.inputs.append(node_inputs)
+    def forward(self, s0: Tensor, s1: Tensor) -> Tensor:
+        # Edges run node by node, so a state is complete before an edge reads
+        # it. Every op starts with a ReLU of its source state; it is applied
+        # once per state that some edge reads and shared by all of them.
+        states = {0: self.pre0(s0), 1: self.pre1(s1)}
+        relu_states: dict[int, Tensor] = {}
+        for (i, j), edge in self.edges.items():
+            if i not in relu_states:
+                relu_states[i] = ad.relu(states[i])
+            contribution = edge(relu_states[i])
+            states[j] = contribution if j not in states else states[j] + contribution
+        return ad.concat(list(states.values())[2:], axis=0)
 
 
 class Stem(Module):
@@ -205,23 +168,24 @@ class Stem(Module):
 
 
 class _NetworkBase(Module):
-    """Shared stem/cells/classifier plumbing for both network variants."""
+    """Stem, cells and classifier of both networks; ``inputs`` is each
+    cell's (see ``MixedCell``)."""
 
-    def __init__(self, cfg: SupernetConfig, make_cell, *, dtype, seed: int):
+    def __init__(self, cfg: SupernetConfig, inputs, *, dtype, seed: int):
         super().__init__()
         self.cfg = cfg
         self.dtype = dtype
         rng = np.random.Generator(np.random.PCG64([seed & 0xFFFFFFFF, 0x5EED]))
         stem_channels = STEM_MULTIPLIER * cfg.initial_channels
         self.stem = Stem(stem_channels, cfg.input_hw, rng=rng, dtype=dtype)
-        self.cells: list[_Cell] = []
+        self.cells: list[MixedCell] = []
         c_pp, c_p = stem_channels, stem_channels
         hw_pp, hw_p = cfg.input_hw, cfg.input_hw
         channels = cfg.initial_channels
         for index in range(cfg.cells):
             if index in cfg.reduction_indices:
                 channels *= 2
-            cell = make_cell(cfg, index, channels, c_p, c_pp, hw_pp, hw_p,
+            cell = MixedCell(cfg, index, channels, c_p, c_pp, hw_pp, hw_p, inputs,
                              rng=rng, dtype=dtype)
             self.add_module(f"cell{index}", cell)
             self.cells.append(cell)
@@ -242,7 +206,7 @@ class _NetworkBase(Module):
             s0, s1 = s1, ad.relu(cell(s0, s1))
         return self.cells[-1](s0, s1)
 
-    def logits(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return self.classifier(global_avg_pool(self.forward_features(x)))
 
 
@@ -251,7 +215,14 @@ class Supernet(_NetworkBase):
 
     def __init__(self, cfg: SupernetConfig, spectral_cfg: SpectralConfig, *,
                  dtype=np.float32, seed: int = 0):
-        super().__init__(cfg, MixedCell, dtype=dtype, seed=seed)
+        if len(cfg.reduction_indices) == cfg.cells:
+            raise ConstructionError(
+                f"a {cfg.cells}-cell supernet has no cells of type 'normal', so "
+                "its rank table would be incomplete; use at least 3 cells")
+        every_edge = [[(i, OPERATOR_ORDER) for i in range(j)]
+                      for j in intermediate_nodes(cfg.nodes)]
+        super().__init__(cfg, dict.fromkeys(CELL_TYPES, every_edge),
+                         dtype=dtype, seed=seed)
         self.spectral_cfg = spectral_cfg
         self._step = 0
         self._adjusted_step = -1
@@ -294,7 +265,8 @@ class Supernet(_NetworkBase):
                 "spectral adjustment has not been applied this step; call "
                 "adjust_all() after begin_step() and before the forward pass"
             )
-        return self.logits(x)
+        return super().forward(x)
+
 
 class DiscreteNetwork(_NetworkBase):
     """Genotype-pruned network trained from scratch; no spectral machinery."""
@@ -306,11 +278,9 @@ class DiscreteNetwork(_NetworkBase):
                 f"genotype built for {genotype.nodes} nodes, config has {cfg.nodes}"
             )
         genotype.validate()
-        super().__init__(cfg, partial(DiscreteCell, genotype=genotype),
-                         dtype=dtype, seed=seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.logits(x)
+        kept = {t: [[(i, (OperatorKind(op),)) for op, i in row]
+                    for row in genotype.rows(t)] for t in CELL_TYPES}
+        super().__init__(cfg, kept, dtype=dtype, seed=seed)
 
 
 def build_supernet(cfg: SupernetConfig,
@@ -328,13 +298,8 @@ def _scored_rank_table(net: Supernet, epoch: int) -> tuple[RankTable, dict]:
     """The rank table, from one ``stable_rank`` call per final conv, and
     the ``(cell, stable_rank result)`` pairs behind each of its entries, in
     cell index order."""
-    present = {cell.cell_type for cell in net.cells}
-    missing = [t for t in CELL_TYPES if t not in present]
-    if missing:
-        raise StateError(
-            f"cannot build a complete rank table: no cells of type {missing}"
-        )
-    scored: dict[tuple[str, tuple[int, int], str], list[tuple[_Cell, tuple | None]]] = {}
+    scored: dict[tuple[str, tuple[int, int], str],
+                 list[tuple[MixedCell, tuple | None]]] = {}
     for cell, edge, op in net.candidates():
         scored.setdefault((cell.cell_type, edge, op.kind.value), []).append(
             (cell, stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)))

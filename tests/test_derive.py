@@ -15,16 +15,13 @@ from msrnas.derive import (
     Genotype,
     RankTable,
     SelectionMode,
-    best_operator,
     cell_edges,
     derive_genotype,
-    edge_strength,
     intermediate_nodes,
     rank_table_from_text,
     rank_table_to_text,
-    select_predecessors,
 )
-from msrnas.errors import ArgumentError, DerivationError, FormatError, GenotypeError
+from msrnas.errors import DerivationError, FormatError, GenotypeError
 from msrnas.operators import OPERATOR_NAMES
 
 MIN = SelectionMode.MIN_STABLE_RANK
@@ -90,48 +87,85 @@ def oracle_genotype(table, mode):
 EXAMPLE = {"sep3": 3.2, "sep5": 2.1, "dil3": 4.0, "dil5": 2.5}
 
 
+def kept_rows(table, mode, cell_type="normal"):
+    return derive_genotype(table, mode=mode).rows(cell_type)
+
+
 def test_best_operator_min_and_max():
+    """A kept edge takes its smallest entry in min mode, its largest in max."""
+    table = table_for(4, lambda t, e, o: EXAMPLE[o])
+    assert kept_rows(table, MIN) == [[("sep5", 0), ("sep5", 1)]]
+    assert kept_rows(table, MAX, "reduce") == [[("dil3", 0), ("dil3", 1)]]
     table = table_for(5, lambda t, e, o: EXAMPLE[o])
-    assert best_operator(table, "normal", (0, 2), MIN) == "sep5"
-    assert best_operator(table, "normal", (0, 2), MAX) == "dil3"
+    assert kept_rows(table, MIN) == [[("sep5", 0), ("sep5", 1)]] * 2
+    assert kept_rows(table, MAX) == [[("dil3", 0), ("dil3", 1)]] * 2
 
 
 def test_best_operator_tie_break():
-    table = table_for(5, lambda t, e, o: 2.0)
-    assert best_operator(table, "normal", (0, 2), MIN) == "sep3"
-    assert best_operator(table, "normal", (0, 2), MAX) == "sep3"
+    """Equal entries go to the lower operator index, sep3 first."""
+    table = table_for(4, lambda t, e, o: 2.0)
+    for mode in (MIN, MAX):
+        assert kept_rows(table, mode) == [[("sep3", 0), ("sep3", 1)]]
+    pairs = {"sep3": 2.0, "sep5": 1.0, "dil3": 2.0, "dil5": 1.0}
+    table = table_for(5, lambda t, e, o: pairs[o])
+    assert kept_rows(table, MIN) == [[("sep5", 0), ("sep5", 1)]] * 2
+    assert kept_rows(table, MAX) == [[("sep3", 0), ("sep3", 1)]] * 2
 
 
 def test_best_operator_flagged_entries():
+    """A degenerate entry scores worst in both modes, and an edge whose
+    entries are all degenerate is never kept over a usable one."""
     def fill(t, e, o):
+        if e == (1, 3):
+            return None
         return None if o == "sep3" else EXAMPLE[o]
 
     table = table_for(5, fill)
-    assert best_operator(table, "normal", (0, 2), MIN) == "sep5"
-    assert best_operator(table, "normal", (0, 2), MAX) == "dil3"
+    assert kept_rows(table, MIN) == [[("sep5", 0), ("sep5", 1)],
+                                     [("sep5", 0), ("sep5", 2)]]
+    assert kept_rows(table, MAX) == [[("dil3", 0), ("dil3", 1)],
+                                     [("dil3", 0), ("dil3", 2)]]
 
 
 def test_best_operator_all_flagged_raises():
-    table = table_for(5, lambda t, e, o: None)
-    with pytest.raises(DerivationError):
-        best_operator(table, "normal", (0, 2), MIN)
+    table = table_for(4, lambda t, e, o: None)
+    with pytest.raises(DerivationError,
+                       match=re.escape("every operator on normal edge (0, 2) is degenerate")):
+        derive_genotype(table, mode=MIN)
+    # Node 2 must keep both of its edges; here the reduce edge (1, 2) has
+    # no usable operator.
+    table = table_for(4, lambda t, e, o: None if (t, e) == ("reduce", (1, 2)) else 1.0)
+    for mode in (MIN, MAX):
+        with pytest.raises(DerivationError,
+                           match=re.escape("on reduce edge (1, 2) is degenerate")):
+            derive_genotype(table, mode=mode)
 
 
 def test_edge_strength_values():
-    table = table_for(5, lambda t, e, o: EXAMPLE[o])
-    assert edge_strength(table, "normal", (0, 2), MIN) == pytest.approx(-2.1)
+    """An edge scores by its best entry alone, not by its other entries."""
+    by_source = {0: {"sep3": 9.0, "sep5": 2.1, "dil3": 9.0, "dil5": 9.0},
+                 1: dict.fromkeys(OPERATOR_NAMES, 2.2),
+                 2: dict.fromkeys(OPERATOR_NAMES, 2.15)}
+
+    def fill(t, e, o):
+        return by_source[e[0]][o] if e[1] == 3 else 1.0
+
+    table = table_for(5, fill)
+    assert kept_rows(table, MIN)[1] == [("sep5", 0), ("sep3", 2)]
+    assert kept_rows(table, MAX)[1] == [("sep3", 0), ("sep3", 1)]
     constant = table_for(5, lambda t, e, o: 7.0)
-    assert edge_strength(constant, "reduce", (1, 3), MIN) == pytest.approx(-7.0)
+    assert kept_rows(constant, MIN, "reduce")[1] == [("sep3", 0), ("sep3", 1)]
 
 
-def test_edge_strength_orders_edges_by_min_rank(rng):
+def test_edge_strength_orders_edges_by_min_rank():
     table = random_table(7, seed=5)
-    edges = [(i, 5) for i in range(5)]
-    strengths = [edge_strength(table, "normal", e, MIN) for e in edges]
-    min_ranks = [
-        min(table.get("normal", e, op) for op in OPERATOR_NAMES) for e in edges
-    ]
-    assert np.argsort(strengths).tolist() == np.argsort(min_ranks)[::-1].tolist()
+    for cell_type in CELL_TYPES:
+        rows = kept_rows(table, MIN, cell_type)
+        for node, pairs in zip(intermediate_nodes(7), rows):
+            min_ranks = [min(table.get(cell_type, (i, node), op) for op in OPERATOR_NAMES)
+                         for i in range(node)]
+            expected = sorted(np.argsort(min_ranks, kind="stable")[:2].tolist())
+            assert [i for _, i in pairs] == expected
 
 
 def test_select_predecessors_example():
@@ -141,23 +175,28 @@ def test_select_predecessors_example():
         return by_source[e[0]] if e[1] == 4 else 1.0
 
     table = table_for(7, fill)
-    assert select_predecessors(table, "normal", 4, MIN) == (2, 0)
+    # Row 2 is node 4; its pairs are listed by predecessor.
+    assert kept_rows(table, MIN)[2] == [("sep3", 0), ("sep3", 2)]
+    assert kept_rows(table, MAX)[2] == [("sep3", 1), ("sep3", 3)]
 
 
 def test_select_predecessors_forced_pair():
-    table = random_table(5, seed=1)
-    assert set(select_predecessors(table, "normal", 2, MIN)) == {0, 1}
+    for nodes in (4, 5):
+        table = random_table(nodes, seed=1)
+        for mode in (MIN, MAX):
+            geno = derive_genotype(table, mode=mode)
+            for rows in (geno.normal, geno.reduce):
+                assert [i for _, i in rows[0]] == [0, 1]
 
 
 def test_select_predecessors_tie_break():
+    """Equal edge scores go to the lower predecessor."""
     table = table_for(7, lambda t, e, o: 3.0)
-    assert select_predecessors(table, "reduce", 4, MIN) == (0, 1)
-
-
-def test_select_predecessors_bad_node():
-    table = random_table(5, seed=2)
-    with pytest.raises(ArgumentError):
-        select_predecessors(table, "normal", 1, MIN)
+    assert [[i for _, i in pairs] for pairs in kept_rows(table, MIN, "reduce")] == \
+        [[0, 1]] * 4
+    by_source = {0: 2.0, 1: 1.0, 2: 1.0, 3: 1.0}
+    table = table_for(7, lambda t, e, o: by_source[e[0]] if e[1] == 4 else 1.0)
+    assert [i for _, i in kept_rows(table, MIN, "reduce")[2]] == [1, 2]
 
 
 def test_uniform_best_operator_appears_everywhere():

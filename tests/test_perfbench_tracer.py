@@ -113,6 +113,35 @@ def test_traced_conv_spans_do_not_nest(spans_module, monkeypatch):
     assert adjoint_spans == len(adjoint_calls) > len(net.handle_groups)
 
 
+def test_traced_forward_records_cell_and_edge_spans_of_both_networks(spans_module):
+    """Both networks are built from ``supernet.MixedCell`` and
+    ``supernet.MixedEdge``, so a traced forward of either records both kinds
+    and the per-layer report gives each a cell and an edge time."""
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    disc = supernet.build_discrete_network(derive_genotype(supernet.collect_rank_table(net)),
+                                           cfg, dtype=np.float32, seed=0)
+    images = Tensor(np.random.default_rng(0).standard_normal((2, 3, 10, 10))
+                    .astype(np.float32))
+    net.begin_step()
+    net.adjust_all()
+    for model in (net, disc):
+        tracer = spans_module.Tracer()
+        tracer.install()
+        try:
+            start = spans_module.clock()
+            model(images)
+            end = spans_module.clock()
+        finally:
+            tracer.uninstall()
+        names = {tracer.names[nid] for nid, *_ in tracer.spans}
+        assert {"supernet.forward", "supernet.MixedCell", "supernet.MixedEdge"} <= names
+        metrics = spans_module.layer_metrics(tracer, [(start, end)], [])
+        assert metrics["supernet.MixedCell.fwd_s"][0] > 0
+        assert metrics["supernet.MixedEdge.fwd_s"][0] > 0
+
+
 def test_checks_converge_and_accept_an_adjusted_supernet():
     checks = load_perfbench("checks")
     cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,

@@ -1,11 +1,20 @@
 """Supernet topology, mixed-edge semantics, spectral enforcement, and rank
 collection against closed-form constructions."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
 from msrnas.autodiff import Tensor, no_grad
-from msrnas.derive import SelectionMode, derive_genotype
+from msrnas.derive import (
+    CELL_TYPES,
+    Genotype,
+    SelectionMode,
+    derive_genotype,
+    intermediate_nodes,
+)
 from msrnas.errors import ConstructionError, DimensionError, GenotypeError, StateError
 from msrnas.layers import cross_entropy
 from msrnas.operators import OPERATOR_NAMES, OperatorKind
@@ -292,12 +301,19 @@ def set_fin_weights_diagonal(net, diag):
 
 
 def test_rank_table_single_cell_type_error():
-    cfg = SupernetConfig(cells=2, nodes=5, initial_channels=4, num_classes=4,
-                         input_hw=(16, 16))
-    net = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=0)
-    assert all(cell.cell_type == "reduce" for cell in net.cells)
-    with pytest.raises(StateError, match="normal"):
-        collect_rank_table(net)
+    """With 1 or 2 cells every cell is a reduction cell: the supernet, whose
+    rank table needs both cell types, is refused; the discrete network of
+    the same shape builds."""
+    rows = [[("sep3", 0), ("sep5", 1)], [("dil3", 0), ("dil5", 2)]]
+    geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES, normal=rows,
+                    reduce=rows)
+    for cells in (1, 2):
+        cfg = SupernetConfig(cells=cells, nodes=5, initial_channels=4, num_classes=4,
+                             input_hw=(16, 16))
+        with pytest.raises(ConstructionError, match="no cells of type 'normal'"):
+            build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=0)
+        disc = build_discrete_network(geno, cfg, dtype=np.float64, seed=0)
+        assert [cell.cell_type for cell in disc.cells] == ["reduce"] * cells
 
 
 def fin_ranks(net) -> dict:
@@ -376,11 +392,8 @@ def test_weight_scale_neutrality_of_selection():
     for handle in net.handles:
         handle.spec.weight *= 3.7
     scaled = collect_rank_table(net)
-    for cell_type in ("normal", "reduce"):
-        for edge in net.cells[0].edges:
-            from msrnas.derive import best_operator
-            assert best_operator(base, cell_type, edge, SelectionMode.MIN_STABLE_RANK) == \
-                best_operator(scaled, cell_type, edge, SelectionMode.MIN_STABLE_RANK)
+    for mode in SelectionMode:
+        assert derive_genotype(base, mode=mode) == derive_genotype(scaled, mode=mode)
 
 
 def test_spectral_constraint_after_adjustment():
@@ -430,6 +443,55 @@ def test_discrete_network_rejects_node_mismatch():
     geno = derive_genotype(collect_rank_table(net))
     with pytest.raises(GenotypeError):
         build_discrete_network(geno, cfg)
+
+
+GENOTYPE_7NODE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "perfbench", "genotype_min_7node.json")
+EDGE_PATH = re.compile(r"cell(\d+)\.edge_(\d+)_(\d+)\.op_(\w+?)\.")
+
+
+def array_shapes(net) -> list:
+    return ([(name, p.data.shape) for name, p in net.named_parameters()]
+            + [(name, b.shape) for name, b in net.named_buffers()])
+
+
+def kept_shapes(supernet, genotype: Genotype) -> list:
+    """The supernet's arrays outside every edge, and those of each (edge,
+    operator) the genotype keeps in a cell of that type."""
+    kept = {t: {(i, j, op) for j, row in zip(intermediate_nodes(genotype.nodes),
+                                             genotype.rows(t))
+                for op, i in row}
+            for t in CELL_TYPES}
+    shapes = []
+    for name, shape in array_shapes(supernet):
+        match = EDGE_PATH.match(name)
+        if match is not None:
+            cell, i, j, op = match.groups()
+            if (int(i), int(j), op) not in kept[supernet.cells[int(cell)].cell_type]:
+                continue
+        shapes.append((name, shape))
+    return shapes
+
+
+def test_discrete_network_arrays_are_the_supernets_kept_arrays():
+    """A discrete network holds, in the same order and with the same names
+    and shapes, the supernet's stem, preprocessing and classifier arrays and
+    those of each kept (edge, operator)."""
+    with open(GENOTYPE_7NODE, encoding="utf-8") as fh:
+        geno7 = Genotype.from_json_str(fh.read())
+    cfg = SupernetConfig(cells=8, nodes=7, initial_channels=16, num_classes=10,
+                         input_hw=(16, 16))
+    supernet = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    disc = build_discrete_network(geno7, cfg, dtype=np.float32, seed=0)
+    assert array_shapes(disc) == kept_shapes(supernet, geno7)
+    assert any(".edge_" in name for name, _ in array_shapes(disc))
+
+    cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(10, 10))
+    supernet = build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=2)
+    for mode in SelectionMode:
+        geno = derive_genotype(collect_rank_table(supernet), mode=mode)
+        disc = build_discrete_network(geno, cfg, dtype=np.float64, seed=2)
+        assert array_shapes(disc) == kept_shapes(supernet, geno)
 
 
 def test_conv_rank_report_structure(small_net):

@@ -524,6 +524,9 @@ def with_setting(text: str, key: str, value: str) -> str:
 BAD_RUNS = [
     ("search", "split.seed", "-1", "config"),
     ("search", "net.nodes", "3", "construction"),
+    # Every cell is a reduction cell, so the rank table could not be complete.
+    ("search", "net.cells", "2", "construction"),
+    ("search", "net.cells", "1", "construction"),
     ("search", "data.height", "4", "argument"),
     ("search", "spectral.iterations", "0", "config"),
     ("search", "train.epochs", "-1", "config"),
