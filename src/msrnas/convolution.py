@@ -32,7 +32,10 @@ axis, once per call. ``T_k`` has
 ``g*cg*og*w*wo`` entries, which stays small because the only dense kxk conv
 in the network is the 3-channel stem. Each call builds the band from the
 weight unless it is handed one: ``conv_bands`` builds it once for a caller
-that runs the maps many times on an unchanged weight.
+that runs the maps many times on an unchanged weight. A caller that stacks
+kernels of different sizes as one conv (``spectral.power_iteration``) also
+passes, per kernel row, the slice of groups with taps in it
+(``row_groups``), and that row's GEMM and add run over those groups only.
 
 The adjoint is exact with respect to the forward map, including padding,
 striding, dilation and groups; the power iteration and the backward pass
@@ -207,32 +210,50 @@ def _sampled(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 
 def _row_gemms(rows: np.ndarray, band: np.ndarray, moves, out_rows: int) -> np.ndarray:
-    """The sum of ``out[:, dst] += rows[:, src] @ band[k]`` over the
-    ``(k, src, dst)`` in ``moves``: ``rows`` is (g, H, N, K) and ``out``
-    (g, out_rows, N, band.shape[3]), zero where no move lands."""
+    """The sum of ``out[grp, dst] += rows[grp, src] @ band[k, grp]`` over
+    the ``(k, src, dst, grp)`` in ``moves``: ``rows`` is (g, H, N, K) and
+    ``out`` (g, out_rows, N, band.shape[3]), zero where no move lands."""
     g, _, n, _ = rows.shape
     out = np.empty((g, out_rows, n, band.shape[3]), dtype=rows.dtype)
-    # A move onto every output row (the middle kernel row, at the padding
-    # the network uses) writes ``out`` in place of zeroing it first.
-    first = next((m for m in moves if m[2] == slice(0, out_rows, 1)), None)
+    # A move onto every output row of every group (the middle kernel row, at
+    # the padding the network uses) writes ``out`` in place of zeroing it.
+    whole = (slice(0, out_rows, 1), slice(0, g))
+    first = next((m for m in moves if m[2:] == whole), None)
     if first is None:
         out[...] = 0
     else:
-        k, src, _ = first
+        k, src, _, _ = first
         np.matmul(rows[:, src].reshape(g, -1, band.shape[2]), band[k],
                   out=out.reshape(g, -1, band.shape[3]))
     for move in moves:
         if move is not first:
-            k, src, dst = move
-            prod = np.matmul(rows[:, src].reshape(g, -1, band.shape[2]), band[k])
-            out[:, dst] += prod.reshape(g, -1, n, band.shape[3])
+            k, src, dst, grp = move
+            part = rows[grp, src]
+            prod = np.matmul(part.reshape(len(part), -1, band.shape[2]), band[k, grp])
+            out[grp, dst] += prod.reshape(len(part), -1, n, band.shape[3])
     return out
 
 
-def conv2d_forward(x: np.ndarray, spec: ConvSpec,
-                   band: np.ndarray | None = None) -> np.ndarray:
+def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool) -> list:
+    """``(k, src, dst, grp)`` for ``_row_gemms``: per kernel row k, the
+    output rows y0..y1 it reaches and the input rows they read (the other
+    way round for the adjoint), over the groups ``row_groups[k]`` (every
+    group when None); a row with no group is left out."""
+    moves = []
+    for k, y0, y1, rows in _row_spans(spec, h, ho):
+        grp = slice(0, spec.groups) if row_groups is None else row_groups[k]
+        if grp.start < grp.stop:
+            out_rows = slice(y0, y1, 1)
+            moves.append((k, out_rows, rows, grp) if adjoint else (k, rows, out_rows, grp))
+    return moves
+
+
+def conv2d_forward(x: np.ndarray, spec: ConvSpec, band: np.ndarray | None = None,
+                   row_groups: list[slice] | None = None) -> np.ndarray:
     """Cross-correlation with zero padding of a (C, H, N, W) input; ``band``
-    is the one of ``conv_bands``, built here when not given."""
+    is the one of ``conv_bands``, built here when not given. ``row_groups``
+    (per kernel row, the slice of groups whose kernels have taps in it) lets
+    a stack of kernels of different sizes skip the rest: see ``_moves``."""
     x = np.asarray(x)
     _check_input(x, spec.in_channels)
     _, h, n, w = x.shape
@@ -243,18 +264,19 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec,
         out = np.matmul(spec.weight.reshape(g, og, -1), _sampled(x, spec))
         return out.reshape(spec.out_channels, ho, n, wo).astype(x.dtype, copy=False)
     band = _fitting_band(spec, band, w, wo, x.dtype)
-    moves = [(k, src, slice(y0, y1, 1)) for k, y0, y1, src in _row_spans(spec, h, ho)]
+    moves = _moves(spec, h, ho, row_groups, adjoint=False)
     return _ungrouped(_row_gemms(_grouped(x, g), band, moves, ho), wo)
 
 
 def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
                              input_hw: tuple[int, int],
-                             band: np.ndarray | None = None) -> np.ndarray:
+                             band: np.ndarray | None = None,
+                             row_groups: list[slice] | None = None) -> np.ndarray:
     """Exact adjoint of ``conv2d_forward`` at input extents ``input_hw``
     (several input sizes can share one output size when stride > 1);
-    ``band`` is the one of ``conv_bands``, built here when not given. It is
-    multiplied by transposed, and copied into that memory order unless it
-    is already laid out so."""
+    ``band`` and ``row_groups`` are as there. The band is multiplied by
+    transposed, and copied into that memory order unless it is already laid
+    out so."""
     y = np.asarray(y)
     _check_input(y, spec.out_channels)
     _, ho, n, wo = y.shape
@@ -277,7 +299,7 @@ def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
     band = _fitting_band(spec, band, w, wo, y.dtype)
     # A stacked matmul by a transposed view runs at about half speed.
     band_t = np.ascontiguousarray(band.transpose(0, 1, 3, 2))
-    moves = [(k, slice(y0, y1, 1), dst) for k, y0, y1, dst in _row_spans(spec, h, ho)]
+    moves = _moves(spec, h, ho, row_groups, adjoint=True)
     return _ungrouped(_row_gemms(_grouped(y, g), band_t, moves, h), w)
 
 

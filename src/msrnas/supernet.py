@@ -40,9 +40,9 @@ from .operators import (
 from .spectral import (
     ConvHandle,
     SpectralConfig,
-    group_by_geometry,
     spectral_norm_adjust,
     stable_rank,
+    stack_handles,
 )
 
 STEM_MULTIPLIER = 3
@@ -232,8 +232,8 @@ class Supernet(_NetworkBase):
                 module.handle = ConvHandle(module.spec, module.in_hw,
                                            seed=spectral_cfg.seed, name=module.path)
                 self.handles.append(module.handle)
-        # Power iteration runs once per geometry group (see spectral.py).
-        self.handle_groups = group_by_geometry(self.handles)
+        # Power iteration runs once per stack (see spectral.py).
+        self.handle_groups = stack_handles(self.handles)
 
     def candidates(self):
         """Every candidate operator as ``(cell, edge, op)``, by cell, edge and

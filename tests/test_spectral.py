@@ -1,6 +1,6 @@
-"""Power iteration (single and grouped by geometry), spectral-norm adjustment,
-and the closed-form stable rank of 1x1 convs, checked against the dense SVD
-oracle."""
+"""Power iteration (single and stacked), the exact spectral norm of 1x1
+convs, spectral-norm adjustment, and the closed-form stable rank of 1x1
+convs, checked against the dense SVD oracle."""
 
 import dataclasses
 import re
@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnas import convolution
+from msrnas import convolution, spectral
 from msrnas.convolution import ConvSpec, conv2d_forward, conv2d_transpose_forward
 from msrnas.errors import ArgumentError, DegenerateOperatorError
 from msrnas.spectral import (
     ConvHandle,
     SpectralConfig,
+    conv_geometry,
     power_iteration,
     spectral_norm_adjust,
     stable_rank,
@@ -223,7 +224,7 @@ def test_warm_start_persists_across_calls(rng):
     assert fifth >= first - 1e-10
 
 
-# Grouped power iteration over the geometry groups of a supernet ------------
+# Power iteration over the stacks of a supernet ----------------------------
 
 GROUP_KINDS = {
     "pw_stride1": lambda s: s.kernel_h == 1 and s.stride == 1 and s.groups == 1,
@@ -254,14 +255,15 @@ def grouped_net():
 
 
 def kind_groups(net) -> dict:
-    """The first geometry group of each kind whose members see at least 4
-    pixels a side (so a dilated 5x5 kernel is not diagonal)."""
+    """Per kind, its members in the first stack that holds some and whose
+    members see at least 4 pixels a side (so a dilated 5x5 kernel is not
+    diagonal)."""
     picked = {}
     for group in net.handle_groups:
-        spec = group[0].spec
         for kind, match in GROUP_KINDS.items():
-            if kind not in picked and match(spec) and min(group[0].in_hw) >= 4:
-                picked[kind] = group
+            members = [h for h in group if match(h.spec)]
+            if kind not in picked and members and min(members[0].in_hw) >= 4:
+                picked[kind] = members
     return picked
 
 
@@ -269,9 +271,31 @@ def test_handle_groups_partition_by_geometry(grouped_net):
     net = grouped_net
     members = [h for group in net.handle_groups for h in group]
     assert sorted(map(id, members)) == sorted(map(id, net.handles))
-    assert len({h.geometry for h in net.handles}) == len(net.handle_groups)
+    assert len({h.stack_key for h in net.handles}) == len(net.handle_groups)
+    merged = 0
     for group in net.handle_groups:
-        assert len({h.geometry for h in group}) == 1
+        assert len({h.stack_key for h in group}) == 1
+        spec = group[0].spec
+        if spec.is_depthwise and not spec.is_pointwise:
+            # One stack per (channels, stride, input extent, dtype), its
+            # members ordered sep3, sep5, dil3, dil5.
+            assert len({(h.spec.in_channels, h.spec.stride, h.in_hw, h.spec.weight.dtype)
+                        for h in group}) == 1
+            assert all(2 * h.spec.padding == (h.spec.kernel_h - 1) * h.spec.dilation
+                       for h in group)
+            order = [(h.spec.dilation, h.spec.kernel_h) for h in group]
+            assert order == sorted(order)
+            merged += len(set(order)) > 1
+        else:
+            assert len({conv_geometry(h.spec, h.in_hw) for h in group}) == 1
+    assert merged >= 3
+    depthwise = {(h.spec.in_channels, h.spec.stride, h.in_hw) for h in net.handles
+                 if h.spec.is_depthwise}
+    assert sum(g[0].spec.is_depthwise for g in net.handle_groups) == len(depthwise)
+    first = next(g for g in net.handle_groups
+                 if g[0].spec.is_depthwise and g[0].spec.stride == 1)
+    kinds = [h.name.rsplit(".", 2)[1] for h in first]
+    assert sorted(set(kinds), key=kinds.index) == ["op_sep3", "op_sep5", "op_dil3", "op_dil5"]
     groups = kind_groups(net)
     assert set(groups) == set(GROUP_KINDS)
     assert len(groups["dense_stem"]) == 1
@@ -318,10 +342,11 @@ def test_grouped_adjust_raises_for_zero_kernel_member():
 
 def test_null_space_iterate_raises_and_changes_no_member(rng):
     hw = (3, 3)
-    weights = [rng.standard_normal((2, 2, 1, 1)) for _ in range(3)]
-    # Rank one; (1, 1) at every pixel lies in its null space.
-    weights[1] = np.array([[1.0, -1.0], [2.0, -2.0]]).reshape(2, 2, 1, 1)
-    group = [ConvHandle(ConvSpec(2, 2, 1, 1, weight=weight), hw, seed=4, name=f"m{k}")
+    weights = [rng.standard_normal((2, 2, 1, 2)) for _ in range(3)]
+    # Each output is a difference of horizontal neighbours summed over
+    # channels, so a constant image lies in its null space.
+    weights[1] = np.tile([1.0, -1.0], (2, 2, 1, 1))
+    group = [ConvHandle(ConvSpec(2, 2, 1, 2, weight=weight), hw, seed=4, name=f"m{k}")
              for k, weight in enumerate(weights)]
     null = np.ones((1, 2) + hw)
     group[1].vector = null / np.linalg.norm(null)
@@ -347,9 +372,19 @@ def probes_of(group):
     return [ConvHandle(h.spec, h.in_hw, seed=h.seed, name=h.name) for h in group]
 
 
+def geometry_runs(group):
+    """The members of a stack split by geometry, in stack order."""
+    runs: dict[tuple, list] = {}
+    for handle in group:
+        runs.setdefault(conv_geometry(handle.spec, handle.in_hw), []).append(handle)
+    return list(runs.values())
+
+
 @pytest.mark.parametrize("iterations", [5, 50])
 def test_power_iteration_builds_one_band_per_group(monkeypatch, iterations):
-    # Rebuilding the band in every conv call would take 2 * iterations + 1.
+    # Each geometry in a stack builds its band rows once per call; rebuilding
+    # them in every conv call would take 2 * iterations + 1. A 1x1 stack
+    # builds none.
     built = []
     band_matrices = convolution._band_matrices
     monkeypatch.setattr(convolution, "_band_matrices",
@@ -358,12 +393,13 @@ def test_power_iteration_builds_one_band_per_group(monkeypatch, iterations):
     for group in net.handle_groups:
         built.clear()
         power_iteration(probes_of(group), iterations)
-        assert len(built) == (0 if group[0].spec.is_pointwise else 1)
+        assert len(built) == (0 if group[0].spec.is_pointwise else len(geometry_runs(group)))
 
 
 def reference_power_iteration(handles, iterations):
-    """The stacked power-iteration loop with no null-space restarts, every
-    conv call building its own band; returns the estimates and unit vectors."""
+    """The stacked power-iteration loop for handles of one geometry, every
+    conv call building its own band; returns the estimates and unit
+    vectors."""
     spec, hw, m = handles[0].spec, handles[0].in_hw, len(handles)
     stacked = dataclasses.replace(
         spec, out_channels=m * spec.out_channels, in_channels=m * spec.in_channels,
@@ -384,11 +420,124 @@ def reference_power_iteration(handles, iterations):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_prebuilt_bands_match_per_call_bands_exactly(dtype):
+    # A merged depthwise stack gives each member the estimate and vector,
+    # bit for bit, of a stack of its own geometry whose conv calls each
+    # build their own band.
     net = tiny_supernet(seed=2, dtype=dtype)
+    mixed = 0
     for group in net.handle_groups:
+        if group[0].spec.is_pointwise:
+            continue
         probes = probes_of(group)
-        sigmas = power_iteration(probes, 5)
-        want_sigmas, want_vectors = reference_power_iteration(probes_of(group), 5)
-        np.testing.assert_array_equal(sigmas, want_sigmas)
-        for probe, want in zip(probes, want_vectors):
-            np.testing.assert_array_equal(probe.vector.reshape(-1), want)
+        sigmas = dict(zip(map(id, probes), power_iteration(probes, 5)))
+        runs = geometry_runs(probes)
+        mixed += len(runs) > 1
+        for run in runs:
+            want_sigmas, want_vectors = reference_power_iteration(probes_of(run), 5)
+            np.testing.assert_array_equal([sigmas[id(p)] for p in run], want_sigmas)
+            for probe, want in zip(run, want_vectors):
+                np.testing.assert_array_equal(probe.vector.reshape(-1), want)
+    assert mixed >= 3
+
+
+def test_row_groups_skip_only_zero_band_rows(rng):
+    # A merged stack's conv calls with and without its row_groups agree:
+    # the groups a kernel row skips hold only zero taps in that row.
+    net = tiny_supernet(seed=5)
+    merged = [g for g in net.handle_groups
+              if len({(h.spec.kernel_h, h.spec.dilation) for h in g}) > 1]
+    assert merged
+    for group in merged:
+        spec, band, row_groups = spectral._stacked_conv(group)
+        hw = group[0].in_hw
+        assert any(rg.stop - rg.start < spec.groups for rg in row_groups)
+        x = rng.standard_normal((spec.in_channels, hw[0], 1, hw[1]))
+        y = conv2d_forward(x, spec)
+        np.testing.assert_array_equal(conv2d_forward(x, spec, band=band, row_groups=row_groups), y)
+        np.testing.assert_array_equal(
+            conv2d_transpose_forward(y, spec, input_hw=hw, band=band, row_groups=row_groups),
+            conv2d_transpose_forward(y, spec, input_hw=hw))
+        np.testing.assert_array_equal(band, convolution.conv_bands(spec, hw, spec.weight.dtype))
+
+
+# The search-batch supernet (3/5/8/16, float32) ------------------------------
+
+@pytest.fixture(scope="module")
+def search_net():
+    """A 3/5/8/16 float32 supernet after its cold 50-iteration adjust."""
+    from msrnas.supernet import SupernetConfig, build_supernet
+
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=8, num_classes=10,
+                         input_hw=(16, 16))
+    net = build_supernet(cfg, SpectralConfig(seed=3), dtype=np.float32, seed=3)
+    net.begin_step()
+    net.adjust_all(iterations=net.spectral_cfg.rank_iterations)
+    return net
+
+
+def subnormal_count(array: np.ndarray) -> int:
+    return int(np.count_nonzero((array != 0) & (np.abs(array) < np.finfo(array.dtype).tiny)))
+
+
+def test_no_vector_holds_a_subnormal(search_net):
+    # Without the flush, the cold adjust alone leaves about 3000 subnormal
+    # entries in the depthwise vectors, and three warm adjusts about 7000.
+    assert sum(subnormal_count(h.vector) for h in search_net.handles) == 0
+    for _ in range(3):
+        search_net.begin_step()
+        search_net.adjust_all()
+        assert sum(subnormal_count(h.vector) for h in search_net.handles) == 0
+
+
+def test_warm_adjust_makes_a_fixed_number_of_stacks_and_conv_calls(search_net, monkeypatch):
+    # One stack per depthwise (channels, stride, input extent) and one per
+    # other geometry; a 1x1 stack makes no conv call, any other stack
+    # iterations forward and adjoint calls plus one final forward.
+    calls = []
+    for name in ("conv2d_forward", "conv2d_transpose_forward"):
+        kernel = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *args, _kernel=kernel, **kw: calls.append(1)
+                            or _kernel(*args, **kw))
+    search_net.begin_step()
+    search_net.adjust_all()
+    iterated = [g for g in search_net.handle_groups if not g[0].spec.is_pointwise]
+    assert len(search_net.handle_groups) == 14
+    assert len(iterated) == 6
+    assert len(calls) == 6 * (2 * search_net.spectral_cfg.iterations + 1) == 66
+
+
+# The exact spectral norm of 1x1 convs ---------------------------------------
+
+@pytest.mark.parametrize("out_channels, in_channels, stride, groups",
+                         [(4, 4, 1, 1), (4, 4, 2, 1), (3, 6, 1, 1), (6, 3, 2, 1),
+                          (4, 6, 1, 2)])
+def test_pointwise_norm_is_exact(rng, out_channels, in_channels, stride, groups):
+    hw = (5, 4)
+    shape = (out_channels, in_channels // groups, 1, 1)
+    handles = [ConvHandle(ConvSpec(out_channels, in_channels, 1, 1, stride=stride,
+                                   groups=groups, weight=rng.standard_normal(shape)),
+                          hw, seed=k, name=f"m{k}")
+               for k in range(3)]
+    sigmas = power_iteration(handles, 1)
+    for handle, sigma in zip(handles, sigmas):
+        matrix = materialize_conv_matrix(handle.spec, hw)
+        exact = np.linalg.svd(matrix, compute_uv=False)[0]
+        assert abs(sigma - exact) <= 1e-12 * exact
+        a = handle.vector.reshape(-1)
+        assert handle.vector.shape == (1, in_channels) + hw
+        assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
+        assert abs(np.linalg.norm(matrix @ a) - exact) <= 1e-12 * exact
+
+
+def test_cold_adjust_sets_every_pointwise_norm_to_target():
+    net = tiny_supernet(seed=4, dtype=np.float32)
+    net.begin_step()
+    net.adjust_all(iterations=net.spectral_cfg.rank_iterations)
+    target = net.spectral_cfg.target_norm
+    pointwise = [h for h in net.handles if h.spec.is_pointwise]
+    assert len(pointwise) > 90
+    for handle in pointwise:
+        weight = handle.spec.weight.reshape(handle.spec.out_channels, -1)
+        sigma = np.linalg.svd(weight.astype(np.float64), compute_uv=False)[0]
+        assert abs(sigma - target) <= 1e-6 * target, handle.name
