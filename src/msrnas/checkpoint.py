@@ -46,15 +46,16 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Open ``<path>.tmp`` for writing and move it over ``path`` once the
-    block completes; if the block raises, the temporary file is removed and
-    ``path`` keeps its earlier contents. Text modes write UTF-8."""
+    block completes; if the block raises, the temporary file is removed where
+    it exists, ``path`` keeps its earlier contents and the block's error
+    propagates. Text modes write UTF-8."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        with suppress(FileNotFoundError):
+        with suppress(OSError):
             os.unlink(tmp)
         raise
 

@@ -1,7 +1,8 @@
 """Command-line interface: search, derive, eval, ranks.
 
 Exit code 0 on success; on failure, one machine-parsable line
-``error[<category>]: <message>`` goes to stderr and the exit code is 1.
+``error[<category>]: <message>`` goes to stderr and the exit code is 1. A
+failed file-system call (``OSError``) is category ``io``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.genotype, "r", encoding="utf-8") as fh:
             genotype = Genotype.from_json_str(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read genotype {args.genotype}: {exc}") from exc
     result = run_eval(cfg, genotype, out_dir=args.out)
     print(f"eval done: test_loss={result.test_loss:.4f} "
@@ -124,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except MsrnasError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -260,5 +260,5 @@ def load_rank_table(path) -> RankTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return rank_table_from_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read rank table {path}: {exc}") from exc

@@ -1,18 +1,17 @@
 """Candidate operator set and cell preprocessing blocks.
 
-All four candidates are stacks of depthwise/pointwise convolutions in
-ReLU-Conv-BN order: separable convs apply the (depthwise, pointwise) pair
+``OPERATORS`` names the four candidates and gives each its class and kernel
+size. All are stacks of depthwise/pointwise convolutions in ReLU-Conv-BN
+order: separable convs apply the (depthwise, pointwise) pair
 twice with the stride on the first depthwise; dilated variants apply it once
 with dilation 2. Neither a candidate's first ReLU nor a preprocessing block's
 is part of it: the cell rectifies each state once and the network each stem
 and cell output once, and every reader shares the result. The final pointwise
-convolution of each operator is the one whose stable rank scores the
-operator during derivation.
+convolution of each operator (``fin_conv``) is the one whose stable rank
+scores the operator during derivation.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -21,55 +20,16 @@ from .autodiff import Tensor
 from .layers import BatchNorm2d, Conv2d, Module
 
 
-class OperatorKind(str, Enum):
-    SEP3 = "sep3"
-    SEP5 = "sep5"
-    DIL3 = "dil3"
-    DIL5 = "dil5"
-
-
-# Tie-break order for every argmin/argmax over operators.
-OPERATOR_ORDER: tuple[OperatorKind, ...] = (
-    OperatorKind.SEP3,
-    OperatorKind.SEP5,
-    OperatorKind.DIL3,
-    OperatorKind.DIL5,
-)
-
-OPERATOR_NAMES: tuple[str, ...] = tuple(k.value for k in OPERATOR_ORDER)
-
-
-def stride1_padding(kernel_size: int, dilation: int = 1) -> int:
-    """'Same' padding: output extent equals input extent at stride 1."""
-    return dilation * (kernel_size - 1) // 2
-
-
-class OpInstance(Module):
-    """One candidate operator on one edge: conv stack plus metadata.
-
-    ``conv_layers`` lists the convolutions in application order; the last one
-    is the operator's final (rank-scored) convolution.
-    """
-
-    def __init__(self, kind: OperatorKind):
-        super().__init__()
-        self.kind = kind
-        self.conv_layers: list[Conv2d] = []
-
-    @property
-    def fin_conv(self) -> Conv2d:
-        return self.conv_layers[-1]
-
-
-class SepConv(OpInstance):
+class SepConv(Module):
     """(ReLU, depthwise kxk, pointwise 1x1, BN) applied twice; the input
     arrives rectified, so only the second ReLU is applied here."""
 
-    def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
+    def __init__(self, kind: str, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
-        super().__init__(kind)
-        pad = stride1_padding(kernel_size)
+        super().__init__()
+        self.kind = kind
+        pad = (kernel_size - 1) // 2  # "same": out extent = in extent at stride 1
         self.dw1 = Conv2d(channels, channels, kernel_size, stride=stride,
                           padding=pad, groups=channels, in_hw=in_hw, rng=rng,
                           dtype=dtype)
@@ -80,50 +40,53 @@ class SepConv(OpInstance):
                           groups=channels, in_hw=hw, rng=rng, dtype=dtype)
         self.pw2 = Conv2d(channels, channels, 1, in_hw=hw, rng=rng, dtype=dtype)
         self.bn2 = BatchNorm2d(channels, dtype=dtype)
-        self.conv_layers = [self.dw1, self.pw1, self.dw2, self.pw2]
+
+    @property
+    def fin_conv(self) -> Conv2d:
+        """The final (rank-scored) convolution. A property, not an attribute:
+        ``Module.__setattr__`` would register the conv under a second name."""
+        return self.pw2
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.bn1(self.pw1(self.dw1(x)))
         return self.bn2(self.pw2(self.dw2(ad.relu(out))))
 
 
-class DilConv(OpInstance):
-    """ReLU, dilated depthwise kxk (dilation 2), pointwise 1x1, BN; the input
-    arrives rectified."""
+class DilConv(Module):
+    """ReLU, dilated depthwise kxk (dilation 2, "same" padding), pointwise 1x1,
+    BN; the input arrives rectified."""
 
-    def __init__(self, kind: OperatorKind, channels: int, kernel_size: int,
+    def __init__(self, kind: str, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
                  rng: np.random.Generator, dtype=np.float32):
-        super().__init__(kind)
-        dilation = 2
-        pad = stride1_padding(kernel_size, dilation)
+        super().__init__()
+        self.kind = kind
         self.dw = Conv2d(channels, channels, kernel_size, stride=stride,
-                         padding=pad, dilation=dilation, groups=channels,
+                         padding=kernel_size - 1, dilation=2, groups=channels,
                          in_hw=in_hw, rng=rng, dtype=dtype)
         self.pw = Conv2d(channels, channels, 1, in_hw=self.dw.spec.out_hw(*in_hw),
                          rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(channels, dtype=dtype)
-        self.conv_layers = [self.dw, self.pw]
+
+    @property
+    def fin_conv(self) -> Conv2d:
+        """The final (rank-scored) convolution; see ``SepConv.fin_conv``."""
+        return self.pw
 
     def forward(self, x: Tensor) -> Tensor:
         return self.bn(self.pw(self.dw(x)))
 
 
-_KERNEL_SIZE = {
-    OperatorKind.SEP3: 3,
-    OperatorKind.SEP5: 5,
-    OperatorKind.DIL3: 3,
-    OperatorKind.DIL5: 5,
+# Every candidate operator: name -> (class, kernel size). Insertion order is
+# the tie-break order of every argmin/argmax over operators.
+OPERATORS: dict[str, tuple[type, int]] = {
+    "sep3": (SepConv, 3),
+    "sep5": (SepConv, 5),
+    "dil3": (DilConv, 3),
+    "dil5": (DilConv, 5),
 }
 
-
-def build_operator(kind: OperatorKind, channels: int, stride: int,
-                   in_hw: tuple[int, int], *, rng: np.random.Generator,
-                   dtype=np.float32) -> OpInstance:
-    k = _KERNEL_SIZE[kind]
-    if kind in (OperatorKind.SEP3, OperatorKind.SEP5):
-        return SepConv(kind, channels, k, stride, in_hw, rng=rng, dtype=dtype)
-    return DilConv(kind, channels, k, stride, in_hw, rng=rng, dtype=dtype)
+OPERATOR_NAMES: tuple[str, ...] = tuple(OPERATORS)
 
 
 class ReLUConvBN(Module):

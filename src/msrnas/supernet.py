@@ -29,14 +29,7 @@ from .autodiff import Tensor
 from .derive import CELL_TYPES, Genotype, RankTable, cell_edges, intermediate_nodes
 from .errors import ConstructionError, GenotypeError, StateError
 from .layers import BatchNorm2d, Conv2d, Linear, Module, global_avg_pool
-from .operators import (
-    OPERATOR_ORDER,
-    FactorizedReduce,
-    OperatorKind,
-    OpInstance,
-    ReLUConvBN,
-    build_operator,
-)
+from .operators import OPERATOR_NAMES, OPERATORS, FactorizedReduce, ReLUConvBN
 from .spectral import (
     ConvHandle,
     SpectralConfig,
@@ -81,15 +74,15 @@ class MixedEdge(Module):
     mixing is not learned. A one-operator edge returns that operator's
     output as is."""
 
-    def __init__(self, kinds: tuple[OperatorKind, ...], channels: int, stride: int,
+    def __init__(self, kinds: tuple[str, ...], channels: int, stride: int,
                  in_hw: tuple[int, int], *, rng: np.random.Generator,
                  dtype=np.float32):
         super().__init__()
-        self.ops: list[OpInstance] = []
         for kind in kinds:
-            op = build_operator(kind, channels, stride, in_hw, rng=rng, dtype=dtype)
-            self.add_module(f"op_{kind.value}", op)
-            self.ops.append(op)
+            cls, k = OPERATORS[kind]
+            self.add_module(f"op_{kind}",
+                            cls(kind, channels, k, stride, in_hw, rng=rng, dtype=dtype))
+        self.ops = list(self.children())
 
     def forward(self, x: Tensor) -> Tensor:
         """``x`` is the ReLU of the edge's source state (see MixedCell)."""
@@ -219,7 +212,7 @@ class Supernet(_NetworkBase):
             raise ConstructionError(
                 f"a {cfg.cells}-cell supernet has no cells of type 'normal', so "
                 "its rank table would be incomplete; use at least 3 cells")
-        every_edge = [[(i, OPERATOR_ORDER) for i in range(j)]
+        every_edge = [[(i, OPERATOR_NAMES) for i in range(j)]
                       for j in intermediate_nodes(cfg.nodes)]
         super().__init__(cfg, dict.fromkeys(CELL_TYPES, every_edge),
                          dtype=dtype, seed=seed)
@@ -278,7 +271,7 @@ class DiscreteNetwork(_NetworkBase):
                 f"genotype built for {genotype.nodes} nodes, config has {cfg.nodes}"
             )
         genotype.validate()
-        kept = {t: [[(i, (OperatorKind(op),)) for op, i in row]
+        kept = {t: [[(i, (op,)) for op, i in row]
                     for row in genotype.rows(t)] for t in CELL_TYPES}
         super().__init__(cfg, kept, dtype=dtype, seed=seed)
 
@@ -301,7 +294,7 @@ def _scored_rank_table(net: Supernet, epoch: int) -> tuple[RankTable, dict]:
     scored: dict[tuple[str, tuple[int, int], str],
                  list[tuple[MixedCell, tuple | None]]] = {}
     for cell, edge, op in net.candidates():
-        scored.setdefault((cell.cell_type, edge, op.kind.value), []).append(
+        scored.setdefault((cell.cell_type, edge, op.kind), []).append(
             (cell, stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)))
     table = RankTable(nodes=net.cfg.nodes, epoch=epoch, seed=net.spectral_cfg.seed)
     for key, pairs in scored.items():
@@ -330,13 +323,13 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
     lines = ["# msrnas conv rank report", f"meta epoch {epoch}"]
     for cell_type in CELL_TYPES:
         for edge in cell_edges(net.cfg.nodes):
-            for kind in OPERATOR_ORDER:
-                key = (cell_type, edge, kind.value)
+            for kind in OPERATOR_NAMES:
+                key = (cell_type, edge, kind)
                 avg = table.entries[key]
                 avg_text = "degenerate" if avg is None else f"{avg:.6g}"
                 lines.append(
                     f"op {cell_type} edge=({edge[0]},{edge[1]}) "
-                    f"kind={kind.value} rbar={avg_text}"
+                    f"kind={kind} rbar={avg_text}"
                 )
                 # Cells in index order, as ``Supernet.candidates`` yields them.
                 for cell, result in scored[key]:
@@ -350,7 +343,7 @@ def conv_rank_report(net: Supernet, *, epoch: int = 0) -> str:
                     lines.append(f"  cell={cell.index} rank={rank_text} "
                                  f"sigma={sigma:.6g} fro={fro:.6g}")
     lines.append(
-        f"total rows={2 * len(cell_edges(net.cfg.nodes)) * len(OPERATOR_ORDER)} "
+        f"total rows={2 * len(cell_edges(net.cfg.nodes)) * len(OPERATOR_NAMES)} "
         f"handles={len(net.handles)} fin_convs={sum(map(len, scored.values()))}"
     )
     return "\n".join(lines) + "\n"

@@ -21,7 +21,8 @@ evaluation stage trains the derived architecture from scratch with no-op
 hooks, then reports the last epoch's test loss and error. Each stage builds
 every setting, its datasets and its network before ``_locked_run`` creates
 the run directory, holds its lock and writes the config echo, so a config
-that fails to build leaves no run directory.
+that fails to build leaves no run directory. A directory that already holds
+a config echo is another run's: ``_locked_run`` refuses it.
 """
 
 from __future__ import annotations
@@ -300,10 +301,14 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
 @contextmanager
 def _locked_run(cfg: RunConfig, out_dir: str | None):
     """Yield the run directory, holding its lock, after writing the config
-    echo into it."""
+    echo into it. A directory that already holds a config echo belongs to
+    another run: it raises ``StateError`` and writes nothing there."""
     run = RunDir(out_dir or cfg["run.output_dir"])
     try:
         run.acquire_lock()
+        if os.path.exists(run.config_path):
+            raise StateError(f"{run.root} already holds a run; choose another "
+                             "output directory")
         with atomic_open(run.config_path) as fh:
             fh.write(cfg.to_text())
         yield run
@@ -374,6 +379,8 @@ def choose_epoch(run_root: str, epoch: int | None) -> int:
         raise ArgumentError(
             f"cannot resolve epoch: no metrics at {metrics_path} ({exc})"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"metrics file {metrics_path} is not UTF-8: {exc}") from exc
     return log.best_epoch()
 
 

@@ -1,10 +1,13 @@
 """Binary container format and network checkpoint round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from msrnas.checkpoint import (
     MAGIC,
+    _state_records,
     atomic_open,
     load_checkpoint,
     load_tensors,
@@ -114,6 +117,18 @@ def test_checkpoint_file_stable_bytes(tmp_path):
     save_checkpoint(a, net, epoch=0)
     save_checkpoint(b, net, epoch=0)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_record_names_are_pinned():
+    # Module paths are the checkpoint format: renaming a module, or
+    # registering one conv under two names, changes this list.
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    names = [name for name, _ in _state_records(net)]
+    assert len(names) == 1150
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+        "b5f62f632457f3361488dfd8e005e86fadb2a34bafe54f46f4adb057c271c57e")
 
 
 @pytest.mark.parametrize("prefix", ["param", "momentum", "buffer", "pivec"])

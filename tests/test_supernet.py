@@ -16,8 +16,8 @@ from msrnas.derive import (
     intermediate_nodes,
 )
 from msrnas.errors import ConstructionError, DimensionError, GenotypeError, StateError
-from msrnas.layers import cross_entropy
-from msrnas.operators import OPERATOR_NAMES, OperatorKind
+from msrnas.layers import Conv2d, cross_entropy
+from msrnas.operators import OPERATOR_NAMES, OPERATORS, DilConv, SepConv
 from msrnas.spectral import ConvHandle, SpectralConfig, power_iteration, stable_rank
 from msrnas.supernet import (
     SupernetConfig,
@@ -31,6 +31,11 @@ from msrnas.supernet import (
 def tiny_config(cells=4, nodes=5, channels=8, classes=4, hw=(16, 16)):
     return SupernetConfig(cells=cells, nodes=nodes, initial_channels=channels,
                           num_classes=classes, input_hw=hw)
+
+
+def _convs(op):
+    """An operator's convolutions in application order."""
+    return [m for m in op.modules() if isinstance(m, Conv2d)]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +56,7 @@ def test_paper_scale_topology_counts():
     for cell in net.cells:
         assert len(cell.edges) == 14
         assert sum(len(e.ops) for e in cell.edges.values()) == 56
-    assert sum(len(op.conv_layers) for e in net.cells[0].edges.values()
+    assert sum(len(_convs(op)) for e in net.cells[0].edges.values()
                for op in e.ops) == 168
 
 
@@ -114,7 +119,7 @@ def test_mixed_edge_unit_weights(small_net):
     _, net = small_net
     rng = np.random.default_rng(6)
     edge = net.cells[1].edges[(0, 2)]
-    assert all(op.conv_layers[0].spec.stride == 2 for op in edge.ops)
+    assert all(_convs(op)[0].spec.stride == 2 for op in edge.ops)
     x = Tensor(rng.standard_normal((16, 16, 2, 16)).astype(np.float32))
     net.eval()
     with no_grad():
@@ -322,7 +327,7 @@ def fin_ranks(net) -> dict:
     ranks = {}
     for cell, edge, op in net.candidates():
         scored = stable_rank(op.fin_conv.spec, op.fin_conv.in_hw)
-        ranks.setdefault((cell.cell_type, edge, op.kind.value), []).append(
+        ranks.setdefault((cell.cell_type, edge, op.kind), []).append(
             None if scored is None else scored[0])
     return ranks
 
@@ -345,7 +350,7 @@ def test_rank_table_known_singular_values():
         want = conv.in_hw[0] * conv.in_hw[1] * sr_weight
         got, _ = stable_rank(conv.spec, conv.in_hw)
         assert abs(got - want) / want < 1e-10
-        expected.setdefault((cell.cell_type, edge, op.kind.value), []).append(want)
+        expected.setdefault((cell.cell_type, edge, op.kind), []).append(want)
     assert set(expected) == set(table.entries)
     for key, wants in expected.items():
         assert table.entries[key] == pytest.approx(np.mean(wants), rel=1e-10)
@@ -373,7 +378,7 @@ def test_rank_table_degenerate_entry_flagged():
     op.fin_conv.spec.weight[...] = 0.0
     table = collect_rank_table(net)
     ranks = fin_ranks(net)
-    key = (cell.cell_type, edge, op.kind.value)
+    key = (cell.cell_type, edge, op.kind)
     assert table.entries[key] is None
     assert ranks[key] == [None]
     # Only the zeroed conv's own score and entry change.
@@ -507,7 +512,7 @@ def test_conv_rank_report_structure(small_net):
     expected = {}
     for cell, edge, op in net.candidates():
         spec, hw = op.fin_conv.spec, op.fin_conv.in_hw
-        key = f"op {cell.cell_type} edge=({edge[0]},{edge[1]}) kind={op.kind.value}"
+        key = f"op {cell.cell_type} edge=({edge[0]},{edge[1]}) kind={op.kind}"
         pixels = np.prod(spec.out_hw(*hw))
         expected[key, cell.index] = np.sqrt(pixels) * np.linalg.norm(spec.weight)
     seen = 0
@@ -529,7 +534,7 @@ def test_conv_rank_report_marks_a_zero_conv_degenerate():
     op.fin_conv.spec.weight[...] = 0.0
     lines = conv_rank_report(net).splitlines()
     head = (f"op {cell.cell_type} edge=({edge[0]},{edge[1]}) "
-            f"kind={op.kind.value} rbar=degenerate")
+            f"kind={op.kind} rbar=degenerate")
     at = lines.index(head)
     # A 3-cell net has one normal cell, so the entry lists that cell only.
     assert lines[at + 1] == f"  cell={cell.index} rank=degenerate sigma=nan fro=0"
@@ -574,4 +579,5 @@ def test_conv_rank_report_scores_each_final_conv_once(small_net, monkeypatch):
 
 def test_operator_kind_enumeration():
     assert OPERATOR_NAMES == ("sep3", "sep5", "dil3", "dil5")
-    assert [k.value for k in OperatorKind] == list(OPERATOR_NAMES)
+    assert OPERATORS == {"sep3": (SepConv, 3), "sep5": (SepConv, 5),
+                         "dil3": (DilConv, 3), "dil5": (DilConv, 5)}

@@ -496,7 +496,7 @@ def test_cli_full_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_error_categories(tmp_path, capsys):
+def test_cli_error_categories(tmp_path, capsys, one_epoch_run):
     assert main(["search", "--config", str(tmp_path / "missing.txt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[config]:")
@@ -513,6 +513,75 @@ def test_cli_error_categories(tmp_path, capsys):
 
     assert main(["ranks", "--checkpoint", str(tmp_path / "nope.msrn")]) == 1
     assert capsys.readouterr().err.startswith("error[format]:")
+
+    # An output path under a plain file cannot be written.
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY)
+    run = one_epoch_run[0]
+    checkpoint = RunDir(run).checkpoint_path(1)
+    for argv in (["search", "--config", str(cfg), "--out", str(a_file)],
+                 ["derive", "--run", run, "--out", str(a_file / "g.json")],
+                 ["ranks", "--checkpoint", checkpoint, "--out", str(a_file / "r.txt")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and err.count("\n") == 1, argv
+
+
+# Each reader treats a file that is not UTF-8 as it treats a malformed one.
+NOT_UTF8 = [("config", "config"), ("genotype", "format"), ("rank table", "format"),
+            ("metrics", "format")]
+
+
+@pytest.mark.parametrize("reader,category", NOT_UTF8, ids=[r for r, _ in NOT_UTF8])
+def test_non_utf8_input_is_a_malformed_file(tmp_path, capsys, one_epoch_run,
+                                            reader, category):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff not text\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY + f"run.output_dir = {out}\n")
+    run = RunDir(str(tmp_path / "search"))
+    shutil.copytree(one_epoch_run[0], run.root)
+    shutil.copy(bad, run.rank_table_path(1))
+    shutil.copy(bad, run.metrics_path)
+    argv = {"config": ["search", "--config", str(bad)],
+            "genotype": ["eval", "--config", str(cfg), "--genotype", str(bad)],
+            "rank table": ["derive", "--run", run.root, "--epoch", "1"],
+            "metrics": ["derive", "--run", run.root]}[reader]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_run_never_writes_into_another_runs_directory(tmp_path, capsys,
+                                                        one_epoch_run):
+    searched = str(tmp_path / "search")
+    shutil.copytree(one_epoch_run[0], searched)
+    geno = tmp_path / "geno.json"
+    geno.write_text(derive_genotype(one_epoch_run[2].final_table,
+                                    mode=SelectionMode.MIN_STABLE_RANK).to_json_str())
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY)
+    # A directory that holds only a lock no process holds is taken.
+    evaluated = str(tmp_path / "eval")
+    write_lock(evaluated, f"pid {dead_pid()}\n")
+    assert main(["eval", "--config", str(cfg), "--genotype", str(geno),
+                 "--out", evaluated]) == 0
+    capsys.readouterr()
+
+    for command, out in (("search", searched), ("eval", searched), ("eval", evaluated)):
+        before = run_dir_bytes(out, sorted(os.listdir(out)))
+        argv = [command, "--config", str(cfg), "--out", out]
+        if command == "eval":
+            argv += ["--genotype", str(geno)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error[state]: {out} already holds a run; choose another output "
+            "directory\n")
+        assert run_dir_bytes(out, sorted(os.listdir(out))) == before
 
 
 def with_setting(text: str, key: str, value: str) -> str:
@@ -605,8 +674,8 @@ def test_derive_writes_the_run_dirs_genotype_whole(tmp_path, one_epoch_run,
         raise OSError("disk full")
 
     monkeypatch.setattr(Genotype, "to_json_str", failing)
-    with pytest.raises(OSError):
-        main(["derive", "--run", out, "--mode", "max"])
+    assert main(["derive", "--run", out, "--mode", "max"]) == 1
+    assert capsys.readouterr().err == "error[io]: disk full\n"
     with open(run.genotype_path("max"), encoding="utf-8") as fh:
         assert fh.read() == written
     assert not [name for _, _, names in os.walk(out) for name in names
