@@ -10,13 +10,15 @@ A checkpoint holds the epoch counter and dtype, one ``meta/net/*`` or
 rebuild the network from the file alone, and then the network's arrays.
 One list names those arrays (``_state_records``): per parameter
 ``param/<name>`` and ``momentum/<name>``, then every ``buffer/<name>``
-(batchnorm running statistics), then every ``pivec/<handle>``
-(power-iteration vector). Saving writes that list; loading walks the same
-list, and every record on it must be present with the shape of the array it
-is copied into, or a ``FormatError`` names it. Records off the list are
-ignored on load: ``grad/*`` (every step clears gradients before use) and
-the ``meta/spectral/frobenius_kernel`` and ``meta/net/input_channels``
-scalars of older files.
+(batchnorm running statistics), then ``pivec/<handle>`` for every handle
+that power-iterates (its warm-start vector). A padding-0 1x1 conv's vector
+is not stored: every adjustment rebuilds it from the weight alone. Saving
+writes that list; loading walks the same list, and every record on it must
+be present with the shape of the array it is copied into, or a
+``FormatError`` names it. Records off the list are ignored on load:
+``grad/*`` (every step clears gradients before use), the 1x1 convs'
+``pivec/*`` and the ``meta/spectral/frobenius_kernel`` and
+``meta/net/input_channels`` scalars of older files.
 
 Every file msrnas writes whole (checkpoints, rank tables, metrics, config
 echo, result, derived genotype, rank report) goes through ``atomic_open``,
@@ -68,9 +70,9 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         for name, arr in tensors.items():
             arr = np.asarray(arr)
             if arr.dtype == np.float32:
-                code, out = 0, arr.astype("<f4")
+                code, dtype = 0, "<f4"
             elif arr.dtype == np.float64:
-                code, out = 1, arr.astype("<f8")
+                code, dtype = 1, "<f8"
             else:
                 raise FormatError(
                     f"tensor '{name}' has unsupported dtype {arr.dtype}; "
@@ -79,9 +81,11 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<BI", code, out.ndim))
-            fh.write(struct.pack(f"<{out.ndim}Q", *out.shape))
-            fh.write(out.tobytes())
+            fh.write(struct.pack("<BI", code, arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            # Written from the array's own buffer; copied only when it is
+            # not a C-ordered little-endian array already.
+            fh.write(arr.astype(dtype, order="C", copy=False))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -149,14 +153,17 @@ def _config_records(section: str, cfg) -> dict[str, np.ndarray]:
 def _state_records(net):
     """Every array of the network a checkpoint stores, as ``(record name,
     live array)`` pairs in file order: per parameter its value then its
-    momentum, then the buffers, then the power-iteration vectors."""
+    momentum, then the buffers, then the vectors of the handles that
+    power-iterate. A padding-0 1x1 conv's vector is derived from its weight
+    at every adjustment (``spectral.power_iteration``), so it is left out."""
     for name, param in net.named_parameters():
         yield f"param/{name}", param.data
         yield f"momentum/{name}", param.momentum
     for name, buf in net.named_buffers():
         yield f"buffer/{name}", buf
     for handle in net.handles:
-        yield f"pivec/{handle.name}", handle.vector
+        if not handle.spec.is_pointwise:
+            yield f"pivec/{handle.name}", handle.vector
 
 
 def save_checkpoint(path, net, epoch: int) -> None:

@@ -70,9 +70,11 @@ class ConvHandle:
     """Power-iteration state for one convolution at a fixed input size.
 
     ``vector`` is the persistent iteration vector (warm start across training
-    steps), drawn at construction from a stream seeded by the handle's name;
-    for a padding-0 1x1 conv, ``power_iteration`` sets it to the weight's top
-    right singular vector at input pixel (0, 0).
+    steps), drawn at construction from a stream seeded by the handle's name.
+    A padding-0 1x1 conv is not iterated: every ``power_iteration`` call
+    sets its vector from the weight alone, to the top right singular vector
+    at input pixel (0, 0). That vector is derived state, so nothing is drawn
+    for it (it is zero until the first call) and checkpoints do not store it.
     The referenced ConvSpec aliases the layer's live weight array, so in-place
     weight updates are always visible.
     """
@@ -84,9 +86,12 @@ class ConvHandle:
         self.name = name
         self.seed = seed
         self.stack_key = stack_key(spec, self.in_hw)
+        shape = (1, spec.in_channels) + self.in_hw
+        if spec.is_pointwise:
+            self.vector = np.zeros(shape, dtype=spec.weight.dtype)
+            return
         rng = np.random.Generator(np.random.PCG64(_seed_for(name, seed)))
-        v = rng.standard_normal((1, spec.in_channels) + self.in_hw)
-        v = v.astype(spec.weight.dtype)
+        v = rng.standard_normal(shape).astype(spec.weight.dtype)
         self.vector = v / np.linalg.norm(v)
 
 

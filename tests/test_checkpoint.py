@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from msrnas.autodiff import Tensor
 from msrnas.checkpoint import (
     MAGIC,
     _state_records,
@@ -16,8 +17,12 @@ from msrnas.checkpoint import (
 )
 from msrnas.derive import rank_table_to_text
 from msrnas.errors import FormatError
+from msrnas.layers import cross_entropy
+from msrnas.optim import TrainHyper, sgd_momentum_step
 from msrnas.spectral import SpectralConfig
 from msrnas.supernet import SupernetConfig, build_supernet, collect_rank_table
+
+from conftest import materialize_conv_matrix
 
 
 def test_tensor_container_roundtrip(tmp_path, rng):
@@ -103,8 +108,12 @@ def test_checkpoint_restores_network_state(tmp_path, rng):
     orig_buffers = dict(net.named_buffers())
     for name, buf in restored.named_buffers():
         np.testing.assert_array_equal(buf, orig_buffers[name])
+    # Only iterated handles carry state: a 1x1 conv's vector is rebuilt
+    # from its weight at the next adjustment.
     orig_handles = {h.name: h for h in net.handles}
-    for handle in restored.handles:
+    iterated = [h for h in restored.handles if not h.spec.is_pointwise]
+    assert iterated
+    for handle in iterated:
         np.testing.assert_array_equal(handle.vector, orig_handles[handle.name].vector)
 
 
@@ -126,9 +135,24 @@ def test_checkpoint_record_names_are_pinned():
                          input_hw=(10, 10))
     net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
     names = [name for name, _ in _state_records(net)]
-    assert len(names) == 1150
+    assert len(names) == 1053
     assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
-        "b5f62f632457f3361488dfd8e005e86fadb2a34bafe54f46f4adb057c271c57e")
+        "c3def98ed0da3101bd3fa407584b7bf6dcc9e7d91d8e21b6ff00511b846de628")
+
+
+def test_checkpoint_stores_no_derived_vector(tmp_path):
+    # A padding-0 1x1 conv's vector is rebuilt from its weight at every
+    # adjustment, so storing it only grows the file (by 122246 bytes here).
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=0)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=0)
+    assert path.stat().st_size == 441710
+    stored = {k.removeprefix("pivec/") for k in load_tensors(path) if k.startswith("pivec/")}
+    pointwise = {h.name for h in net.handles if h.spec.is_pointwise}
+    assert len(pointwise) == 97
+    assert stored == {h.name for h in net.handles} - pointwise
 
 
 @pytest.mark.parametrize("prefix", ["param", "momentum", "buffer", "pivec"])
@@ -159,6 +183,81 @@ def test_checkpoint_wrong_record_shape_detected(tmp_path, prefix):
     save_tensors(path, tensors)
     with pytest.raises(FormatError, match=f"record '{victim}' shape"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_pointwise_vectors_loads(tmp_path):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    net.begin_step()
+    net.adjust_all()
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=1)
+    tensors = load_tensors(path)
+    # Files written while 1x1 vectors were stored list every handle's
+    # vector, in handle order, after the buffers.
+    state = {k: v for k, v in tensors.items() if not k.startswith("pivec/")}
+    for handle in net.handles:
+        state[f"pivec/{handle.name}"] = handle.vector
+    save_tensors(path, state)
+    restored, epoch = load_checkpoint(path)
+    assert epoch == 1
+    stored = dict(_state_records(restored))
+    for key, array in _state_records(net):
+        np.testing.assert_array_equal(stored[key], array)
+    for handle in restored.handles:
+        if handle.spec.is_pointwise:
+            assert not np.any(handle.vector), handle.name
+
+
+def descend(net, images: np.ndarray, labels: np.ndarray) -> None:
+    """The rest of a training step: forward, backward, momentum SGD."""
+    params = net.parameters()
+    for p in params:
+        p.zero_grad()
+    cross_entropy(net(Tensor(images)), labels).backward()
+    sgd_momentum_step(params, 0.05, TrainHyper())
+
+
+def test_restored_network_steps_like_the_one_that_saved_it(tmp_path, rng):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=2)
+    images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    labels = np.array([0, 1, 2, 3])
+    net.begin_step()
+    net.adjust_all(iterations=net.spectral_cfg.rank_iterations)
+    descend(net, images, labels)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=1)
+    restored, _ = load_checkpoint(path)
+
+    images, labels = images[::-1].copy(), labels[::-1].copy()
+    for each in (net, restored):
+        each.begin_step()
+        each.adjust_all()
+    # Each rebuilt 1x1 vector attains its conv's exact norm (oracle: SVD of
+    # the dense matrix view).
+    pointwise = [h for h in restored.handles if h.spec.is_pointwise]
+    assert len(pointwise) == 97
+    for handle in pointwise:
+        matrix = materialize_conv_matrix(handle.spec, handle.in_hw)
+        sigma = np.linalg.svd(matrix, compute_uv=False)[0]
+        a = handle.vector.reshape(-1).astype(np.float64)
+        assert np.linalg.norm(matrix @ a) == pytest.approx(sigma, rel=1e-6), handle.name
+    descend(net, images, labels)
+    descend(restored, images, labels)
+
+    originals = dict(net.named_parameters())
+    for name, param in restored.named_parameters():
+        np.testing.assert_array_equal(param.data, originals[name].data)
+        np.testing.assert_array_equal(param.momentum, originals[name].momentum)
+    orig_buffers = dict(net.named_buffers())
+    for name, buf in restored.named_buffers():
+        np.testing.assert_array_equal(buf, orig_buffers[name])
+    orig_handles = {h.name: h for h in net.handles}
+    for handle in restored.handles:
+        np.testing.assert_array_equal(handle.vector, orig_handles[handle.name].vector)
 
 
 def test_checkpoint_with_frobenius_kernel_key_loads(tmp_path):
