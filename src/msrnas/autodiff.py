@@ -16,7 +16,8 @@ backward reads it. Each closure saves only that:
 - ``conv2d``: its input, and only when the weight needs a gradient;
 - ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``;
 - ``matmul`` and ``mul``: their operands; ``power``: its input;
-- ``BatchNorm2d``: x̂, 1/σ and γ;
+- ``BatchNorm2d``, one node with the conv(s) that feed it: the conv inputs,
+  μ, 1/σ and γ; its backward runs the convs again to rebuild x̂;
 - ``cross_entropy``: the shifted exponentials and their row sums;
 - ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
   ``concat``, ``slice_`` and ``pad2d``: shapes only.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import convolution
 from .autodiff import Tensor, _make, _node
 from .convolution import ConvSpec, conv2d
 from .errors import DimensionError, NumericsError
@@ -133,10 +134,30 @@ class Conv2d(Module):
         return conv2d(x, self.weight, self.spec)
 
 
+def _conv_outputs(branches, check: bool = False) -> np.ndarray:
+    """The channel concatenation of each ``(conv, input array)`` pair's conv
+    output; with ``check``, a non-finite output names its conv. The kernels
+    are looked up on ``convolution`` at each call, as ``conv2d``'s are, so
+    that replacing them there reaches these calls too."""
+    outs = []
+    for conv, x in branches:
+        z = convolution.conv2d_forward(x, conv.spec)
+        if check and not np.isfinite(z).all():
+            raise NumericsError(f"non-finite output in {conv.path or type(conv).__name__}")
+        outs.append(z)
+    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+
+
 class BatchNorm2d(Module):
-    """Per-channel affine batch normalization with running statistics, over
-    a (C, H, N, W) activation: each channel's statistics reduce over its
-    trailing axes."""
+    """Per-channel affine batch normalization with running statistics, fused
+    with the convolution(s) whose output it normalizes into one graph node.
+
+    ``bn((conv, x), ...)`` takes one ``(Conv2d, input)`` pair per conv; their
+    outputs are concatenated along channels (``FactorizedReduce`` passes
+    two), and each channel of that (C, H, N, W) activation is normalized
+    over its trailing axes. The conv modules are not called: under
+    ``check_finite`` the node checks each conv's output and names the conv.
+    """
 
     eps = 1e-5
     momentum = 0.1   # weight of the current batch in the running statistics
@@ -149,25 +170,31 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Normalize each channel of a (C, H, N, W) tensor over its trailing
-        axes, recording one graph node.
+    def forward(self, *branches: tuple[Conv2d, Tensor]) -> Tensor:
+        """The normalized conv output, recording one graph node.
 
         The output takes the same numpy operations, in the same order, as
-        the composite-op reference in the tests, which requires it to be
-        bit-identical. The closed-form backward (Ioffe & Szegedy, 2015)
-        keeps only x̂, 1/σ and γ; in eval mode the map is per-channel affine.
+        ``conv2d`` followed by the composite-op reference in the tests, which
+        requires it to be bit-identical; they run in place, x̂ in the conv
+        output's buffer and x̂² in the output's. The node saves the conv
+        inputs, μ, 1/σ and γ, not x̂: its backward runs the convs again and
+        rebuilds x̂ by the same operations, bit for bit (recompute, Chen et
+        al., 2016), then runs BN's closed-form backward (Ioffe & Szegedy,
+        2015), in x̂'s buffer, into the convs' adjoints and weight gradients.
         """
-        if x.data.ndim != 4 or x.data.shape[0] != self.channels:
+        pairs = [(conv, x.data) for conv, x in branches]
+        z = _conv_outputs(pairs, check=check_finite)
+        if z.shape[0] != self.channels:
             raise DimensionError(
-                f"batchnorm over {self.channels} channels got shape {x.data.shape}"
+                f"batchnorm over {self.channels} channels got shape {z.shape}"
             )
         shape = (self.channels, 1, 1, 1)
         training = self.training
         if training:
-            mu = x.data.mean(axis=(1, 2, 3), keepdims=True)
-            xhat = x.data - mu
-            var = (xhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
+            mu = z.mean(axis=(1, 2, 3), keepdims=True)
+            z -= mu
+            data = np.multiply(z, z)
+            var = data.mean(axis=(1, 2, 3), keepdims=True)
             # Track stats outside the graph.
             m = self.momentum
             self.running_mean *= 1.0 - m
@@ -175,36 +202,53 @@ class BatchNorm2d(Module):
             self.running_var *= 1.0 - m
             self.running_var += m * var.reshape(-1)
         else:
-            xhat = x.data - self.running_mean.reshape(shape)
+            # A copy: the backward must subtract the mean the forward did.
+            mu = self.running_mean.reshape(shape).copy()
+            z -= mu
+            data = np.empty_like(z)
             var = self.running_var.reshape(shape)
         inv_std = (var + self.eps) ** -0.5
-        xhat *= inv_std
+        z *= inv_std
         gamma = self.gamma.data.reshape(shape)
-        data = xhat * gamma
+        np.multiply(z, gamma, out=data)
         data += self.beta.data.reshape(shape)
-        count = x.data.size // self.channels
-        nx, ngamma, nbeta = _node(x), _node(self.gamma), _node(self.beta)
+        count = z.size // self.channels
+        conv_nodes = [(_node(x), _node(conv.weight)) for conv, x in branches]
+        ngamma, nbeta = _node(self.gamma), _node(self.beta)
 
         def bw(g):
+            xhat = _conv_outputs(pairs)
+            xhat -= mu
+            xhat *= inv_std
             gsum = g.sum(axis=(1, 2, 3), keepdims=True)
             gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
             if nbeta is not None:
                 nbeta.accumulate(gsum.reshape(-1), own=True)
             if ngamma is not None:
                 ngamma.accumulate(gxsum.reshape(-1), own=True)
-            if nx is not None:
-                scale = inv_std * gamma
-                if training:
-                    # dx = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
-                    gx = xhat * (gxsum / -count)
-                    gx += g
-                    gx -= gsum / count
-                    gx *= scale
-                else:
-                    gx = g * scale
-                nx.accumulate(gx, own=True)
+            scale = inv_std * gamma
+            if training:
+                # dz = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
+                gz = xhat
+                gz *= gxsum / -count
+                gz += g
+                gz -= gsum / count
+                gz *= scale
+            else:
+                gz = np.multiply(g, scale, out=xhat)
+            lo = 0
+            for (conv, x), (nx, nw) in zip(pairs, conv_nodes):
+                gy = gz[lo:lo + conv.spec.out_channels]
+                lo += conv.spec.out_channels
+                if nx is not None:
+                    nx.accumulate(convolution.conv2d_transpose_forward(
+                        gy, conv.spec, input_hw=(x.shape[1], x.shape[3])), own=True)
+                if nw is not None:
+                    nw.accumulate(convolution.conv2d_weight_grad(x, gy, conv.spec),
+                                  own=True)
 
-        return _make(data, (nx, ngamma, nbeta), bw)
+        parents = [n for pair in conv_nodes for n in pair] + [ngamma, nbeta]
+        return _make(data, parents, bw)
 
 
 class Linear(Module):

@@ -48,8 +48,8 @@ class SepConv(Module):
         return self.pw2
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.pw1(self.dw1(x)))
-        return self.bn2(self.pw2(self.dw2(ad.relu(out))))
+        out = self.bn1((self.pw1, self.dw1(x)))
+        return self.bn2((self.pw2, self.dw2(ad.relu(out))))
 
 
 class DilConv(Module):
@@ -74,7 +74,7 @@ class DilConv(Module):
         return self.pw
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.pw(self.dw(x)))
+        return self.bn((self.pw, self.dw(x)))
 
 
 # Every candidate operator: name -> (class, kernel size). Insertion order is
@@ -102,7 +102,7 @@ class ReLUConvBN(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x))
+        return self.bn((self.conv, x))
 
 
 class FactorizedReduce(Module):
@@ -123,4 +123,4 @@ class FactorizedReduce(Module):
     def forward(self, x: Tensor) -> Tensor:
         # Second branch samples the grid shifted by one pixel.
         shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
-        return self.bn(ad.concat([self.conv_a(x), self.conv_b(shifted)], axis=0))
+        return self.bn((self.conv_a, x), (self.conv_b, shifted))

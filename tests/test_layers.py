@@ -1,11 +1,14 @@
-"""Batchnorm, linear/classifier, and cross-entropy behavior."""
+"""Batchnorm (fused with the convs that feed it), linear/classifier, and
+cross-entropy behavior."""
 
 import numpy as np
 import pytest
 
 from msrnas import autodiff as ad
-from msrnas.autodiff import Tensor
-from msrnas.errors import DimensionError
+from msrnas import layers
+from msrnas.autodiff import Tensor, _make, _node
+from msrnas.convolution import conv2d
+from msrnas.errors import DimensionError, NumericsError
 from msrnas.layers import (
     BatchNorm2d,
     Conv2d,
@@ -14,15 +17,31 @@ from msrnas.layers import (
     cross_entropy,
     global_avg_pool,
 )
+from msrnas.operators import FactorizedReduce, ReLUConvBN
+from msrnas.supernet import Stem
 
 from conftest import central_difference, relative_error, to_chnw, to_nchw
+
+
+def identity_conv(channels: int, dtype=np.float64) -> Conv2d:
+    """A 1x1 conv whose output is its input, bit for bit, to feed a
+    BatchNorm2d a given activation."""
+    conv = Conv2d(channels, channels, 1, in_hw=(1, 1), rng=np.random.default_rng(0),
+                  dtype=dtype)
+    conv.weight.data[...] = np.eye(channels, dtype=dtype).reshape(conv.weight.data.shape)
+    return conv
+
+
+def normalize(bn: BatchNorm2d, x: np.ndarray) -> Tensor:
+    """``bn`` over the (C, H, N, W) array ``x``, through an identity conv."""
+    return bn((identity_conv(x.shape[0], x.dtype), Tensor(x)))
 
 
 def test_batchnorm_constant_input_returns_beta(rng):
     bn = BatchNorm2d(3, dtype=np.float64)
     bn.beta.data[:] = [1.0, -2.0, 0.5]
     x = np.ones((3, 5, 4, 5)) * np.array([3.0, -1.0, 7.0]).reshape(3, 1, 1, 1)
-    out = bn(Tensor(x))
+    out = normalize(bn, x)
     for c, b in enumerate([1.0, -2.0, 0.5]):
         np.testing.assert_allclose(out.data[c], b, atol=1e-3)
 
@@ -31,7 +50,7 @@ def test_batchnorm_identity_on_standardized_batch(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((64, 2, 8, 8))
     x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-    out = bn(Tensor(to_chnw(x)))
+    out = normalize(bn, to_chnw(x))
     np.testing.assert_allclose(to_nchw(out.data), x, atol=1e-4)
 
 
@@ -40,7 +59,7 @@ def test_batchnorm_output_statistics(rng):
     bn.gamma.data[:] = [2.0, 0.5, 1.5]
     bn.beta.data[:] = [1.0, -1.0, 0.0]
     x = rng.standard_normal((32, 3, 6, 6)) * 4.0 + 2.0
-    out = to_nchw(bn(Tensor(to_chnw(x))).data)
+    out = to_nchw(normalize(bn, to_chnw(x)).data)
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), bn.beta.data, atol=1e-3)
     np.testing.assert_allclose(out.std(axis=(0, 2, 3)), np.abs(bn.gamma.data), atol=1e-3)
 
@@ -48,23 +67,23 @@ def test_batchnorm_output_statistics(rng):
 def test_batchnorm_running_stats_track_batches(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((16, 2, 4, 4)) + 3.0
-    bn(Tensor(to_chnw(x)))
+    normalize(bn, to_chnw(x))
     # Momentum 0.1: the running stats move a tenth of the way to the batch's.
     np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
     np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)),
                                rtol=1e-12)
     bn.eval()
     before = bn.running_mean.copy()
-    bn(Tensor(to_chnw(x)))
+    normalize(bn, to_chnw(x))
     np.testing.assert_array_equal(bn.running_mean, before)
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
     bn = BatchNorm2d(2, dtype=np.float64)
     x = rng.standard_normal((32, 2, 4, 4)) * 2.0 + 1.0
-    bn(Tensor(to_chnw(x)))
+    normalize(bn, to_chnw(x))
     bn.eval()
-    out = to_nchw(bn(Tensor(to_chnw(x))).data)
+    out = to_nchw(normalize(bn, to_chnw(x)).data)
     mean = 0.1 * x.mean(axis=(0, 2, 3), keepdims=True)
     var = 0.9 + 0.1 * x.var(axis=(0, 2, 3), keepdims=True)
     expected = (x - mean) / np.sqrt(var + 1e-5)
@@ -74,14 +93,70 @@ def test_batchnorm_eval_uses_running_stats(rng):
 def test_batchnorm_channel_mismatch(rng):
     bn = BatchNorm2d(3)
     with pytest.raises(DimensionError):
-        bn(Tensor(rng.standard_normal((4, 3, 2, 3))))
+        normalize(bn, rng.standard_normal((4, 3, 2, 3)).astype(np.float32))
+
+
+def test_batchnorm_names_the_non_finite_conv(rng, monkeypatch):
+    fr = FactorizedReduce(3, 5, (6, 6), rng=rng, dtype=np.float64)
+    fr.assign_paths("fr")
+    fr.conv_b.weight.data[0, 0] = np.inf
+    x = Tensor(rng.standard_normal((3, 6, 2, 6)))
+    # As in the training loop, numpy's warnings on inf and nan are off.
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(fr(x).data).all()  # unchecked: passes through
+        monkeypatch.setattr(layers, "check_finite", True)
+        with pytest.raises(NumericsError, match="^non-finite output in fr.conv_b$"):
+            fr(x)
+
+
+# The fused node against references -----------------------------------------
+# Each kind is a module whose forward is one BatchNorm2d node fed by convs:
+# a 1x1 conv, the stem's dense 3x3, and FactorizedReduce's two stride-2 1x1
+# convs (the second on the shifted grid), concatenated.
+KINDS = ("pw", "stem", "fr")
+IN_HW = (6, 6)
+
+
+def fed_batchnorm(kind: str, rng, training: bool, dtype=np.float64) -> Module:
+    """A module of the given kind with random BN affine and running stats."""
+    if kind == "pw":
+        module = ReLUConvBN(3, 4, IN_HW, rng=rng, dtype=dtype)
+    elif kind == "stem":
+        module = Stem(4, IN_HW, rng=rng, dtype=dtype)
+    else:
+        module = FactorizedReduce(3, 5, IN_HW, rng=rng, dtype=dtype)
+    bn = module.bn
+    bn.gamma.data[:] = rng.standard_normal(bn.channels)
+    bn.beta.data[:] = rng.standard_normal(bn.channels)
+    bn.running_mean[:] = rng.standard_normal(bn.channels)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, bn.channels)
+    if not training:
+        module.eval()
+    return module
+
+
+def convs_of(module: Module) -> list[Conv2d]:
+    return [m for m in module.modules() if isinstance(m, Conv2d)]
+
+
+def unfused(module: Module, x: Tensor, batchnorm) -> Tensor:
+    """The module's convs as ``conv2d`` graph ops (concatenated for
+    FactorizedReduce), then ``batchnorm(bn, conv output)``."""
+    if isinstance(module, FactorizedReduce):
+        shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
+        z = ad.concat([conv2d(x, module.conv_a.weight, module.conv_a.spec),
+                       conv2d(shifted, module.conv_b.weight, module.conv_b.spec)],
+                      axis=0)
+    else:
+        z = conv2d(x, module.conv.weight, module.conv.spec)
+    return batchnorm(module.bn, z)
 
 
 def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
     """BatchNorm built from elementary graph ops, as the layer once was.
 
-    The reference for the layer's one-node forward and closed-form backward;
-    it reads the running statistics but does not update them.
+    The reference for the layer's forward and closed-form backward; it reads
+    the running statistics but does not update them.
     """
     shape = (bn.channels, 1, 1, 1)
     if bn.training:
@@ -96,64 +171,114 @@ def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
     return centered * inv_std * ad.reshape(bn.gamma, shape) + ad.reshape(bn.beta, shape)
 
 
-def _batchnorm_with_state(rng, training: bool, dtype=np.float64):
-    bn = BatchNorm2d(3, dtype=dtype)
-    bn.gamma.data[:] = rng.standard_normal(3)
-    bn.beta.data[:] = rng.standard_normal(3)
-    bn.running_mean[:] = rng.standard_normal(3)
-    bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
-    if not training:
-        bn.eval()
-    return bn
+def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
+    """BatchNorm as one closed-form node over a given input, saving x̂, as
+    the layer was before it took in its convs: the reference for the fused
+    node's bits. It reads the running statistics but does not update them."""
+    shape = (bn.channels, 1, 1, 1)
+    training = bn.training
+    if training:
+        mu = x.data.mean(axis=(1, 2, 3), keepdims=True)
+        xhat = x.data - mu
+        var = (xhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
+    else:
+        xhat = x.data - bn.running_mean.reshape(shape)
+        var = bn.running_var.reshape(shape)
+    inv_std = (var + bn.eps) ** -0.5
+    xhat *= inv_std
+    gamma = bn.gamma.data.reshape(shape)
+    count = x.data.size // bn.channels
+    nx, ngamma, nbeta = _node(x), _node(bn.gamma), _node(bn.beta)
+
+    def bw(g):
+        gsum = g.sum(axis=(1, 2, 3), keepdims=True)
+        gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
+        nbeta.accumulate(gsum.reshape(-1), own=True)
+        ngamma.accumulate(gxsum.reshape(-1), own=True)
+        scale = inv_std * gamma
+        if training:
+            gx = (xhat * (gxsum / -count) + g - gsum / count) * scale
+        else:
+            gx = g * scale
+        nx.accumulate(gx, own=True)
+
+    return _make(xhat * gamma + bn.beta.data.reshape(shape), (nx, ngamma, nbeta), bw)
 
 
-def _fd_check_batchnorm(bn: BatchNorm2d, rng) -> None:
-    x = Tensor(rng.standard_normal((bn.channels, 3, 6, 3)), requires_grad=True)
-    weights = rng.standard_normal((bn.channels, 3, 6, 3))
-
-    def loss():
-        return (bn(x) * weights).sum()
-
-    out = loss()
-    out.backward()
-    for t in (x, bn.gamma, bn.beta):
-        g = t.grad
-        flat = t.data.reshape(-1)
-        for c in rng.choice(flat.size, size=min(5, flat.size), replace=False):
-            idx = np.unravel_index(c, t.data.shape)
-            num = central_difference(lambda: float(loss().data), t.data, idx, 1e-6)
-            assert relative_error(g[idx], num) < 1e-5
+def run_with_grads(module: Module, forward, x: np.ndarray, weights: np.ndarray):
+    """``forward(xt)`` for a fresh input tensor, then the backward of its
+    weighted sum: the output and the x, conv weight, γ and β gradients."""
+    params = [c.weight for c in convs_of(module)] + [module.bn.gamma, module.bn.beta]
+    for p in params:
+        p.zero_grad()
+    xt = Tensor(x.copy(), requires_grad=True)
+    out = forward(xt)
+    (out * weights).sum().backward()
+    return out.data, [xt.grad] + [p.grad for p in params]
 
 
-def test_batchnorm_gradients_finite_difference(rng):
-    _fd_check_batchnorm(BatchNorm2d(2, dtype=np.float64), rng)
-
-
-def test_batchnorm_eval_gradients_finite_difference(rng):
-    _fd_check_batchnorm(_batchnorm_with_state(rng, training=False), rng)
+def _inputs(rng, module: Module, dtype):
+    x = (rng.standard_normal((3, IN_HW[0], 4, IN_HW[1])) * 2.0 + 1.0).astype(dtype)
+    out_shape = module(Tensor(x)).data.shape
+    return x, rng.standard_normal(out_shape).astype(dtype)
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
 def test_batchnorm_node_matches_composite_graph(rng, training, dtype, tol):
-    bn = _batchnorm_with_state(rng, training, dtype)
-    x = (rng.standard_normal((3, 5, 4, 5)) * 2.0 + 1.0).astype(dtype)
-    weights = rng.standard_normal((3, 5, 4, 5)).astype(dtype)
-    params = (bn.gamma, bn.beta)
+    for kind in KINDS:
+        module = fed_batchnorm(kind, rng, training, dtype)
+        x, weights = _inputs(rng, module, dtype)
+        ref_out, ref_grads = run_with_grads(
+            module, lambda xt: unfused(module, xt, composite_batchnorm), x, weights)
+        out, grads = run_with_grads(module, module, x, weights)
+        np.testing.assert_array_equal(out, ref_out, err_msg=kind)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=tol * np.abs(ref).max(),
+                                       err_msg=kind)
 
-    def run(forward):
-        for p in params:
-            p.zero_grad()
-        xt = Tensor(x.copy(), requires_grad=True)
-        out = forward(xt)
-        (out * weights).sum().backward()
-        return out.data, [xt.grad] + [p.grad for p in params]
 
-    ref_out, ref_grads = run(lambda xt: composite_batchnorm(bn, xt))
-    out, grads = run(bn)
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fused_batchnorm_is_bit_identical_to_conv_then_batchnorm(rng, kind, training):
+    module = fed_batchnorm(kind, rng, training, np.float32)
+    x, weights = _inputs(rng, module, np.float32)
+    ref_out, ref_grads = run_with_grads(
+        module, lambda xt: unfused(module, xt, closed_form_batchnorm), x, weights)
+    out, grads = run_with_grads(module, module, x, weights)
     np.testing.assert_array_equal(out, ref_out)
     for g, ref in zip(grads, ref_grads):
-        np.testing.assert_allclose(g, ref, rtol=0, atol=tol * np.abs(ref).max())
+        assert g.dtype == np.float32
+        np.testing.assert_array_equal(g, ref)
+
+
+def _fd_check_fused(kind: str, rng, training: bool) -> None:
+    module = fed_batchnorm(kind, rng, training)
+    x = Tensor(rng.standard_normal((3, IN_HW[0], 3, IN_HW[1])), requires_grad=True)
+    weights = rng.standard_normal(module(x).data.shape)
+
+    def loss():
+        return (module(x) * weights).sum()
+
+    loss().backward()
+    for t in [x] + [c.weight for c in convs_of(module)] + [module.bn.gamma,
+                                                            module.bn.beta]:
+        g = t.grad
+        flat = t.data.reshape(-1)
+        for c in rng.choice(flat.size, size=min(5, flat.size), replace=False):
+            idx = np.unravel_index(c, t.data.shape)
+            num = central_difference(lambda: float(loss().data), t.data, idx, 1e-6)
+            assert relative_error(g[idx], num) < 1e-5, (kind, idx)
+
+
+def test_batchnorm_gradients_finite_difference(rng):
+    for kind in KINDS:
+        _fd_check_fused(kind, rng, training=True)
+
+
+def test_batchnorm_eval_gradients_finite_difference(rng):
+    for kind in KINDS:
+        _fd_check_fused(kind, rng, training=False)
 
 
 def test_cross_entropy_uniform_logits():
@@ -240,7 +365,7 @@ def test_parameters_collection(rng):
             self.bn = BatchNorm2d(2, dtype=np.float64)
 
         def forward(self, x):
-            return self.bn(self.conv(x))
+            return self.bn((self.conv, x))
 
     net = Small()
     params = net.parameters()

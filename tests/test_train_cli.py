@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from msrnas import train
+from msrnas import supernet, train
 from msrnas.autodiff import Tensor
 from msrnas.cli import main
 from msrnas.config import config_from_text
@@ -168,6 +168,24 @@ def test_non_finite_training_loss_names_the_stem_conv(tmp_path, capsys, monkeypa
     assert main(["search", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"error[numerics]: {message}\n"
     assert not os.path.exists(tmp_path / "cli" / "lock")
+
+
+def test_non_finite_training_loss_names_a_sepconvs_pw1(tmp_path, monkeypatch):
+    # The first step's adjust leaves an inf in one SepConv's first 1x1 conv;
+    # that conv runs inside its BatchNorm's node, which names it.
+    adjust_all = supernet.Supernet.adjust_all
+
+    def poisoning_adjust(net, iterations=None):
+        adjust_all(net, iterations)
+        if iterations is None:  # a training step's adjust
+            net.cells[1].edges[(1, 3)].op_sep5.pw1.weight.data[0, 0] = np.inf
+
+    monkeypatch.setattr(supernet.Supernet, "adjust_all", poisoning_adjust)
+    with pytest.raises(NumericsError) as caught:
+        run_search(tiny_cfg(str(tmp_path / "api")))
+    assert str(caught.value) == (
+        "non-finite loss at epoch 1; first bad tensor: "
+        "non-finite output in net.cell1.edge_1_3.op_sep5.pw1")
 
 
 def test_reading_a_run_creates_no_directory(tmp_path, capsys):
