@@ -13,11 +13,12 @@ Graph lifetime: nodes hold no data. An op's result is freed as soon as the
 forward code drops its Tensor, unless a closure saved the array because its
 backward reads it. Each closure saves only that:
 
-- ``conv2d``: its input, and only when the weight needs a gradient;
 - ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``;
 - ``matmul`` and ``mul``: their operands; ``power``: its input;
-- ``BatchNorm2d``, one node with the conv(s) that feed it: the conv inputs,
-  μ, 1/σ and γ; its backward runs the convs again to rebuild x̂;
+- ``BatchNorm2d``, one node with the conv chain(s) that feed it (every
+  conv in the network runs inside one): each chain's input, μ, 1/σ and γ;
+  its backward runs the chains again to rebuild x̂ and each depthwise
+  conv's output;
 - ``cross_entropy``: the shifted exponentials and their row sums;
 - ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
   ``concat``, ``slice_`` and ``pad2d``: shapes only.

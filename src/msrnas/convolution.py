@@ -3,9 +3,9 @@ gradient, and shape math.
 
 Every array here is channel-major, (C, H, N, W): channels, rows, batch,
 columns. The network keeps its activations in that layout, so a run of rows
-of one channel is one contiguous block. ``conv2d`` wraps the forward pass as
-a differentiable graph op. A 1x1 kernel without padding is one channel mix,
-``W @ x.reshape(C, -1)`` per channel group, with the weight gradient
+of one channel is one contiguous block. The graph nodes that run these maps
+are ``layers.BatchNorm2d``'s. A 1x1 kernel without padding is one channel
+mix, ``W @ x.reshape(C, -1)`` per channel group, with the weight gradient
 ``gy.reshape(O, -1) @ x.reshape(C, -1)^T``. Every other conv, with ``g``
 groups of ``cg`` inputs and ``og`` outputs, input width ``w``, stride ``s``,
 padding ``p`` and dilation ``d``, runs one batched GEMM per kernel row k
@@ -36,6 +36,10 @@ that runs the maps many times on an unchanged weight. A caller that stacks
 kernels of different sizes as one conv (``spectral.power_iteration``) also
 passes, per kernel row, the slice of groups with taps in it
 (``row_groups``), and that row's GEMM and add run over those groups only.
+Such a call, whose operand is a batch of one, first sets the operand on
+zero rows (``_canvas``), so that every kernel row reaches every output row
+and each row's add is one contiguous block instead of one small add per
+group; the sums are unchanged, bit for bit.
 
 The adjoint is exact with respect to the forward map, including padding,
 striding, dilation and groups; the power iteration and the backward pass
@@ -48,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _make, _node
 from .errors import ConstructionError, DimensionError
 
 
@@ -209,43 +212,85 @@ def _sampled(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return x[:, ::s, :, ::s].reshape(spec.groups, spec.in_channels // spec.groups, -1)
 
 
-def _row_gemms(rows: np.ndarray, band: np.ndarray, moves, out_rows: int) -> np.ndarray:
+def _row_gemms(rows: np.ndarray, band: np.ndarray, first, moves,
+               out_rows: int) -> np.ndarray:
     """The sum of ``out[grp, dst] += rows[grp, src] @ band[k, grp]`` over
-    the ``(k, src, dst, grp)`` in ``moves``: ``rows`` is (g, H, N, K) and
-    ``out`` (g, out_rows, N, band.shape[3]), zero where no move lands."""
+    the ``(k, src, dst, grp)`` of ``first`` and of ``moves`` in order:
+    ``rows`` is (g, H, N, K) and ``out`` (g, out_rows, N, band.shape[3]),
+    zero where no move lands. ``first``, a move onto every output row of
+    every group or None, writes ``out`` in place of zeroing it."""
     g, _, n, _ = rows.shape
     out = np.empty((g, out_rows, n, band.shape[3]), dtype=rows.dtype)
-    # A move onto every output row of every group (the middle kernel row, at
-    # the padding the network uses) writes ``out`` in place of zeroing it.
-    whole = (slice(0, out_rows, 1), slice(0, g))
-    first = next((m for m in moves if m[2:] == whole), None)
     if first is None:
         out[...] = 0
     else:
         k, src, _, _ = first
         np.matmul(rows[:, src].reshape(g, -1, band.shape[2]), band[k],
                   out=out.reshape(g, -1, band.shape[3]))
-    for move in moves:
-        if move is not first:
-            k, src, dst, grp = move
-            part = rows[grp, src]
-            prod = np.matmul(part.reshape(len(part), -1, band.shape[2]), band[k, grp])
-            out[grp, dst] += prod.reshape(len(part), -1, n, band.shape[3])
+    for k, src, dst, grp in moves:
+        part = rows[grp, src]
+        prod = np.matmul(part.reshape(len(part), -1, band.shape[2]), band[k, grp])
+        out[grp, dst] += prod.reshape(len(part), -1, n, band.shape[3])
     return out
 
 
-def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool) -> list:
-    """``(k, src, dst, grp)`` for ``_row_gemms``: per kernel row k, the
+def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool):
+    """The ``first`` and ``moves`` of ``_row_gemms``. Per kernel row k: the
     output rows y0..y1 it reaches and the input rows they read (the other
     way round for the adjoint), over the groups ``row_groups[k]`` (every
-    group when None); a row with no group is left out."""
-    moves = []
+    group when None); a row with no group is left out. ``first`` is the
+    move that reaches every row of every group (the middle kernel row, at
+    the padding the network uses), if one does; the others follow in order
+    of k.
+
+    With ``row_groups`` the operand is ``_canvas``'s, on which every kernel
+    row reaches every row of the output, so each move's add is one
+    contiguous block; the rows it adds beyond the unpadded span are zeros,
+    and ``first`` stays the move it is unpadded, so every sum is the same.
+    A move over one row keeps its unpadded span: numpy multiplies a single
+    row by a matrix-vector product, whose bits can differ from the matrix
+    product's.
+    """
+    d, kh, s, p = spec.dilation, spec.kernel_h, spec.stride, spec.padding
+    n_out = h if adjoint else ho
+    every_row, every_group = slice(0, n_out, 1), slice(0, spec.groups)
+    first, moves = None, []
     for k, y0, y1, rows in _row_spans(spec, h, ho):
-        grp = slice(0, spec.groups) if row_groups is None else row_groups[k]
-        if grp.start < grp.stop:
-            out_rows = slice(y0, y1, 1)
-            moves.append((k, out_rows, rows, grp) if adjoint else (k, rows, out_rows, grp))
-    return moves
+        grp = every_group if row_groups is None else row_groups[k]
+        if grp.start >= grp.stop:
+            continue
+        src, dst = (slice(y0, y1, 1), rows) if adjoint else (rows, slice(y0, y1, 1))
+        reaches_all = dst == every_row and grp == every_group
+        if row_groups is not None and y1 - y0 == 1:
+            at = (kh - 1) * d - p + y0 * s if adjoint else rows.start + p
+            src = slice(at, at + 1)
+        elif row_groups is not None:
+            lo = (kh - 1 - k) * d if adjoint else k * d
+            src = slice(lo, lo + h) if adjoint else slice(lo, lo + (ho - 1) * s + 1, s)
+            dst = every_row
+        if first is None and reaches_all:
+            first = (k, src, dst, grp)
+        else:
+            moves.append((k, src, dst, grp))
+    return first, moves
+
+
+def _canvas(a: np.ndarray, spec: ConvSpec, h: int, ho: int, adjoint: bool) -> np.ndarray:
+    """The operand ``a`` (g, rows, N, K) of a call with ``row_groups`` set
+    on zero rows, so that every kernel row k reaches every output row: the
+    forward's input row r is canvas row r + p, so output row y reads
+    canvas row y*s + k*d; the adjoint's cotangent row y is canvas row
+    y*s + (kh - 1)*d - p, so input row r reads canvas row
+    r + (kh - 1 - k)*d, with zeros between strided rows."""
+    reach = (spec.kernel_h - 1) * spec.dilation
+    if adjoint:
+        top, height, step = reach - spec.padding, h + reach, spec.stride
+    else:
+        height = max(h + spec.padding, (ho - 1) * spec.stride + reach + 1)
+        top, step = spec.padding, 1
+    out = np.zeros((a.shape[0], height) + a.shape[2:], dtype=a.dtype)
+    out[:, top:top + (a.shape[1] - 1) * step + 1:step] = a
+    return out
 
 
 def conv2d_forward(x: np.ndarray, spec: ConvSpec, band: np.ndarray | None = None,
@@ -264,8 +309,11 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec, band: np.ndarray | None = None
         out = np.matmul(spec.weight.reshape(g, og, -1), _sampled(x, spec))
         return out.reshape(spec.out_channels, ho, n, wo).astype(x.dtype, copy=False)
     band = _fitting_band(spec, band, w, wo, x.dtype)
-    moves = _moves(spec, h, ho, row_groups, adjoint=False)
-    return _ungrouped(_row_gemms(_grouped(x, g), band, moves, ho), wo)
+    rows = _grouped(x, g)
+    if row_groups is not None:
+        rows = _canvas(rows, spec, h, ho, adjoint=False)
+    first, moves = _moves(spec, h, ho, row_groups, adjoint=False)
+    return _ungrouped(_row_gemms(rows, band, first, moves, ho), wo)
 
 
 def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
@@ -299,8 +347,11 @@ def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
     band = _fitting_band(spec, band, w, wo, y.dtype)
     # A stacked matmul by a transposed view runs at about half speed.
     band_t = np.ascontiguousarray(band.transpose(0, 1, 3, 2))
-    moves = _moves(spec, h, ho, row_groups, adjoint=True)
-    return _ungrouped(_row_gemms(_grouped(y, g), band_t, moves, h), w)
+    rows = _grouped(y, g)
+    if row_groups is not None:
+        rows = _canvas(rows, spec, h, ho, adjoint=True)
+    first, moves = _moves(spec, h, ho, row_groups, adjoint=True)
+    return _ungrouped(_row_gemms(rows, band_t, first, moves, h), w)
 
 
 def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -328,21 +379,3 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
         # Row k's band entries, as (tap, g, cg, og), summed per column l.
         np.add.at(gw[k], l, full[:, :, cols, :, cols_x])
     return np.ascontiguousarray(gw.transpose(2, 4, 3, 0, 1)).reshape(spec.weight.shape)
-
-
-def conv2d(x: Tensor, weight: Tensor, spec: ConvSpec) -> Tensor:
-    """Differentiable convolution by ``spec`` of a (C, H, N, W) tensor,
-    whose weight array is ``weight.data`` (layout [out, in/groups, kh, kw]).
-
-    The graph keeps the input only for the weight gradient."""
-    in_hw = (x.data.shape[1], x.data.shape[3])
-    nx, nw = _node(x), _node(weight)
-    x_data = x.data if nw is not None else None
-
-    def bw(g):
-        if nx is not None:
-            nx.accumulate(conv2d_transpose_forward(g, spec, input_hw=in_hw), own=True)
-        if nw is not None:
-            nw.accumulate(conv2d_weight_grad(x_data, g, spec), own=True)
-
-    return _make(conv2d_forward(x.data, spec), (nx, nw), bw)

@@ -7,7 +7,7 @@ import numpy as np
 from . import autodiff as ad
 from . import convolution
 from .autodiff import Tensor, _make, _node
-from .convolution import ConvSpec, conv2d
+from .convolution import ConvSpec
 from .errors import DimensionError, NumericsError
 
 # When enabled, every Module.__call__ verifies its output is finite; used to
@@ -105,7 +105,10 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.nd
 
 
 class Conv2d(Module):
-    """Bias-free convolution layer owning one ConvSpec (weight is aliased)."""
+    """Bias-free convolution layer owning one ConvSpec (weight is aliased).
+
+    It is never called itself: the ``BatchNorm2d`` node that normalizes its
+    output runs it (``bn((convs, x), ...)``)."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  padding=0, dilation=1, groups=1, *, in_hw: tuple[int, int],
@@ -130,33 +133,45 @@ class Conv2d(Module):
         # handle knows the matrix view to measure.
         self.in_hw = in_hw
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.spec)
 
-
-def _conv_outputs(branches, check: bool = False) -> np.ndarray:
-    """The channel concatenation of each ``(conv, input array)`` pair's conv
-    output; with ``check``, a non-finite output names its conv. The kernels
-    are looked up on ``convolution`` at each call, as ``conv2d``'s are, so
+def _chain_outputs(branches, check: bool = False, saved: list | None = None) -> np.ndarray:
+    """The channel concatenation of each ``(convs, input array)`` branch's
+    output, its convs applied in order; with ``check``, a non-finite conv
+    output names its conv. With ``saved``, each branch appends to it the
+    list of its ``(conv, input, band)`` steps, the band being the conv's
+    ``convolution.conv_bands``, built once here for the conv's forward and
+    adjoint. The kernels are looked up on ``convolution`` at each call, so
     that replacing them there reaches these calls too."""
     outs = []
-    for conv, x in branches:
-        z = convolution.conv2d_forward(x, conv.spec)
-        if check and not np.isfinite(z).all():
-            raise NumericsError(f"non-finite output in {conv.path or type(conv).__name__}")
+    for convs, z in branches:
+        steps = []
+        for conv in convs:
+            band = None
+            if saved is not None:
+                band = convolution.conv_bands(conv.spec, (z.shape[1], z.shape[3]), z.dtype)
+                steps.append((conv, z, band))
+            z = convolution.conv2d_forward(z, conv.spec, band)
+            if check and not np.isfinite(z).all():
+                raise NumericsError(f"non-finite output in {conv.path or type(conv).__name__}")
+        if saved is not None:
+            saved.append(steps)
         outs.append(z)
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 class BatchNorm2d(Module):
     """Per-channel affine batch normalization with running statistics, fused
-    with the convolution(s) whose output it normalizes into one graph node.
+    with the chain(s) of convolutions whose output it normalizes into one
+    graph node.
 
-    ``bn((conv, x), ...)`` takes one ``(Conv2d, input)`` pair per conv; their
-    outputs are concatenated along channels (``FactorizedReduce`` passes
-    two), and each channel of that (C, H, N, W) activation is normalized
-    over its trailing axes. The conv modules are not called: under
-    ``check_finite`` the node checks each conv's output and names the conv.
+    ``bn((convs, x), ...)`` takes one branch per input: ``convs`` is a tuple
+    of ``Conv2d`` applied to ``x`` in order (``SepConv`` and ``DilConv``
+    pass a depthwise and a pointwise conv, the other blocks one conv). The
+    branches' outputs are concatenated along channels (``FactorizedReduce``
+    passes two), and each channel of that (C, H, N, W) activation is
+    normalized over its trailing axes. The conv modules are not called:
+    under ``check_finite`` the node checks each conv's output and names the
+    conv.
     """
 
     eps = 1e-5
@@ -170,20 +185,24 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def forward(self, *branches: tuple[Conv2d, Tensor]) -> Tensor:
-        """The normalized conv output, recording one graph node.
+    def forward(self, *branches: tuple[tuple[Conv2d, ...], Tensor]) -> Tensor:
+        """The normalized chain output, recording one graph node.
 
         The output takes the same numpy operations, in the same order, as
-        ``conv2d`` followed by the composite-op reference in the tests, which
-        requires it to be bit-identical; they run in place, x̂ in the conv
-        output's buffer and x̂² in the output's. The node saves the conv
-        inputs, μ, 1/σ and γ, not x̂: its backward runs the convs again and
+        the convs one after another followed by the composite-op reference
+        in the tests, which requires it to be bit-identical; they run in
+        place, x̂ in the last conv's output buffer and x̂² in the output's.
+        The node saves each chain's input, μ, 1/σ and γ, neither x̂ nor a
+        depthwise conv's output: its backward runs the chains again and
         rebuilds x̂ by the same operations, bit for bit (recompute, Chen et
         al., 2016), then runs BN's closed-form backward (Ioffe & Szegedy,
-        2015), in x̂'s buffer, into the convs' adjoints and weight gradients.
+        2015), in x̂'s buffer, and back through each chain in reverse: per
+        conv the weight gradient, then the adjoint. Each recomputed
+        intermediate, its band and x̂ are dropped once their last reader
+        has run.
         """
-        pairs = [(conv, x.data) for conv, x in branches]
-        z = _conv_outputs(pairs, check=check_finite)
+        pairs = [(convs, x.data) for convs, x in branches]
+        z = _chain_outputs(pairs, check=check_finite)
         if z.shape[0] != self.channels:
             raise DimensionError(
                 f"batchnorm over {self.channels} channels got shape {z.shape}"
@@ -213,41 +232,56 @@ class BatchNorm2d(Module):
         np.multiply(z, gamma, out=data)
         data += self.beta.data.reshape(shape)
         count = z.size // self.channels
-        conv_nodes = [(_node(x), _node(conv.weight)) for conv, x in branches]
+        chain_nodes = [(_node(x), [_node(conv.weight) for conv in convs])
+                       for convs, x in branches]
         ngamma, nbeta = _node(self.gamma), _node(self.beta)
 
         def bw(g):
-            xhat = _conv_outputs(pairs)
-            xhat -= mu
-            xhat *= inv_std
+            chains: list[list] = []
+            gz = _chain_outputs(pairs, saved=chains)
+            gz -= mu
+            gz *= inv_std
             gsum = g.sum(axis=(1, 2, 3), keepdims=True)
-            gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
+            gxsum = (g * gz).sum(axis=(1, 2, 3), keepdims=True)
             if nbeta is not None:
                 nbeta.accumulate(gsum.reshape(-1), own=True)
             if ngamma is not None:
                 ngamma.accumulate(gxsum.reshape(-1), own=True)
             scale = inv_std * gamma
             if training:
-                # dz = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
-                gz = xhat
+                # dz = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel, in x̂'s
+                # buffer.
                 gz *= gxsum / -count
                 gz += g
                 gz -= gsum / count
                 gz *= scale
             else:
-                gz = np.multiply(g, scale, out=xhat)
-            lo = 0
-            for (conv, x), (nx, nw) in zip(pairs, conv_nodes):
-                gy = gz[lo:lo + conv.spec.out_channels]
-                lo += conv.spec.out_channels
+                np.multiply(g, scale, out=gz)
+            # Each chain's share of the cotangent; the last share to go
+            # frees x̂'s buffer.
+            shares, lo = [], 0
+            for steps in chains:
+                hi = lo + steps[-1][0].spec.out_channels
+                shares.append(gz[lo:hi])
+                lo = hi
+            del gz
+            for (nx, weight_nodes), steps in zip(chain_nodes, chains):
+                gy = shares.pop(0)
+                while steps:
+                    conv, inp, band = steps.pop()
+                    nw = weight_nodes[len(steps)]   # the popped conv's
+                    if nw is not None:
+                        nw.accumulate(convolution.conv2d_weight_grad(inp, gy, conv.spec),
+                                      own=True)
+                    if steps or nx is not None:
+                        gy = convolution.conv2d_transpose_forward(
+                            gy, conv.spec, input_hw=(inp.shape[1], inp.shape[3]), band=band)
+                    del inp, band
                 if nx is not None:
-                    nx.accumulate(convolution.conv2d_transpose_forward(
-                        gy, conv.spec, input_hw=(x.shape[1], x.shape[3])), own=True)
-                if nw is not None:
-                    nw.accumulate(convolution.conv2d_weight_grad(x, gy, conv.spec),
-                                  own=True)
+                    nx.accumulate(gy, own=True)
+                del gy
 
-        parents = [n for pair in conv_nodes for n in pair] + [ngamma, nbeta]
+        parents = [n for nx, nws in chain_nodes for n in [nx, *nws]] + [ngamma, nbeta]
         return _make(data, parents, bw)
 
 

@@ -22,7 +22,10 @@ from .layers import BatchNorm2d, Conv2d, Module
 
 class SepConv(Module):
     """(ReLU, depthwise kxk, pointwise 1x1, BN) applied twice; the input
-    arrives rectified, so only the second ReLU is applied here."""
+    arrives rectified, so only the second ReLU is applied here. Each
+    (depthwise, pointwise) pair runs inside its BatchNorm's graph node,
+    ``bn(((dw, pw), x))``, so the graph keeps neither conv's output: the
+    node's backward runs both again from x."""
 
     def __init__(self, kind: str, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -48,13 +51,14 @@ class SepConv(Module):
         return self.pw2
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1((self.pw1, self.dw1(x)))
-        return self.bn2((self.pw2, self.dw2(ad.relu(out))))
+        out = self.bn1(((self.dw1, self.pw1), x))
+        return self.bn2(((self.dw2, self.pw2), ad.relu(out)))
 
 
 class DilConv(Module):
     """ReLU, dilated depthwise kxk (dilation 2, "same" padding), pointwise 1x1,
-    BN; the input arrives rectified."""
+    BN; the input arrives rectified. The two convs run inside the BatchNorm's
+    graph node, as in ``SepConv``."""
 
     def __init__(self, kind: str, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -74,7 +78,7 @@ class DilConv(Module):
         return self.pw
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn((self.pw, self.dw(x)))
+        return self.bn(((self.dw, self.pw), x))
 
 
 # Every candidate operator: name -> (class, kernel size). Insertion order is
@@ -102,7 +106,7 @@ class ReLUConvBN(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn((self.conv, x))
+        return self.bn(((self.conv,), x))
 
 
 class FactorizedReduce(Module):
@@ -123,4 +127,4 @@ class FactorizedReduce(Module):
     def forward(self, x: Tensor) -> Tensor:
         # Second branch samples the grid shifted by one pixel.
         shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
-        return self.bn((self.conv_a, x), (self.conv_b, shifted))
+        return self.bn(((self.conv_a,), x), ((self.conv_b,), shifted))

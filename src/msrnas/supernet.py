@@ -157,7 +157,7 @@ class Stem(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn((self.conv, x))
+        return self.bn(((self.conv,), x))
 
 
 class _NetworkBase(Module):

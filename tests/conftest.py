@@ -3,12 +3,20 @@ test suite.
 
 The conv oracles (``naive_conv2d``, the tap loop, ``materialize_conv_matrix``)
 take and return NCHW arrays; the program's conv routines work on
-channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert."""
+channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert.
+``conv2d`` is one conv as its own graph op: the unfused reference for the
+conv chains that the network runs inside its BatchNorm nodes."""
 
 import numpy as np
 import pytest
 
-from msrnas.convolution import ConvSpec, conv2d_forward
+from msrnas.autodiff import Tensor, _make, _node
+from msrnas.convolution import (
+    ConvSpec,
+    conv2d_forward,
+    conv2d_transpose_forward,
+    conv2d_weight_grad,
+)
 
 DENSE_MATRIX_CAP = 4096 * 4096  # max rows*cols a materialized matrix may hold
 
@@ -21,6 +29,24 @@ def to_chnw(a: np.ndarray) -> np.ndarray:
 def to_nchw(a: np.ndarray) -> np.ndarray:
     """A (C, H, N, W) array in NCHW."""
     return np.ascontiguousarray(np.asarray(a).transpose(2, 0, 1, 3))
+
+
+def conv2d(x: Tensor, weight: Tensor, spec: ConvSpec) -> Tensor:
+    """Differentiable convolution by ``spec`` of a (C, H, N, W) tensor,
+    whose weight array is ``weight.data`` (layout [out, in/groups, kh, kw]).
+
+    The graph keeps the input only for the weight gradient."""
+    in_hw = (x.data.shape[1], x.data.shape[3])
+    nx, nw = _node(x), _node(weight)
+    x_data = x.data if nw is not None else None
+
+    def bw(g):
+        if nx is not None:
+            nx.accumulate(conv2d_transpose_forward(g, spec, input_hw=in_hw), own=True)
+        if nw is not None:
+            nw.accumulate(conv2d_weight_grad(x_data, g, spec), own=True)
+
+    return _make(conv2d_forward(x.data, spec), (nx, nw), bw)
 
 
 def naive_conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:

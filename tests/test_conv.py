@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from msrnas.autodiff import Tensor
 from msrnas.convolution import (
     ConvSpec,
-    conv2d,
     conv2d_forward,
     conv2d_transpose_forward,
     conv2d_weight_grad,
@@ -29,6 +28,7 @@ from msrnas.supernet import SupernetConfig, build_discrete_network, build_supern
 
 from conftest import (
     central_difference,
+    conv2d,
     fitting_input_hw,
     materialize_conv_matrix,
     naive_conv2d,

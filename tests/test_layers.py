@@ -7,7 +7,6 @@ import pytest
 from msrnas import autodiff as ad
 from msrnas import layers
 from msrnas.autodiff import Tensor, _make, _node
-from msrnas.convolution import conv2d
 from msrnas.errors import DimensionError, NumericsError
 from msrnas.layers import (
     BatchNorm2d,
@@ -17,10 +16,10 @@ from msrnas.layers import (
     cross_entropy,
     global_avg_pool,
 )
-from msrnas.operators import FactorizedReduce, ReLUConvBN
+from msrnas.operators import DilConv, FactorizedReduce, ReLUConvBN, SepConv
 from msrnas.supernet import Stem
 
-from conftest import central_difference, relative_error, to_chnw, to_nchw
+from conftest import central_difference, conv2d, relative_error, to_chnw, to_nchw
 
 
 def identity_conv(channels: int, dtype=np.float64) -> Conv2d:
@@ -34,7 +33,7 @@ def identity_conv(channels: int, dtype=np.float64) -> Conv2d:
 
 def normalize(bn: BatchNorm2d, x: np.ndarray) -> Tensor:
     """``bn`` over the (C, H, N, W) array ``x``, through an identity conv."""
-    return bn((identity_conv(x.shape[0], x.dtype), Tensor(x)))
+    return bn(((identity_conv(x.shape[0], x.dtype),), Tensor(x)))
 
 
 def test_batchnorm_constant_input_returns_beta(rng):
@@ -109,11 +108,27 @@ def test_batchnorm_names_the_non_finite_conv(rng, monkeypatch):
             fr(x)
 
 
+def test_batchnorm_names_the_non_finite_depthwise_conv(rng, monkeypatch):
+    # The depthwise conv is never called as a module; its BatchNorm node
+    # checks its output before the pointwise conv reads it.
+    op = SepConv("sep3", 3, 3, 1, (6, 6), rng=rng, dtype=np.float64)
+    op.assign_paths("cell0.edge_0_2.op_sep3")
+    op.dw1.weight.data[1, 0, 1, 1] = np.nan
+    x = Tensor(rng.standard_normal((3, 6, 2, 6)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(op(x).data).all()
+        monkeypatch.setattr(layers, "check_finite", True)
+        with pytest.raises(NumericsError,
+                           match=r"^non-finite output in cell0\.edge_0_2\.op_sep3\.dw1$"):
+            op(x)
+
+
 # The fused node against references -----------------------------------------
-# Each kind is a module whose forward is one BatchNorm2d node fed by convs:
-# a 1x1 conv, the stem's dense 3x3, and FactorizedReduce's two stride-2 1x1
-# convs (the second on the shifted grid), concatenated.
-KINDS = ("pw", "stem", "fr")
+# Each kind is a module whose forward is BatchNorm2d nodes fed by convs: a
+# 1x1 conv, the stem's dense 3x3, FactorizedReduce's two stride-2 1x1 convs
+# (the second on the shifted grid), concatenated, DilConv's depthwise and
+# pointwise chain, and SepConv's two such chains with a ReLU between.
+KINDS = ("pw", "stem", "fr", "sep", "dil")
 IN_HW = (6, 6)
 
 
@@ -123,32 +138,44 @@ def fed_batchnorm(kind: str, rng, training: bool, dtype=np.float64) -> Module:
         module = ReLUConvBN(3, 4, IN_HW, rng=rng, dtype=dtype)
     elif kind == "stem":
         module = Stem(4, IN_HW, rng=rng, dtype=dtype)
-    else:
+    elif kind == "fr":
         module = FactorizedReduce(3, 5, IN_HW, rng=rng, dtype=dtype)
-    bn = module.bn
-    bn.gamma.data[:] = rng.standard_normal(bn.channels)
-    bn.beta.data[:] = rng.standard_normal(bn.channels)
-    bn.running_mean[:] = rng.standard_normal(bn.channels)
-    bn.running_var[:] = rng.uniform(0.5, 2.0, bn.channels)
+    elif kind == "sep":
+        module = SepConv("sep5", 3, 5, 2, IN_HW, rng=rng, dtype=dtype)
+    else:
+        module = DilConv("dil3", 3, 3, 1, IN_HW, rng=rng, dtype=dtype)
+    for bn in module.modules():
+        if isinstance(bn, BatchNorm2d):
+            bn.gamma.data[:] = rng.standard_normal(bn.channels)
+            bn.beta.data[:] = rng.standard_normal(bn.channels)
+            bn.running_mean[:] = rng.standard_normal(bn.channels)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, bn.channels)
     if not training:
         module.eval()
     return module
 
 
-def convs_of(module: Module) -> list[Conv2d]:
-    return [m for m in module.modules() if isinstance(m, Conv2d)]
+def chain(convs, x: Tensor) -> Tensor:
+    """``convs`` applied in order, each as its own ``conv2d`` graph op."""
+    for conv in convs:
+        x = conv2d(x, conv.weight, conv.spec)
+    return x
 
 
 def unfused(module: Module, x: Tensor, batchnorm) -> Tensor:
     """The module's convs as ``conv2d`` graph ops (concatenated for
-    FactorizedReduce), then ``batchnorm(bn, conv output)``."""
+    FactorizedReduce), each BatchNorm as ``batchnorm(bn, conv output)``."""
     if isinstance(module, FactorizedReduce):
         shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
-        z = ad.concat([conv2d(x, module.conv_a.weight, module.conv_a.spec),
-                       conv2d(shifted, module.conv_b.weight, module.conv_b.spec)],
+        z = ad.concat([chain((module.conv_a,), x), chain((module.conv_b,), shifted)],
                       axis=0)
+    elif isinstance(module, SepConv):
+        out = batchnorm(module.bn1, chain((module.dw1, module.pw1), x))
+        return batchnorm(module.bn2, chain((module.dw2, module.pw2), ad.relu(out)))
+    elif isinstance(module, DilConv):
+        z = chain((module.dw, module.pw), x)
     else:
-        z = conv2d(x, module.conv.weight, module.conv.spec)
+        z = chain((module.conv,), x)
     return batchnorm(module.bn, z)
 
 
@@ -207,8 +234,9 @@ def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
 
 def run_with_grads(module: Module, forward, x: np.ndarray, weights: np.ndarray):
     """``forward(xt)`` for a fresh input tensor, then the backward of its
-    weighted sum: the output and the x, conv weight, γ and β gradients."""
-    params = [c.weight for c in convs_of(module)] + [module.bn.gamma, module.bn.beta]
+    weighted sum: the output and the gradients of x and of every parameter
+    (conv weights, γ and β)."""
+    params = module.parameters()
     for p in params:
         p.zero_grad()
     xt = Tensor(x.copy(), requires_grad=True)
@@ -238,18 +266,30 @@ def test_batchnorm_node_matches_composite_graph(rng, training, dtype, tol):
                                        err_msg=kind)
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_fused_batchnorm_is_bit_identical_to_conv_then_batchnorm(rng, kind, training):
-    module = fed_batchnorm(kind, rng, training, np.float32)
-    x, weights = _inputs(rng, module, np.float32)
+def _assert_bit_identical_to_unfused(rng, kind: str, training: bool, dtype) -> None:
+    module = fed_batchnorm(kind, rng, training, dtype)
+    x, weights = _inputs(rng, module, dtype)
     ref_out, ref_grads = run_with_grads(
         module, lambda xt: unfused(module, xt, closed_form_batchnorm), x, weights)
     out, grads = run_with_grads(module, module, x, weights)
     np.testing.assert_array_equal(out, ref_out)
     for g, ref in zip(grads, ref_grads):
-        assert g.dtype == np.float32
+        assert g.dtype == dtype
         np.testing.assert_array_equal(g, ref)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fused_batchnorm_is_bit_identical_to_conv_then_batchnorm(rng, kind, training):
+    _assert_bit_identical_to_unfused(rng, kind, training, np.float32)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("kind", ["sep", "dil"])
+def test_conv_chain_node_is_bit_identical_to_unfused_float64(rng, kind, training):
+    # The depthwise conv runs inside the node: recomputed in the backward
+    # from the chain's input, with one band for its forward and adjoint.
+    _assert_bit_identical_to_unfused(rng, kind, training, np.float64)
 
 
 def _fd_check_fused(kind: str, rng, training: bool) -> None:
@@ -261,8 +301,7 @@ def _fd_check_fused(kind: str, rng, training: bool) -> None:
         return (module(x) * weights).sum()
 
     loss().backward()
-    for t in [x] + [c.weight for c in convs_of(module)] + [module.bn.gamma,
-                                                            module.bn.beta]:
+    for t in [x] + module.parameters():
         g = t.grad
         flat = t.data.reshape(-1)
         for c in rng.choice(flat.size, size=min(5, flat.size), replace=False):
@@ -365,7 +404,7 @@ def test_parameters_collection(rng):
             self.bn = BatchNorm2d(2, dtype=np.float64)
 
         def forward(self, x):
-            return self.bn((self.conv, x))
+            return self.bn(((self.conv,), x))
 
     net = Small()
     params = net.parameters()
