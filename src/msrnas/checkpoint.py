@@ -153,9 +153,10 @@ def _config_records(section: str, cfg) -> dict[str, np.ndarray]:
 def _state_records(net):
     """Every array of the network a checkpoint stores, as ``(record name,
     live array)`` pairs in file order: per parameter its value then its
-    momentum, then the buffers, then the vectors of the handles that
-    power-iterate. A padding-0 1x1 conv's vector is derived from its weight
-    at every adjustment (``spectral.power_iteration``), so it is left out."""
+    momentum, then the buffers, then the start vectors of the handles whose
+    norm is estimated by Krylov steps (the Ritz vector each adjustment
+    leaves). A padding-0 1x1 conv's vector is derived from its weight at
+    every adjustment (``spectral.power_iteration``), so it is left out."""
     for name, param in net.named_parameters():
         yield f"param/{name}", param.data
         yield f"momentum/{name}", param.momentum

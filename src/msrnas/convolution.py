@@ -42,8 +42,8 @@ and each row's add is one contiguous block instead of one small add per
 group; the sums are unchanged, bit for bit.
 
 The adjoint is exact with respect to the forward map, including padding,
-striding, dilation and groups; the power iteration and the backward pass
-rely on that. Every routine returns a C-contiguous array.
+striding, dilation and groups; the spectral-norm estimate and the backward
+pass rely on that. Every routine returns a C-contiguous array.
 """
 
 from __future__ import annotations

@@ -225,7 +225,7 @@ class Supernet(_NetworkBase):
                 module.handle = ConvHandle(module.spec, module.in_hw,
                                            seed=spectral_cfg.seed, name=module.path)
                 self.handles.append(module.handle)
-        # Power iteration runs once per stack (see spectral.py).
+        # The spectral-norm estimate runs once per stack (see spectral.py).
         self.handle_groups = stack_handles(self.handles)
 
     def candidates(self):

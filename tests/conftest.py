@@ -5,11 +5,14 @@ The conv oracles (``naive_conv2d``, the tap loop, ``materialize_conv_matrix``)
 take and return NCHW arrays; the program's conv routines work on
 channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert.
 ``conv2d`` is one conv as its own graph op: the unfused reference for the
-conv chains that the network runs inside its BatchNorm nodes."""
+conv chains that the network runs inside its BatchNorm nodes.
+``reference_power_iteration`` is the plain power iteration on a stack of
+spectral handles, the reference for the Krylov estimate."""
 
 import numpy as np
 import pytest
 
+from msrnas import spectral
 from msrnas.autodiff import Tensor, _make, _node
 from msrnas.convolution import (
     ConvSpec,
@@ -161,6 +164,67 @@ def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],
         weight=spec.weight.astype(np.float64),
     ))
     return to_nchw(out).reshape(cols, rows).T.copy()
+
+
+def depthwise_blocks(spec: ConvSpec, input_hw: tuple[int, int]) -> np.ndarray:
+    """The diagonal blocks of a depthwise conv's dense matrix, one per
+    channel, as float64 (C, ho*wo, h*w), assembled tap by tap from the
+    definition of the correlation."""
+    h, w = input_hw
+    ho, wo = spec.out_hw(h, w)
+    s, p, d = spec.stride, spec.padding, spec.dilation
+    weight = spec.weight.astype(np.float64)[:, 0]
+    blocks = np.zeros((spec.in_channels, ho * wo, h * w))
+    y, x = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    for k in range(spec.kernel_h):
+        for l in range(spec.kernel_w):
+            iy, ix = y * s - p + k * d, x * s - p + l * d
+            inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+            rows, cols = (y * wo + x)[inside], (iy * w + ix)[inside]
+            blocks[:, rows, cols] += weight[:, k, l][:, None]
+    return blocks
+
+
+def dense_spectral_norm(spec: ConvSpec, input_hw: tuple[int, int]) -> float:
+    """The largest singular value of the conv's dense matrix, as float64: the
+    square root of the top eigenvalue of the smaller Gram matrix. A
+    depthwise conv's matrix is block diagonal, one block per channel, so
+    each channel's block is decomposed on its own."""
+    if spec.is_depthwise:
+        blocks = depthwise_blocks(spec, input_hw)
+    else:
+        blocks = materialize_conv_matrix(spec, input_hw)[None]
+    if blocks.shape[1] > blocks.shape[2]:
+        blocks = blocks.transpose(0, 2, 1)
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[:, -1].max()))
+
+
+def reference_power_iteration(handles, iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power iteration on a stack of handles (one ``stack_key``): alternate
+    the stacked conv and its adjoint on each member's unit vector, normalized
+    per member, ``iterations`` times. Returns ||M a|| per member for its
+    final unit vector a, as float64, and those vectors as rows; the handles'
+    vectors are not changed. The reference for ``spectral.power_iteration``,
+    whose Krylov space holds the iterates of this loop from the same start."""
+    first, m = handles[0], len(handles)
+    spec, band, row_groups = spectral._stacked_conv(handles)
+    (h, w), (ho, wo) = first.in_hw, spec.out_hw(*first.in_hw)
+    in_shape = (spec.in_channels, h, 1, w)
+    out_shape = (spec.out_channels, ho, 1, wo)
+    a = np.concatenate([handle.vector.reshape(1, -1) for handle in handles])
+    for _ in range(iterations):
+        b = conv2d_forward(a.reshape(in_shape), spec, band=band,
+                           row_groups=row_groups).reshape(m, -1)
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        spectral._flush_tiny(b)
+        a = conv2d_transpose_forward(b.reshape(out_shape), spec, input_hw=first.in_hw,
+                                     band=band, row_groups=row_groups).reshape(m, -1)
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        spectral._flush_tiny(a)
+    out = conv2d_forward(a.reshape(in_shape), spec, band=band,
+                         row_groups=row_groups).reshape(m, -1)
+    return np.linalg.norm(out, axis=1).astype(np.float64), a
 
 
 def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:

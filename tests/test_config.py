@@ -164,7 +164,7 @@ DEFAULT_ECHO_LINES = (
     "train.batch_size = 64",
     "spectral.target_norm = 1.0",
     "spectral.iterations = 5",
-    "spectral.rank_iterations = 50",
+    "spectral.rank_iterations = 18",
     "spectral.seed = 0",
     "run.seed = 0",
     "run.output_dir = run",

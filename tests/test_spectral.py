@@ -1,6 +1,7 @@
-"""Power iteration (single and stacked), the exact spectral norm of 1x1
-convs, spectral-norm adjustment, and the closed-form stable rank of 1x1
-convs, checked against the dense SVD oracle."""
+"""The Krylov spectral-norm estimate (single and stacked), the exact
+spectral norm of 1x1 convs, spectral-norm adjustment, and the closed-form
+stable rank of 1x1 convs, checked against the dense SVD oracle and the
+reference power iteration."""
 
 import dataclasses
 import re
@@ -22,7 +23,12 @@ from msrnas.spectral import (
     stable_rank,
 )
 
-from conftest import fitting_input_hw, materialize_conv_matrix, random_conv_spec
+from conftest import (
+    fitting_input_hw,
+    materialize_conv_matrix,
+    random_conv_spec,
+    reference_power_iteration,
+)
 
 
 def identity_spec(channels: int = 1) -> ConvSpec:
@@ -211,6 +217,9 @@ def test_materialize_cap():
 
 
 def test_warm_start_persists_across_calls(rng):
+    # One step is one power iteration, so five warm-started one-step calls
+    # reach the reference's five-iteration estimate and vector; five steps
+    # in one call reach at least as far.
     spec = ConvSpec(2, 2, 3, 3, padding=1,
                     weight=rng.standard_normal((2, 2, 3, 3)))
     handle = ConvHandle(spec, (6, 6), seed=8)
@@ -218,10 +227,58 @@ def test_warm_start_persists_across_calls(rng):
     fifth = None
     for _ in range(4):
         fifth = power_iteration([handle], 1)[0]
-    cold = ConvHandle(spec, (6, 6), seed=8)
-    five_at_once = power_iteration([cold], 5)[0]
-    assert fifth == pytest.approx(five_at_once, rel=1e-12)
+    (five_iterations,), (vector,) = reference_power_iteration(
+        [ConvHandle(spec, (6, 6), seed=8)], 5)
+    assert fifth == pytest.approx(five_iterations, rel=1e-12)
+    np.testing.assert_allclose(handle.vector.reshape(-1), vector, atol=1e-12)
     assert fifth >= first - 1e-10
+    five_at_once = power_iteration([ConvHandle(spec, (6, 6), seed=8)], 5)[0]
+    assert five_at_once >= fifth * (1 - 1e-12)
+
+
+def non_1x1_convs(rng, count: int):
+    """``count`` random convs whose kernel is not 1x1, with fitting input
+    extents."""
+    while count:
+        spec = random_conv_spec(rng)
+        if spec.kernel_h * spec.kernel_w > 1:
+            count -= 1
+            yield spec, fitting_input_hw(spec, rng)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5, 10])
+def test_krylov_estimate_lies_between_power_iteration_and_sigma(rng, steps):
+    # From the same start vector, the Krylov space holds the power iterate,
+    # so the estimate is at least the reference's and at most the true norm.
+    for spec, hw in non_1x1_convs(rng, 20):
+        exact = np.linalg.svd(materialize_conv_matrix(spec, hw), compute_uv=False)[0]
+        (reference,), _ = reference_power_iteration([ConvHandle(spec, hw, seed=11)], steps)
+        estimate = power_iteration([ConvHandle(spec, hw, seed=11)], steps)[0]
+        assert estimate >= reference * (1 - 1e-6), (spec, hw)
+        assert estimate <= exact * (1 + 1e-6), (spec, hw)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["pointwise_padded", "steps_beyond_size"])
+def test_exhausted_krylov_space_stops_early(rng, dtype, case):
+    # A padded 1x1 conv is iterated, and its M^T M = W^T W (x) I has only as
+    # many distinct eigenvalues as channels; a 1-channel 3x3 conv on a 2x2
+    # input has a 4-dimensional input space, below the 10 steps. Each call
+    # stops once its space is spent, with no warning (the suite makes
+    # warnings errors) and the exact norm.
+    if case == "pointwise_padded":
+        spec = ConvSpec(3, 3, 1, 1, padding=1, weight=rng.standard_normal((3, 3, 1, 1)))
+        hw = (4, 5)
+    else:
+        spec = ConvSpec(1, 1, 3, 3, padding=1, weight=rng.standard_normal((1, 1, 3, 3)))
+        hw = (2, 2)
+    spec.weight = spec.weight.astype(dtype)
+    assert not spec.is_pointwise
+    exact = np.linalg.svd(materialize_conv_matrix(spec, hw), compute_uv=False)[0]
+    handle = ConvHandle(spec, hw, seed=2)
+    estimate = power_iteration([handle], 10)[0]
+    assert abs(estimate - exact) <= 1e-6 * exact
+    assert np.linalg.norm(handle.vector) == pytest.approx(1.0, rel=1e-6)
 
 
 # Power iteration over the stacks of a supernet ----------------------------
@@ -396,30 +453,22 @@ def test_power_iteration_builds_one_band_per_group(monkeypatch, iterations):
         assert len(built) == (0 if group[0].spec.is_pointwise else len(geometry_runs(group)))
 
 
-def reference_power_iteration(handles, iterations):
-    """The stacked power-iteration loop for handles of one geometry, every
-    conv call building its own band; returns the estimates and unit
-    vectors."""
-    spec, hw, m = handles[0].spec, handles[0].in_hw, len(handles)
-    stacked = dataclasses.replace(
-        spec, out_channels=m * spec.out_channels, in_channels=m * spec.in_channels,
-        groups=m * spec.groups, weight=np.concatenate([h.spec.weight for h in handles]))
-    (h, w), (ho, wo) = hw, stacked.out_hw(*hw)
-    in_shape = (stacked.in_channels, h, 1, w)
-    out_shape = (stacked.out_channels, ho, 1, wo)
-    a = np.concatenate([h.vector.reshape(1, -1) for h in handles])
-    for _ in range(iterations):
-        b = conv2d_forward(a.reshape(in_shape), stacked).reshape(m, -1)
-        b /= np.linalg.norm(b, axis=1)[:, None]
-        a = conv2d_transpose_forward(b.reshape(out_shape), stacked,
-                                     input_hw=hw).reshape(m, -1)
-        a /= np.linalg.norm(a, axis=1)[:, None]
-    out = conv2d_forward(a.reshape(in_shape), stacked).reshape(m, -1)
-    return np.linalg.norm(out, axis=1).astype(np.float64), a
+def per_call_bands(patch) -> None:
+    """Make ``power_iteration`` run a stack as the plain block-diagonal conv
+    of its members' own geometry, each conv call building its own band."""
+    def plain_stack(handles):
+        spec = spectral._block_diagonal(handles)
+        return spec, convolution.conv_bands(spec, handles[0].in_hw, spec.weight.dtype), None
+
+    patch.setattr(spectral, "_stacked_conv", plain_stack)
+    for name in ("conv2d_forward", "conv2d_transpose_forward"):
+        patch.setattr(spectral, name,
+                      lambda *args, _kernel=getattr(convolution, name), band=None,
+                      row_groups=None, **kw: _kernel(*args, **kw))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_prebuilt_bands_match_per_call_bands_exactly(dtype):
+def test_prebuilt_bands_match_per_call_bands_exactly(dtype, monkeypatch):
     # A merged depthwise stack gives each member the estimate and vector,
     # bit for bit, of a stack of its own geometry whose conv calls each
     # build their own band.
@@ -432,11 +481,14 @@ def test_prebuilt_bands_match_per_call_bands_exactly(dtype):
         sigmas = dict(zip(map(id, probes), power_iteration(probes, 5)))
         runs = geometry_runs(probes)
         mixed += len(runs) > 1
-        for run in runs:
-            want_sigmas, want_vectors = reference_power_iteration(probes_of(run), 5)
-            np.testing.assert_array_equal([sigmas[id(p)] for p in run], want_sigmas)
-            for probe, want in zip(run, want_vectors):
-                np.testing.assert_array_equal(probe.vector.reshape(-1), want)
+        with monkeypatch.context() as patch:
+            per_call_bands(patch)
+            for run in runs:
+                alone = probes_of(run)
+                want_sigmas = power_iteration(alone, 5)
+                np.testing.assert_array_equal([sigmas[id(p)] for p in run], want_sigmas)
+                for probe, want in zip(run, alone):
+                    np.testing.assert_array_equal(probe.vector, want.vector)
     assert mixed >= 3
 
 

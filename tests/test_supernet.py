@@ -27,6 +27,8 @@ from msrnas.supernet import (
     conv_rank_report,
 )
 
+from conftest import dense_spectral_norm
+
 
 def tiny_config(cells=4, nodes=5, channels=8, classes=4, hw=(16, 16)):
     return SupernetConfig(cells=cells, nodes=nodes, initial_channels=channels,
@@ -403,16 +405,29 @@ def test_weight_scale_neutrality_of_selection():
 
 def test_spectral_constraint_after_adjustment():
     net = build_supernet(tiny_config(), SpectralConfig(), dtype=np.float32, seed=1)
-    # The cold 50-iteration adjust leaves some convs just outside 1%; a
-    # second, warm-started one brings every probed conv inside it.
-    for _ in range(2):
-        net.begin_step()
-        net.adjust_all(iterations=50)
+    net.begin_step()
+    net.adjust_all(iterations=net.spectral_cfg.rank_iterations)
     cfg = net.spectral_cfg
     for handle in net.handles[:25]:
         probe = ConvHandle(handle.spec, handle.in_hw, seed=99, name="probe")
         sigma = power_iteration([probe], 50)[0]
         assert abs(sigma - cfg.target_norm) <= 0.01 * cfg.target_norm, handle.name
+
+
+def test_one_cold_adjust_holds_every_iterated_conv_within_one_percent():
+    # The default cold adjust alone brings the true norm of every conv that
+    # is iterated (the depthwise convs and the stem) within 1% of the
+    # target. 50 power iterations left five of this supernet's outside,
+    # the worst (cell3.edge_2_3.op_sep5.dw1) 4.0% off.
+    net = build_supernet(tiny_config(), SpectralConfig(), dtype=np.float32, seed=1)
+    net.begin_step()
+    net.adjust_all(iterations=net.spectral_cfg.rank_iterations)
+    target = net.spectral_cfg.target_norm
+    iterated = [h for h in net.handles if not h.spec.is_pointwise]
+    assert len(iterated) == 121
+    for handle in iterated:
+        sigma = dense_spectral_norm(handle.spec, handle.in_hw)
+        assert abs(sigma - target) <= 0.01 * target, handle.name
 
 
 def test_discrete_network_from_genotype_trains_shapes():
