@@ -13,12 +13,16 @@ Graph lifetime: nodes hold no data. An op's result is freed as soon as the
 forward code drops its Tensor, unless a closure saved the array because its
 backward reads it. Each closure saves only that:
 
-- ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``;
+- ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``
+  (the network's ReLUs on cell states, stem and cell outputs; a
+  separable conv's inner ReLU runs inside its BatchNorm node);
 - ``matmul`` and ``mul``: their operands; ``power``: its input;
-- ``BatchNorm2d``, one node with the conv chain(s) that feed it (every
-  conv in the network runs inside one): each chain's input, μ, 1/σ and γ;
-  its backward runs the chains again to rebuild x̂ and each depthwise
-  conv's output;
+- ``BatchNorm2d``, one node with the chain(s) that feed it (every conv in
+  the network runs inside one, and a chain may hold an inner BatchNorm +
+  ReLU stage, as a separable conv's does): each chain's input, and μ and
+  1/σ of the node's and of each inner stage's normalization; its backward
+  runs the chains again to rebuild each x̂, each conv's output and each
+  inner stage's output;
 - ``cross_entropy``: the shifted exponentials and their row sums;
 - ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
   ``concat``, ``slice_`` and ``pad2d``: shapes only.

@@ -6,7 +6,10 @@ order: separable convs apply the (depthwise, pointwise) pair
 twice with the stride on the first depthwise; dilated variants apply it once
 with dilation 2. Neither a candidate's first ReLU nor a preprocessing block's
 is part of it: the cell rectifies each state once and the network each stem
-and cell output once, and every reader shares the result. The final pointwise
+and cell output once, and every reader shares the result. Each operator's
+body is one ``BatchNorm2d`` graph node (a separable conv's inner BatchNorm
+and ReLU included), so the graph keeps none of its intermediate outputs.
+The final pointwise
 convolution of each operator (``fin_conv``) is the one whose stable rank
 scores the operator during derivation.
 """
@@ -22,10 +25,12 @@ from .layers import BatchNorm2d, Conv2d, Module
 
 class SepConv(Module):
     """(ReLU, depthwise kxk, pointwise 1x1, BN) applied twice; the input
-    arrives rectified, so only the second ReLU is applied here. Each
-    (depthwise, pointwise) pair runs inside its BatchNorm's graph node,
-    ``bn(((dw, pw), x))``, so the graph keeps neither conv's output: the
-    node's backward runs both again from x."""
+    arrives rectified, so only the second ReLU is applied here. The whole
+    body is ``bn2``'s graph node, ``bn2(((dw1, pw1, bn1, dw2, pw2), x))``:
+    ``bn1`` is an inner stage of it (normalization with its own statistics,
+    γ, β and the ReLU), so the graph keeps neither a conv's output nor the
+    inner ReLU's. The node saves x and each BatchNorm's μ and 1/σ, and its
+    backward runs the body again from x."""
 
     def __init__(self, kind: str, channels: int, kernel_size: int,
                  stride: int, in_hw: tuple[int, int], *,
@@ -51,8 +56,7 @@ class SepConv(Module):
         return self.pw2
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(((self.dw1, self.pw1), x))
-        return self.bn2(((self.dw2, self.pw2), ad.relu(out)))
+        return self.bn2(((self.dw1, self.pw1, self.bn1, self.dw2, self.pw2), x))
 
 
 class DilConv(Module):

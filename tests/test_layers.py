@@ -123,6 +123,21 @@ def test_batchnorm_names_the_non_finite_depthwise_conv(rng, monkeypatch):
             op(x)
 
 
+def test_batchnorm_names_the_non_finite_inner_batchnorm(rng, monkeypatch):
+    # SepConv's first BatchNorm is an inner stage of the second's node, not
+    # a module call; the node checks the stage's output before dw2 reads it.
+    op = SepConv("sep3", 3, 3, 1, (6, 6), rng=rng, dtype=np.float64)
+    op.assign_paths("cell0.edge_0_2.op_sep3")
+    op.bn1.gamma.data[1] = np.inf
+    x = Tensor(rng.standard_normal((3, 6, 2, 6)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not np.isfinite(op(x).data).all()
+        monkeypatch.setattr(layers, "check_finite", True)
+        with pytest.raises(NumericsError,
+                           match=r"^non-finite output in cell0\.edge_0_2\.op_sep3\.bn1$"):
+            op(x)
+
+
 # The fused node against references -----------------------------------------
 # Each kind is a module whose forward is BatchNorm2d nodes fed by convs: a
 # 1x1 conv, the stem's dense 3x3, FactorizedReduce's two stride-2 1x1 convs

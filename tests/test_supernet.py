@@ -160,10 +160,10 @@ def test_cells_apply_one_relu_per_state(small_net):
                 requires_grad=True)
     inputs = relu_inputs(cell(s0, s1))
     assert len({id(t) for t in inputs}) == len(inputs)
-    # One per state read by an edge (x0, x1, x2) and the inner ReLU of the
-    # two separable convs on each of the 5 edges; the preprocessing blocks'
-    # inputs arrive rectified.
-    assert len(inputs) == 3 + 2 * 5
+    # One per state read by an edge (x0, x1, x2); the preprocessing blocks'
+    # inputs arrive rectified, and a separable conv's inner ReLU runs inside
+    # its one graph node.
+    assert len(inputs) == 3
 
     cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(16, 16))
     rows = [[("sep3", 0), ("dil3", 1)] for _ in intermediate_nodes(5)]
@@ -176,8 +176,8 @@ def test_cells_apply_one_relu_per_state(small_net):
                requires_grad=True)
     inputs = relu_inputs(disc.cells[0](s, t))
     assert len({id(t) for t in inputs}) == len(inputs)
-    # x0 and x1 once each, one inner ReLU per sep3 pick.
-    assert len(inputs) == 2 + 2
+    # x0 and x1 once each.
+    assert len(inputs) == 2
 
     # The whole network rectifies the stem output and the first two cell
     # outputs once each, not once per preprocessing block that reads them,
@@ -186,7 +186,7 @@ def test_cells_apply_one_relu_per_state(small_net):
     features = disc.forward_features(x)
     inputs = relu_inputs(features)
     assert len({id(t) for t in inputs}) == len(inputs)
-    assert len(inputs) == 3 + 3 * 4
+    assert len(inputs) == 3 + 3 * 2
     assert features._node.backward.__qualname__.startswith("concat.")
 
 
