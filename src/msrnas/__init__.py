@@ -1,9 +1,10 @@
 """Desk-scale minimum-stable-rank architecture search.
 
 Trains an over-parameterized cell supernet whose convolutions are kept at a
-constant spectral norm by warm-started power iteration, measures the stable
-rank of each candidate operator's final convolution, and derives a discrete
-architecture by minimum-stable-rank selection.
+constant spectral norm (exact for 1x1 convs, warm-started Golub-Kahan-Lanczos
+estimates for the rest), measures the stable rank of each candidate
+operator's final convolution, and derives a discrete architecture by
+minimum-stable-rank selection.
 """
 
 import os

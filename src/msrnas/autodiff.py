@@ -20,9 +20,10 @@ backward reads it. Each closure saves only that:
 - ``BatchNorm2d``, one node with the chain(s) that feed it (every conv in
   the network runs inside one, and a chain may hold an inner BatchNorm +
   ReLU stage, as a separable conv's does): each chain's input, and μ and
-  1/σ of the node's and of each inner stage's normalization; its backward
-  runs the chains again to rebuild each x̂, each conv's output and each
-  inner stage's output;
+  1/σ of the node's and of each inner stage's normalization; its backward,
+  BN's training-mode one (an eval-mode BatchNorm records no node and
+  raises ``StateError`` outside ``no_grad``), runs the chains again to
+  rebuild each x̂, each conv's output and each inner stage's output;
 - ``cross_entropy``: the shifted exponentials and their row sums;
 - ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
   ``concat``, ``slice_`` and ``pad2d``: shapes only.

@@ -11,11 +11,11 @@ rebuild the network from the file alone, and then the network's arrays.
 One list names those arrays (``_state_records``): per parameter
 ``param/<name>`` and ``momentum/<name>``, then every ``buffer/<name>``
 (batchnorm running statistics), then ``pivec/<handle>`` for every handle
-that power-iterates (its warm-start vector). A padding-0 1x1 conv's vector
-is not stored: every adjustment rebuilds it from the weight alone. Saving
-writes that list; loading walks the same list, and every record on it must
-be present with the shape of the array it is copied into, or a
-``FormatError`` names it. Records off the list are ignored on load:
+whose norm Krylov steps estimate (its warm-start vector). A padding-0 1x1
+conv's vector is not stored: every adjustment rebuilds it from the weight
+alone. Saving writes that list; loading walks the same list, and every
+record on it must be present with the shape of the array it is copied into,
+or a ``FormatError`` names it. Records off the list are ignored on load:
 ``grad/*`` (every step clears gradients before use), the 1x1 convs'
 ``pivec/*`` and the ``meta/spectral/frobenius_kernel`` and
 ``meta/net/input_channels`` scalars of older files.
@@ -200,20 +200,11 @@ def load_checkpoint(path):
     dtype = np.float32 if meta("dtype") == 0 else np.float64
     net = build_supernet(config("net", SupernetConfig), config("spectral", SpectralConfig),
                          dtype=dtype, seed=0)
-    restore_into(net, tensors, path)
-    return net, int(meta("epoch"))
-
-
-def restore_into(net, tensors: dict[str, np.ndarray], origin: str) -> None:
-    """Copy stored arrays into a freshly built network, in place.
-
-    Every record ``_state_records`` names must be present, with the shape of
-    the array it replaces.
-    """
     for key, array in _state_records(net):
         if key not in tensors:
-            raise FormatError(f"{origin}: missing record '{key}'")
+            raise FormatError(f"{path}: missing record '{key}'")
         if tensors[key].shape != array.shape:
             raise FormatError(
-                f"{origin}: record '{key}' shape {tensors[key].shape} != {array.shape}")
+                f"{path}: record '{key}' shape {tensors[key].shape} != {array.shape}")
         array[...] = tensors[key]
+    return net, int(meta("epoch"))

@@ -22,7 +22,6 @@ class Dataset:
 
     images: np.ndarray  # (M, 3, H, W) float
     labels: np.ndarray  # (M,) int64
-    name: str = "dataset"
     mean: np.ndarray = field(default=None)
     std: np.ndarray = field(default=None)
 
@@ -40,12 +39,11 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         """View onto selected samples; inherits the parent's statistics."""
         return Dataset(
             images=self.images[indices],
             labels=self.labels[indices],
-            name=name or self.name,
             mean=self.mean,
             std=self.std,
         )
@@ -102,14 +100,13 @@ def load_cifar10(dir_path, dtype=np.float32) -> tuple[Dataset, Dataset]:
     labels = np.concatenate([lab for lab, _ in train_parts]).astype(np.int64)
     pixels = np.concatenate([pix for _, pix in train_parts])
     train_images = pixels.astype(dtype) / 255.0
-    train = Dataset(images=train_images, labels=labels, name="cifar10-train")
+    train = Dataset(images=train_images, labels=labels)
     test_labels, test_pixels = read_cifar_batch(
         os.path.join(dir_path, CIFAR_TEST_FILE)
     )
     test = Dataset(
         images=test_pixels.astype(dtype) / 255.0,
         labels=test_labels.astype(np.int64),
-        name="cifar10-test",
         mean=train.mean,
         std=train.std,
     )
@@ -131,8 +128,7 @@ def split_train_val(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"train_fraction {spec.train_fraction} splits {m} samples into "
             f"{cut} train and {m - cut} validation; both must be non-empty"
         )
-    return (ds.subset(np.sort(order[:cut]), f"{ds.name}-train"),
-            ds.subset(np.sort(order[cut:]), f"{ds.name}-val"))
+    return ds.subset(np.sort(order[:cut])), ds.subset(np.sort(order[cut:]))
 
 
 # Synthetic corpus ------------------------------------------------------------
@@ -173,7 +169,7 @@ def synth_dataset(classes: int, samples_per_class: int, height: int = 16,
             img = img + noise * rng.standard_normal((3, height, width))
             images[i] = np.clip(img, 0.0, 1.0)
             labels[i] = k
-    return Dataset(images=images.astype(dtype), labels=labels, name="synth")
+    return Dataset(images=images.astype(dtype), labels=labels)
 
 
 # Batching and augmentation ---------------------------------------------------

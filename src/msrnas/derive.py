@@ -65,18 +65,21 @@ class RankTable:
         return self.entries[key]
 
     def require_complete(self) -> None:
-        missing = [
-            (t, e, op)
-            for t in CELL_TYPES
-            for e in cell_edges(self.nodes)
-            for op in OPERATOR_NAMES
-            if (t, e, op) not in self.entries
-        ]
+        """Raise ``DerivationError`` naming the first missing entry, if any.
+        The cell's entries are counted in closed form (node j has j incoming
+        edges) and the search stops at the first gap, so the work is bounded
+        by the entries held, not by the cell's size."""
+        nodes = intermediate_nodes(self.nodes)
+        held = sum(t in CELL_TYPES and 0 <= i < j and j in nodes and op in OPERATOR_NAMES
+                   for t, (i, j), op in self.entries)
+        missing = (len(CELL_TYPES) * len(OPERATOR_NAMES)
+                   * max(self.nodes - 3, 0) * self.nodes // 2 - held)
         if missing:
+            first = next((t, (i, j), op) for t in CELL_TYPES for j in nodes
+                         for i in range(j) for op in OPERATOR_NAMES
+                         if (t, (i, j), op) not in self.entries)
             raise DerivationError(
-                f"rank table incomplete: {len(missing)} missing entries, "
-                f"first {missing[0]}"
-            )
+                f"rank table incomplete: {missing} missing entries, first {first}")
 
 
 @dataclass
@@ -94,13 +97,12 @@ class Genotype:
         if self.nodes < 4:
             raise GenotypeError(f"genotype needs at least 4 nodes, has {self.nodes}")
         for cell_type, rows in (("normal", self.normal), ("reduce", self.reduce)):
-            expected = list(intermediate_nodes(self.nodes))
-            if len(rows) != len(expected):
+            if len(rows) != self.nodes - 3:
                 raise GenotypeError(
                     f"{cell_type} genotype has {len(rows)} node rows, "
-                    f"expected {len(expected)}"
+                    f"expected {self.nodes - 3}"
                 )
-            for node, pairs in zip(expected, rows):
+            for node, pairs in zip(intermediate_nodes(self.nodes), rows):
                 if len(pairs) != 2:
                     raise GenotypeError(
                         f"{cell_type} node {node} must keep exactly 2 edges"
@@ -196,6 +198,8 @@ _TABLE_HEADER = "# msrnas rank table v1"
 
 
 def rank_table_to_text(table: RankTable) -> str:
+    """The table as text; an incomplete table raises ``DerivationError``."""
+    table.require_complete()
     lines = [
         _TABLE_HEADER,
         f"meta nodes {table.nodes}",
@@ -205,7 +209,7 @@ def rank_table_to_text(table: RankTable) -> str:
     for cell_type in CELL_TYPES:
         for edge in cell_edges(table.nodes):
             for op in OPERATOR_NAMES:
-                value = table.entries.get((cell_type, edge, op))
+                value = table.entries[(cell_type, edge, op)]
                 rendered = "degenerate" if value is None else repr(float(value))
                 lines.append(f"rank {cell_type} {edge[0]} {edge[1]} {op} {rendered}")
     return "\n".join(lines) + "\n"
@@ -223,7 +227,10 @@ def rank_table_from_text(text: str) -> RankTable:
         try:
             if parts[0] == "meta" and len(parts) == 3:
                 # Unknown keys, such as older tables' rank_iterations, are ignored.
-                meta[parts[1]] = int(parts[2])
+                value = int(parts[2])
+                if parts[1] in meta:
+                    raise FormatError(f"repeated meta line: {ln!r}")
+                meta[parts[1]] = value
             elif parts[0] == "rank" and len(parts) == 6:
                 cell_type, op, value = parts[1], parts[4], parts[5]
                 key = (cell_type, (int(parts[2]), int(parts[3])), op)
@@ -242,9 +249,9 @@ def rank_table_from_text(text: str) -> RankTable:
             raise FormatError(f"bad number in rank-table line {ln!r}: {exc}") from exc
     if "nodes" not in meta:
         raise FormatError("rank table missing 'meta nodes'")
-    edges = set(cell_edges(meta["nodes"]))
-    for edge, ln in edge_rows:
-        if edge not in edges:
+    nodes = intermediate_nodes(meta["nodes"])
+    for (i, j), ln in edge_rows:
+        if not (0 <= i < j and j in nodes):
             raise FormatError(
                 f"rank row for an edge outside a {meta['nodes']}-node cell: {ln!r}"
             )

@@ -8,7 +8,7 @@ from . import autodiff as ad
 from . import convolution
 from .autodiff import Tensor, _make, _node
 from .convolution import ConvSpec
-from .errors import DimensionError, NumericsError
+from .errors import DimensionError, NumericsError, StateError
 
 # When enabled, every Module.__call__ verifies its output is finite; used to
 # name the first offending layer after a non-finite loss is detected.
@@ -186,17 +186,18 @@ def _chain_outputs(branches, stages: list, check: bool = False,
 def _bn_forward(bn: "BatchNorm2d", z: np.ndarray, stats: tuple | None = None):
     """Batch normalization of the (C, H, N, W) array ``z``, each channel
     over its trailing axes: x̂ in z's buffer, and the output γ x̂ + β in a
-    new array, returned with ``stats = (μ, 1/σ, training)``. Without
-    ``stats``, a training-mode ``bn`` takes the batch's statistics and
-    updates its running ones, an eval-mode one takes the running ones; given
-    the ``stats`` it returned, the same operations rebuild x̂ and the output
-    bit for bit and the running statistics are left alone. The operations
-    and their order are those of the composite-op reference in the tests."""
+    new array, returned with ``stats = (μ, 1/σ)``. Without ``stats``, a
+    training-mode ``bn`` takes the batch's statistics and updates its
+    running ones, an eval-mode one takes the running ones and, having no
+    backward, raises ``StateError`` while gradients are recorded; given the
+    ``stats`` it returned, the same operations rebuild x̂ and the output bit
+    for bit and the running statistics are left alone. The operations and
+    their order are those of the composite-op reference in the tests."""
     if z.shape[0] != bn.channels:
         raise DimensionError(f"batchnorm over {bn.channels} channels got shape {z.shape}")
     shape = (bn.channels, 1, 1, 1)
     if stats is not None:
-        mu, inv_std, _ = stats
+        mu, inv_std = stats
         z -= mu
         out = np.empty_like(z)
     else:
@@ -212,13 +213,16 @@ def _bn_forward(bn: "BatchNorm2d", z: np.ndarray, stats: tuple | None = None):
             bn.running_var *= 1.0 - m
             bn.running_var += m * var.reshape(-1)
         else:
-            # A copy: the backward must subtract the mean the forward did.
-            mu = bn.running_mean.reshape(shape).copy()
+            if ad._grad_enabled:
+                raise StateError(
+                    f"eval-mode batchnorm {bn.path or type(bn).__name__} called with "
+                    "gradients enabled; run eval-mode passes under no_grad()")
+            mu = bn.running_mean.reshape(shape)
             z -= mu
             out = np.empty_like(z)
             var = bn.running_var.reshape(shape)
         inv_std = (var + bn.eps) ** -0.5
-        stats = (mu, inv_std, bn.training)
+        stats = (mu, inv_std)
     z *= inv_std
     np.multiply(z, bn.gamma.data.reshape(shape), out=out)
     out += bn.beta.data.reshape(shape)
@@ -228,26 +232,22 @@ def _bn_forward(bn: "BatchNorm2d", z: np.ndarray, stats: tuple | None = None):
 def _bn_backward(bn: "BatchNorm2d", g: np.ndarray, xhat: np.ndarray, stats: tuple,
                  ngamma, nbeta) -> np.ndarray:
     """BN's closed-form backward (Ioffe & Szegedy, 2015) from the output's
-    gradient ``g``, given x̂ and the ``stats`` of ``_bn_forward``:
-    accumulates β's and γ's gradients into ``nbeta`` and ``ngamma`` (None
-    for one that records none) and returns the input's, in x̂'s buffer."""
-    _, inv_std, training = stats
+    gradient ``g``, given x̂ and the ``stats`` of a training-mode
+    ``_bn_forward``: accumulates β's and γ's gradients into ``nbeta`` and
+    ``ngamma`` (None for one that records none) and returns the input's,
+    dz = (g - mean(g) - x̂ mean(g x̂)) γ/σ per channel, in x̂'s buffer."""
+    _, inv_std = stats
     gsum = g.sum(axis=(1, 2, 3), keepdims=True)
     gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
     if nbeta is not None:
         nbeta.accumulate(gsum.reshape(-1), own=True)
     if ngamma is not None:
         ngamma.accumulate(gxsum.reshape(-1), own=True)
-    scale = inv_std * bn.gamma.data.reshape(inv_std.shape)
-    if training:
-        # dz = (g - mean(g) - x̂ mean(g x̂)) γ/σ, per channel.
-        count = xhat.size // bn.channels
-        xhat *= gxsum / -count
-        xhat += g
-        xhat -= gsum / count
-        xhat *= scale
-    else:
-        np.multiply(g, scale, out=xhat)
+    count = xhat.size // bn.channels
+    xhat *= gxsum / -count
+    xhat += g
+    xhat -= gsum / count
+    xhat *= inv_std * bn.gamma.data.reshape(inv_std.shape)
     return xhat
 
 
@@ -267,6 +267,11 @@ class BatchNorm2d(Module):
     ``(dw1, pw1, bn1, dw2, pw2)``, so its whole body is one node. Neither
     the convs nor an inner BatchNorm are called as modules: under
     ``check_finite`` the node checks each one's output and names it.
+
+    The node has one backward, training mode's: every weight trains in
+    training mode. Eval mode is for held-out passes under ``no_grad``; an
+    eval-mode BatchNorm reached while gradients are recorded raises
+    ``StateError`` naming its path.
     """
 
     eps = 1e-5
@@ -310,7 +315,7 @@ class BatchNorm2d(Module):
         def bw(g):
             chains: list[list] = []
             gz = _chain_outputs(pairs, stages, saved=chains)
-            mu, inv_std, _ = stats
+            mu, inv_std = stats
             gz -= mu
             gz *= inv_std
             gz = _bn_backward(self, g, gz, stats, *own_nodes)

@@ -81,7 +81,7 @@ class ConvHandle:
 
     ``vector`` is the persistent start vector (warm start across training
     steps: each call leaves its Ritz vector there), drawn at construction
-    from a stream seeded by the handle's name.
+    from a stream seeded by ``seed`` and the handle's name.
     A padding-0 1x1 conv is not iterated: every ``power_iteration`` call
     sets its vector from the weight alone, to the top right singular vector
     at input pixel (0, 0). That vector is derived state, so nothing is drawn
@@ -95,7 +95,6 @@ class ConvHandle:
         self.spec = spec
         self.in_hw = (int(in_hw[0]), int(in_hw[1]))
         self.name = name
-        self.seed = seed
         self.stack_key = stack_key(spec, self.in_hw)
         shape = (1, spec.in_channels) + self.in_hw
         if spec.is_pointwise:

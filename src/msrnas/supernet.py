@@ -217,8 +217,7 @@ class Supernet(_NetworkBase):
         super().__init__(cfg, dict.fromkeys(CELL_TYPES, every_edge),
                          dtype=dtype, seed=seed)
         self.spectral_cfg = spectral_cfg
-        self._step = 0
-        self._adjusted_step = -1
+        self._adjusted = False
         self.handles: list[ConvHandle] = []
         for module in self.modules():
             if isinstance(module, Conv2d):
@@ -239,7 +238,7 @@ class Supernet(_NetworkBase):
     # Step bookkeeping -------------------------------------------------------
 
     def begin_step(self) -> None:
-        self._step += 1
+        self._adjusted = False
 
     def adjust_all(self, iterations: int | None = None) -> None:
         """Spectral-norm adjust every registered conv (before the forward pass)."""
@@ -250,10 +249,10 @@ class Supernet(_NetworkBase):
                 rank_iterations=max(cfg.rank_iterations, iterations))
         for group in self.handle_groups:
             spectral_norm_adjust(group, cfg)
-        self._adjusted_step = self._step
+        self._adjusted = True
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training and self._adjusted_step != self._step:
+        if self.training and not self._adjusted:
             raise StateError(
                 "spectral adjustment has not been applied this step; call "
                 "adjust_all() after begin_step() and before the forward pass"

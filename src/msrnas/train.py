@@ -56,7 +56,6 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
-    wall_time: float = 0.0  # informational; excluded from the CSV
 
 
 @dataclass
@@ -283,17 +282,16 @@ def _train_epochs(cfg: RunConfig, hyper: TrainHyper, run: RunDir, net,
         held_out_loss = held_out_pass[0]
         if not math.isfinite(held_out_loss):
             raise NumericsError(f"non-finite {held_out_label} loss at epoch {epoch}")
-        record = EpochRecord(epoch=epoch, train_loss=train_loss,
-                             val_loss=held_out_loss, lr=lr,
-                             wall_time=time.time() - t0)
-        metrics.append(record)
+        wall = time.time() - t0
+        metrics.append(EpochRecord(epoch=epoch, train_loss=train_loss,
+                                   val_loss=held_out_loss, lr=lr))
         end_epoch(epoch)
         with atomic_open(run.metrics_path) as fh:
             fh.write(metrics.to_csv())
         run.log_line(
             f"epoch {epoch}: train_loss={train_loss:.4f} "
             f"{held_out_label}_loss={held_out_loss:.4f} lr={lr:.5f} "
-            f"wall={record.wall_time:.1f}s"
+            f"wall={wall:.1f}s"
         )
     return metrics, held_out_pass
 

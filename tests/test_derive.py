@@ -1,8 +1,10 @@
 """Derivation rules against hand values and an exhaustive per-node enumerator."""
 
 import itertools
+import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +313,70 @@ def test_rank_table_text_roundtrip():
     assert rank_table_to_text(back) == text
 
 
+def test_rank_table_to_text_refuses_an_incomplete_table():
+    # Written out, a missing entry would read back as a degenerate one and
+    # the table as complete.
+    with pytest.raises(DerivationError, match=re.escape(
+            "incomplete: 16 missing entries, first ('normal', (0, 2), 'sep3')")):
+        rank_table_to_text(RankTable(nodes=4))
+    table = random_table(5, seed=2)
+    del table.entries[("reduce", (2, 3), "dil5")]
+    with pytest.raises(DerivationError, match=re.escape(
+            "incomplete: 1 missing entries, first ('reduce', (2, 3), 'dil5')")):
+        rank_table_to_text(table)
+
+
+def test_require_complete_counts_only_entries_of_the_cell():
+    # An entry outside the cell does not stand in for a missing one.
+    table = random_table(4, seed=3)
+    table.set("normal", (2, 3), "sep3", 1.0)
+    table.set("normal", (0, 2), "conv9", 1.0)
+    table.require_complete()
+    del table.entries[("normal", (1, 2), "dil5")]
+    with pytest.raises(DerivationError, match=re.escape(
+            "incomplete: 1 missing entries, first ('normal', (1, 2), 'dil5')")):
+        table.require_complete()
+
+
+def traced_peak(fn, error) -> tuple[int, str]:
+    """Peak bytes ``tracemalloc`` traces while ``fn()`` raises ``error``,
+    and the error's message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as caught:
+            fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, str(caught.value)
+
+
+HUGE_NODES = 10**9
+
+
+def test_huge_rank_table_is_checked_without_enumerating_the_cell():
+    # A billion-node cell has ~4e18 entries; one row of it must parse and
+    # then fail as incomplete in bounded memory, not build the edge list.
+    text = ("# msrnas rank table v1\n"
+            f"meta nodes {HUGE_NODES}\nrank normal 0 2 sep3 1.0\n")
+    peak, message = traced_peak(lambda: derive_genotype(rank_table_from_text(text)),
+                                DerivationError)
+    assert peak < 1e6
+    expected = 8 * (HUGE_NODES - 3) * HUGE_NODES // 2
+    assert message == (f"rank table incomplete: {expected - 1} missing entries, "
+                       "first ('normal', (0, 2), 'sep5')")
+
+
+def test_huge_genotype_is_checked_without_enumerating_the_cell():
+    row = [["sep3", 0], ["sep5", 1]]
+    text = json.dumps({"mode": "min", "nodes": HUGE_NODES,
+                       "operators": list(OPERATOR_NAMES),
+                       "normal": [row], "reduce": [row]})
+    peak, message = traced_peak(lambda: Genotype.from_json_str(text), GenotypeError)
+    assert peak < 1e6
+    assert message == f"normal genotype has 1 node rows, expected {HUGE_NODES - 3}"
+
+
 # A table as written before the rank table dropped its rank_iterations line.
 OLD_FORMAT_TABLE = """\
 # msrnas rank table v1
@@ -388,6 +454,10 @@ DAMAGED_TABLES = {
                  "repeated rank row: 'rank normal 0 2 sep3 1.0'"),
     "repeated-degenerate": (lambda text: text + "rank reduce 0 2 dil3 degenerate\n",
                             "repeated rank row: 'rank reduce 0 2 dil3 degenerate'"),
+    # The second would silently win.
+    "repeated-meta": (lambda text: text.replace("meta nodes 5\n",
+                                                "meta nodes 5\nmeta nodes 6\n"),
+                      "repeated meta line: 'meta nodes 6'"),
     "edge-reversed": (lambda text: text + "rank normal 3 2 sep3 0.5\n",
                       "rank row for an edge outside a 5-node cell: "
                       "'rank normal 3 2 sep3 0.5'"),

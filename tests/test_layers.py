@@ -7,7 +7,7 @@ import pytest
 from msrnas import autodiff as ad
 from msrnas import layers
 from msrnas.autodiff import Tensor, _make, _node
-from msrnas.errors import DimensionError, NumericsError
+from msrnas.errors import DimensionError, NumericsError, StateError
 from msrnas.layers import (
     BatchNorm2d,
     Conv2d,
@@ -32,8 +32,10 @@ def identity_conv(channels: int, dtype=np.float64) -> Conv2d:
 
 
 def normalize(bn: BatchNorm2d, x: np.ndarray) -> Tensor:
-    """``bn`` over the (C, H, N, W) array ``x``, through an identity conv."""
-    return bn(((identity_conv(x.shape[0], x.dtype),), Tensor(x)))
+    """``bn`` over the (C, H, N, W) array ``x``, through an identity conv,
+    recording no graph (as an eval-mode BatchNorm must)."""
+    with ad.no_grad():
+        return bn(((identity_conv(x.shape[0], x.dtype),), Tensor(x)))
 
 
 def test_batchnorm_constant_input_returns_beta(rng):
@@ -216,10 +218,10 @@ def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
 def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
     """BatchNorm as one closed-form node over a given input, saving x̂, as
     the layer was before it took in its convs: the reference for the fused
-    node's bits. It reads the running statistics but does not update them."""
+    node's bits. It reads the running statistics but does not update them;
+    its backward is the training-mode one, as the layer's is."""
     shape = (bn.channels, 1, 1, 1)
-    training = bn.training
-    if training:
+    if bn.training:
         mu = x.data.mean(axis=(1, 2, 3), keepdims=True)
         xhat = x.data - mu
         var = (xhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
@@ -237,11 +239,7 @@ def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
         gxsum = (g * xhat).sum(axis=(1, 2, 3), keepdims=True)
         nbeta.accumulate(gsum.reshape(-1), own=True)
         ngamma.accumulate(gxsum.reshape(-1), own=True)
-        scale = inv_std * gamma
-        if training:
-            gx = (xhat * (gxsum / -count) + g - gsum / count) * scale
-        else:
-            gx = g * scale
+        gx = (xhat * (gxsum / -count) + g - gsum / count) * (inv_std * gamma)
         nx.accumulate(gx, own=True)
 
     return _make(xhat * gamma + bn.beta.data.reshape(shape), (nx, ngamma, nbeta), bw)
@@ -250,7 +248,11 @@ def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
 def run_with_grads(module: Module, forward, x: np.ndarray, weights: np.ndarray):
     """``forward(xt)`` for a fresh input tensor, then the backward of its
     weighted sum: the output and the gradients of x and of every parameter
-    (conv weights, γ and β)."""
+    (conv weights, γ and β). An eval-mode module records no graph: its
+    forward runs under ``no_grad`` and the list of gradients is empty."""
+    if not module.training:
+        with ad.no_grad():
+            return forward(Tensor(x.copy())).data, []
     params = module.parameters()
     for p in params:
         p.zero_grad()
@@ -262,7 +264,8 @@ def run_with_grads(module: Module, forward, x: np.ndarray, weights: np.ndarray):
 
 def _inputs(rng, module: Module, dtype):
     x = (rng.standard_normal((3, IN_HW[0], 4, IN_HW[1])) * 2.0 + 1.0).astype(dtype)
-    out_shape = module(Tensor(x)).data.shape
+    with ad.no_grad():
+        out_shape = module(Tensor(x)).data.shape
     return x, rng.standard_normal(out_shape).astype(dtype)
 
 
@@ -307,8 +310,8 @@ def test_conv_chain_node_is_bit_identical_to_unfused_float64(rng, kind, training
     _assert_bit_identical_to_unfused(rng, kind, training, np.float64)
 
 
-def _fd_check_fused(kind: str, rng, training: bool) -> None:
-    module = fed_batchnorm(kind, rng, training)
+def _fd_check_fused(kind: str, rng) -> None:
+    module = fed_batchnorm(kind, rng, training=True)
     x = Tensor(rng.standard_normal((3, IN_HW[0], 3, IN_HW[1])), requires_grad=True)
     weights = rng.standard_normal(module(x).data.shape)
 
@@ -327,12 +330,22 @@ def _fd_check_fused(kind: str, rng, training: bool) -> None:
 
 def test_batchnorm_gradients_finite_difference(rng):
     for kind in KINDS:
-        _fd_check_fused(kind, rng, training=True)
+        _fd_check_fused(kind, rng)
 
 
-def test_batchnorm_eval_gradients_finite_difference(rng):
-    for kind in KINDS:
-        _fd_check_fused(kind, rng, training=False)
+def test_eval_mode_batchnorm_with_gradients_enabled_names_itself(rng):
+    # Eval mode has no backward: outside no_grad it is refused, not run
+    # with a graph that would carry the training-mode gradient.
+    bn = BatchNorm2d(2, dtype=np.float64)
+    bn.assign_paths("cell1.edge_0_2.op_dil3.bn")
+    bn.eval()
+    x = Tensor(rng.standard_normal((2, 3, 4, 3)))
+    with pytest.raises(StateError, match=r"cell1\.edge_0_2\.op_dil3\.bn\b"):
+        bn(((identity_conv(2),), x))
+    np.testing.assert_array_equal(bn.running_mean, np.zeros(2))
+    np.testing.assert_array_equal(bn.running_var, np.ones(2))
+    with ad.no_grad():
+        assert bn(((identity_conv(2),), x)).data.shape == x.data.shape
 
 
 def test_cross_entropy_uniform_logits():

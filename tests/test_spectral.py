@@ -362,11 +362,11 @@ def test_handle_groups_partition_by_geometry(grouped_net):
 @pytest.mark.parametrize("kind", sorted(GROUP_KINDS))
 def test_grouped_power_iteration_matches_oracle_and_group_of_one(grouped_net, kind):
     group = kind_groups(grouped_net)[kind][:3]
-    probes = [ConvHandle(h.spec, h.in_hw, seed=h.seed, name=h.name) for h in group]
+    probes = probes_of(group)
     sigmas = power_iteration(probes, 100)
     assert sigmas.shape == (len(group),)
     for probe, sigma in zip(probes, sigmas):
-        alone = ConvHandle(probe.spec, probe.in_hw, seed=probe.seed, name=probe.name)
+        alone = ConvHandle(probe.spec, probe.in_hw, name=probe.name)
         assert power_iteration([alone], 100)[0] == pytest.approx(sigma, rel=1e-12)
         np.testing.assert_allclose(alone.vector, probe.vector, atol=1e-12)
         matrix = materialize_conv_matrix(probe.spec, probe.in_hw)
@@ -425,8 +425,10 @@ def test_power_iteration_rejects_mixed_geometries():
 
 
 def probes_of(group):
-    """Fresh handles on the group's convs, so the group's own vectors stay."""
-    return [ConvHandle(h.spec, h.in_hw, seed=h.seed, name=h.name) for h in group]
+    """Fresh handles on the group's convs, so the group's own vectors stay;
+    each starts from its conv's start vector, the nets here having the
+    default spectral seed."""
+    return [ConvHandle(h.spec, h.in_hw, name=h.name) for h in group]
 
 
 def geometry_runs(group):

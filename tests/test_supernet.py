@@ -250,6 +250,26 @@ def test_eval_logits_of_a_batch_equal_each_image_alone():
         np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-12)
 
 
+def test_eval_mode_network_with_gradients_enabled_raises():
+    # Held-out passes run under no_grad; an eval-mode forward that would
+    # record a graph stops at the first BatchNorm and names it.
+    from msrnas.derive import Genotype
+
+    cfg = tiny_config(cells=3, nodes=5, channels=4, hw=(10, 10))
+    rows = [[("sep3", 0), ("dil5", 1)], [("sep5", 2), ("dil3", 0)]]
+    geno = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                    normal=rows, reduce=rows)
+    images = Tensor(np.random.default_rng(13).standard_normal((2, 3, 10, 10)))
+    for net in (build_supernet(cfg, SpectralConfig(), dtype=np.float64, seed=13),
+                build_discrete_network(geno, cfg, dtype=np.float64, seed=13)):
+        net.eval()
+        with pytest.raises(StateError, match=r"batchnorm net\.stem\.bn called with "
+                                             r"gradients enabled"):
+            net(images)
+        with no_grad():
+            assert net(images).data.shape == (2, cfg.num_classes)
+
+
 def test_zero_batch_logits_finite(small_net):
     _, net = small_net
     net.eval()
