@@ -22,7 +22,7 @@ ways:
   the cotangent's rows y0..y1: a strided row add, so stride 2 does only the
   useful work;
 - weight gradient: kernel row k is the band diagonals of ``A_k^T @ G_k``,
-  summed over x.
+  summed over x one tap at a time from zero, in order of x.
 
 For a conv with one input channel per group (every depthwise conv) at stride
 1, ``A_k`` is a view of the input and nothing is copied; with one output
@@ -41,6 +41,17 @@ zero rows (``_canvas``), so that every kernel row reaches every output row
 and each row's add is one contiguous block instead of one small add per
 group; the sums are unchanged, bit for bit.
 
+What a call needs of its geometry alone is built once per geometry and
+cached, keyed by ints. A row plan (``_row_plan``: kernel height, stride,
+padding, dilation, groups, input and output rows, ``row_groups``) holds
+each kernel row's output span and input rows and the moves of the forward
+and of the adjoint. A column plan (``_column_plan``: kernel width, stride,
+padding, dilation, channels per group, input and output columns) holds
+each kernel column's taps, through which a band is written as strided
+diagonals, and the weight gradient's read-only tap index. A column plan
+covers one group, so it does not grow with the number of groups. Bands
+depend on the weight and are not cached.
+
 The adjoint is exact with respect to the forward map, including padding,
 striding, dilation and groups; the spectral-norm estimate and the backward
 pass rely on that. Every routine returns a C-contiguous array.
@@ -48,6 +59,7 @@ pass rely on that. Every routine returns a C-contiguous array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,28 +141,95 @@ def _check_input(x: np.ndarray, channels: int) -> None:
         raise DimensionError(f"conv expects {channels} input channels, got {x.shape[0]}")
 
 
-def _row_spans(spec: ConvSpec, h: int, ho: int):
-    """``(k, y0, y1, rows)`` for each kernel row k that reads inside an
-    input of h rows: the output rows ``y0 <= y < y1`` at which it does, and
-    the input rows ``y*s + k*d - p`` they read, as a slice."""
-    s = spec.stride
-    for k in range(spec.kernel_h):
-        offset = k * spec.dilation - spec.padding
+def _spans(size: int, s: int, p: int, d: int, n: int, n_out: int) -> list[tuple]:
+    """``(k, y0, y1, start)`` for each kernel index k (a row or a column)
+    that reads inside an input of n entries along its axis: the outputs
+    ``y0 <= y < y1`` at which it does, and the first input ``y0*s + k*d - p``
+    they read."""
+    spans = []
+    for k in range(size):
+        offset = k * d - p
         y0 = max(0, -(offset // s))
-        y1 = min(ho, (h - 1 - offset) // s + 1)
+        y1 = min(n_out, (n - 1 - offset) // s + 1)
         if y0 < y1:
-            start = y0 * s + offset
-            yield k, y0, y1, slice(start, start + (y1 - y0 - 1) * s + 1, s)
+            spans.append((k, y0, y1, y0 * s + offset))
+    return spans
 
 
-def _taps(spec: ConvSpec, w: int, wo: int):
-    """Kernel column l, output column x and input column ``x*s + l*d - p``
-    of every tap that reads inside an input of width w, as flat arrays in
-    order of l."""
-    cols = (np.arange(wo) * spec.stride
-            + np.arange(spec.kernel_w)[:, None] * spec.dilation - spec.padding)
-    l, x = np.nonzero((cols >= 0) & (cols < w))
-    return l, x, cols[l, x]
+@dataclass(frozen=True)
+class _RowPlan:
+    """What a conv call needs of its geometry along the rows: per kernel
+    row k that reads inside the input, ``(k, y0, y1, rows)``, the input rows
+    ``y*s + k*d - p`` of the output rows y0..y1 as a slice (``spans``); and
+    the ``first`` and ``moves`` of ``_row_gemms`` for the forward and for
+    the adjoint (``_moves``)."""
+
+    spans: tuple
+    forward: tuple
+    adjoint: tuple
+
+
+@dataclass(frozen=True)
+class _ColumnPlan:
+    """What a conv call needs of its geometry along the columns: per kernel
+    column l that reads inside the input, ``(l, x0, n, start)``, its n taps
+    at the output columns x0.. and the input columns start, start + s, ..
+    (``taps``); and the weight gradient's read-only ``tap_index``
+    (kw, cg, og, depth) into one group's ``A_k^T G_k`` block followed by a
+    zero row: per kernel column and channel pair, a zero, then the column's
+    taps in order of x, then zeros up to the longest column."""
+
+    taps: tuple
+    tap_index: np.ndarray
+
+
+# Geometries kept in each plan cache; a network has a few dozen.
+_PLANS = 1024
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _row_plan(kh: int, s: int, p: int, d: int, g: int, h: int, ho: int,
+              row_groups: tuple | None) -> _RowPlan:
+    spans = tuple((k, y0, y1, slice(start, start + (y1 - y0 - 1) * s + 1, s))
+                  for k, y0, y1, start in _spans(kh, s, p, d, h, ho))
+    if row_groups is not None:
+        row_groups = [slice(*pair) for pair in row_groups]
+    geometry = (spans, kh, s, p, d, g, h, ho, row_groups)
+    return _RowPlan(spans, _moves(*geometry, adjoint=False), _moves(*geometry, adjoint=True))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _column_plan(kw: int, s: int, p: int, d: int, cg: int, og: int, w: int,
+                 wo: int) -> _ColumnPlan:
+    taps = tuple((l, x0, x1 - x0, start) for l, x0, x1, start in _spans(kw, s, p, d, w, wo))
+    # Each column's l, x0, n and start as (columns, 1, 1, 1), to broadcast
+    # over the channel pairs and the position x of a tap in its column.
+    l, x0, n, start =np.array(taps, dtype=np.intp).reshape(-1, 4).T[:, :, None, None, None]
+    x = np.arange(max(n.flat, default=0))
+    c, o = np.arange(cg)[:, None, None], np.arange(og)[:, None]
+    zero = cg * w * og * wo
+    index = np.full((kw, cg, og, 1 + len(x)), zero, dtype=np.intp)
+    index[l[:, 0, 0, 0], :, :, 1:] = np.where(
+        x < n, ((c * w + start + x * s) * og + o) * wo + x0 + x, zero)
+    index.setflags(write=False)
+    return _ColumnPlan(taps, index)
+
+
+def _rows(spec: ConvSpec, h: int, ho: int, row_groups=None) -> _RowPlan:
+    """The row plan of ``spec`` at h input rows; ``row_groups`` as in
+    ``conv2d_forward``."""
+    if row_groups is not None:
+        row_groups = tuple((rg.start, rg.stop) for rg in row_groups)
+    return _row_plan(spec.kernel_h, spec.stride, spec.padding, spec.dilation,
+                     spec.groups, h, ho, row_groups)
+
+
+def _columns(spec: ConvSpec, w: int, wo: int) -> _ColumnPlan:
+    """The column plan of ``spec`` at w input columns, shared by every
+    group count."""
+    g = spec.groups
+    return _column_plan(spec.kernel_w, spec.stride, spec.padding, spec.dilation,
+                        spec.in_channels // g, spec.out_channels // g, w, wo)
 
 
 def _band_matrices(spec: ConvSpec, w: int, wo: int, dtype) -> np.ndarray:
@@ -159,11 +238,16 @@ def _band_matrices(spec: ConvSpec, w: int, wo: int, dtype) -> np.ndarray:
     the taps inside the input and zeros elsewhere."""
     g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
     cg, og = spec.in_channels // g, spec.out_channels // g
-    l, x, cols = _taps(spec, w, wo)
     band = np.zeros((kh, g, cg, w, og, wo), dtype=dtype)
-    # Indexed this way the band's entries come out as (tap, kh, g, cg, og).
-    band[:, :, :, cols, :, x] = spec.weight.reshape(g, og, cg, kh, kw).transpose(
-        4, 3, 0, 2, 1)[l]
+    weight = spec.weight.reshape(g, og, cg, kh, kw).transpose(3, 0, 2, 1, 4)
+    # Kernel column l's taps lie on a diagonal of each (w, wo) plane, one
+    # step of s rows and one column apart: a strided view of the band.
+    size = band.itemsize
+    strides = band.strides[:3] + (band.strides[4], (spec.stride * og * wo + 1) * size)
+    for l, x0, n, start in _columns(spec, w, wo).taps:
+        diagonal = np.ndarray((kh, g, cg, og, n), band.dtype, band,
+                              (start * og * wo + x0) * size, strides)
+        diagonal[...] = weight[..., l, None]
     return band.reshape(kh, g, cg * w, og * wo)
 
 
@@ -234,8 +318,10 @@ def _row_gemms(rows: np.ndarray, band: np.ndarray, first, moves,
     return out
 
 
-def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool):
-    """The ``first`` and ``moves`` of ``_row_gemms``. Per kernel row k: the
+def _moves(spans: tuple, kh: int, s: int, p: int, d: int, g: int, h: int, ho: int,
+           row_groups, adjoint: bool):
+    """The ``first`` and ``moves`` of ``_row_gemms`` for the row ``spans``
+    of a ``_RowPlan``. Per kernel row k: the
     output rows y0..y1 it reaches and the input rows they read (the other
     way round for the adjoint), over the groups ``row_groups[k]`` (every
     group when None); a row with no group is left out. ``first`` is the
@@ -251,11 +337,10 @@ def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool):
     row by a matrix-vector product, whose bits can differ from the matrix
     product's.
     """
-    d, kh, s, p = spec.dilation, spec.kernel_h, spec.stride, spec.padding
     n_out = h if adjoint else ho
-    every_row, every_group = slice(0, n_out, 1), slice(0, spec.groups)
+    every_row, every_group = slice(0, n_out, 1), slice(0, g)
     first, moves = None, []
-    for k, y0, y1, rows in _row_spans(spec, h, ho):
+    for k, y0, y1, rows in spans:
         grp = every_group if row_groups is None else row_groups[k]
         if grp.start >= grp.stop:
             continue
@@ -272,7 +357,7 @@ def _moves(spec: ConvSpec, h: int, ho: int, row_groups, adjoint: bool):
             first = (k, src, dst, grp)
         else:
             moves.append((k, src, dst, grp))
-    return first, moves
+    return first, tuple(moves)
 
 
 def _canvas(a: np.ndarray, spec: ConvSpec, h: int, ho: int, adjoint: bool) -> np.ndarray:
@@ -312,7 +397,7 @@ def conv2d_forward(x: np.ndarray, spec: ConvSpec, band: np.ndarray | None = None
     rows = _grouped(x, g)
     if row_groups is not None:
         rows = _canvas(rows, spec, h, ho, adjoint=False)
-    first, moves = _moves(spec, h, ho, row_groups, adjoint=False)
+    first, moves = _rows(spec, h, ho, row_groups).forward
     return _ungrouped(_row_gemms(rows, band, first, moves, ho), wo)
 
 
@@ -350,7 +435,7 @@ def conv2d_transpose_forward(y: np.ndarray, spec: ConvSpec,
     rows = _grouped(y, g)
     if row_groups is not None:
         rows = _canvas(rows, spec, h, ho, adjoint=True)
-    first, moves = _moves(spec, h, ho, row_groups, adjoint=True)
+    first, moves = _rows(spec, h, ho, row_groups).adjoint
     return _ungrouped(_row_gemms(rows, band_t, first, moves, h), w)
 
 
@@ -364,18 +449,23 @@ def conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndar
         raise DimensionError(
             f"weight-grad cotangent shape {gy.shape} != {(spec.out_channels, ho, n, wo)}"
         )
-    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    g, kh = spec.groups, spec.kernel_h
     cg, og = spec.in_channels // g, spec.out_channels // g
     if spec.is_pointwise:
         gw = np.matmul(gy.reshape(g, og, -1), _sampled(x, spec).transpose(0, 2, 1))
         return gw.reshape(spec.weight.shape).astype(spec.weight.dtype, copy=False)
-    l, cols_x, cols = _taps(spec, w, wo)
     rows, cotangent = _grouped(x, g), _grouped(gy, g)
-    gw = np.zeros((kh, kw, g, cg, og), dtype=spec.weight.dtype)
-    for k, y0, y1, src in _row_spans(spec, h, ho):
+    # Per kernel row k and group, A_k^T G_k and then a zero row, which the
+    # tap index reads where a kernel column has fewer taps than the longest.
+    full = np.zeros((kh, g, cg * w + 1, og * wo), dtype=np.result_type(x, gy))
+    for k, y0, y1, src in _rows(spec, h, ho).spans:
         a_k = rows[:, src].reshape(g, -1, cg * w)
         g_k = cotangent[:, y0:y1].reshape(g, -1, og * wo)
-        full = np.matmul(a_k.transpose(0, 2, 1), g_k).reshape(g, cg, w, og, wo)
-        # Row k's band entries, as (tap, g, cg, og), summed per column l.
-        np.add.at(gw[k], l, full[:, :, cols, :, cols_x])
-    return np.ascontiguousarray(gw.transpose(2, 4, 3, 0, 1)).reshape(spec.weight.shape)
+        np.matmul(a_k.transpose(0, 2, 1), g_k, out=full[k, :, :cg * w])
+    taps = np.take(full.reshape(kh, g, -1), _columns(spec, w, wo).tap_index, axis=2)
+    # The last partial sum of each kernel column's taps, added one by one
+    # from zero in order of x; np.add.reduce would pair them up and round
+    # differently.
+    gw = np.add.accumulate(taps, axis=-1)[..., -1]
+    return np.ascontiguousarray(gw.transpose(1, 4, 3, 0, 2),
+                                dtype=spec.weight.dtype).reshape(spec.weight.shape)

@@ -7,12 +7,14 @@ channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert.
 ``conv2d`` is one conv as its own graph op: the unfused reference for the
 conv chains that the network runs inside its BatchNorm nodes.
 ``reference_power_iteration`` is the plain power iteration on a stack of
-spectral handles, the reference for the Krylov estimate."""
+spectral handles, the reference for the Krylov estimate, and
+``add_at_conv2d_weight_grad`` the row-band weight gradient with its taps
+summed by ``np.add.at``, the reference for the program's tap sums."""
 
 import numpy as np
 import pytest
 
-from msrnas import spectral
+from msrnas import convolution, spectral
 from msrnas.autodiff import Tensor, _make, _node
 from msrnas.convolution import (
     ConvSpec,
@@ -142,6 +144,75 @@ def tap_conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.
             gw[:, :, :, k, l] = np.einsum("ngoyx,ngcyx->goc", yg, xpg[:, :, :, sh, sw],
                                           optimize=True)
     return gw.reshape(spec.weight.shape)
+
+
+def add_at_conv2d_weight_grad(x: np.ndarray, gy: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The weight gradient of (C, H, N, W) arrays as the row-band kernel
+    computed it before its tap sums: per kernel row k, the product
+    ``A_k^T G_k`` of each group's input rows ``y*s + k*d - p`` and
+    cotangent rows y, whose band diagonals ``np.add.at`` adds into kernel
+    columns l tap by tap, in order of l and then of output column x."""
+    c, h, n, w = x.shape
+    ho, wo = spec.out_hw(h, w)
+    g, kh, kw, s, p, d = (spec.groups, spec.kernel_h, spec.kernel_w, spec.stride,
+                          spec.padding, spec.dilation)
+    cg, og = c // g, spec.out_channels // g
+    cols = np.arange(wo) * s + np.arange(kw)[:, None] * d - p
+    l, cols_x = np.nonzero((cols >= 0) & (cols < w))
+    cols = cols[l, cols_x]
+    rows, cotangent = _grouped(x, g), _grouped(gy, g)
+    gw = np.zeros((kh, kw, g, cg, og), dtype=spec.weight.dtype)
+    for k in range(kh):
+        offset = k * d - p
+        y0, y1 = max(0, -(offset // s)), min(ho, (h - 1 - offset) // s + 1)
+        if y0 >= y1:
+            continue
+        start = y0 * s + offset
+        a_k = rows[:, start:start + (y1 - y0 - 1) * s + 1:s].reshape(g, -1, cg * w)
+        g_k = cotangent[:, y0:y1].reshape(g, -1, og * wo)
+        full = np.matmul(a_k.transpose(0, 2, 1), g_k).reshape(g, cg, w, og, wo)
+        np.add.at(gw[k], l, full[:, :, cols, :, cols_x])
+    return np.ascontiguousarray(gw.transpose(2, 4, 3, 0, 1)).reshape(spec.weight.shape)
+
+
+def _grouped(a: np.ndarray, g: int) -> np.ndarray:
+    """A (C, H, N, W) array as (g, H, N, C/g*W), each group's channels side
+    by side along the last axis."""
+    c, h, n, w = a.shape
+    a = a.reshape(g, c // g, h, n, w).transpose(0, 2, 3, 1, 4)
+    return np.ascontiguousarray(a).reshape(g, h, n, c // g * w)
+
+
+def clear_conv_plans() -> None:
+    """Empty the conv kernels' per-geometry plan caches."""
+    convolution._row_plan.cache_clear()
+    convolution._column_plan.cache_clear()
+
+
+@pytest.fixture
+def plan_builds(monkeypatch) -> list:
+    """A list that gains one entry per plan the conv kernels build: each
+    row or column plan computes its spans once."""
+    builds = []
+    spans = convolution._spans
+    monkeypatch.setattr(convolution, "_spans",
+                        lambda *args: builds.append(args) or spans(*args))
+    return builds
+
+
+def conv_kernel_outputs(spec: ConvSpec, x: np.ndarray, gy: np.ndarray, **kw) -> list:
+    """Forward, adjoint and weight gradient of ``spec`` at the (C, H, N, W)
+    input ``x`` and cotangent ``gy``; ``kw`` (``band``, ``row_groups``) goes
+    to the forward and the adjoint."""
+    hw = (x.shape[1], x.shape[3])
+    return [conv2d_forward(x, spec, **kw),
+            conv2d_transpose_forward(gy, spec, input_hw=hw, **kw),
+            conv2d_weight_grad(x, gy, spec)]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def materialize_conv_matrix(spec: ConvSpec, input_hw: tuple[int, int],

@@ -4,6 +4,7 @@ reference, the tap-loop reference and the dense matrix oracle.
 The oracles take NCHW arrays and the kernels channel-major (C, H, N, W)
 ones; the ``*_nchw`` wrappers run a kernel on NCHW arrays."""
 
+import dataclasses
 import pathlib
 import tracemalloc
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrnas import convolution
 from msrnas.autodiff import Tensor
 from msrnas.convolution import (
     ConvSpec,
@@ -20,15 +22,21 @@ from msrnas.convolution import (
     conv2d_weight_grad,
     conv_bands,
 )
-from msrnas.derive import Genotype
+from msrnas.derive import Genotype, intermediate_nodes
 from msrnas.errors import ConstructionError, DimensionError
-from msrnas.layers import Conv2d
+from msrnas.layers import Conv2d, cross_entropy
+from msrnas.operators import OPERATOR_NAMES
+from msrnas.optim import TrainHyper, sgd_momentum_step
 from msrnas.spectral import SpectralConfig, conv_geometry
 from msrnas.supernet import SupernetConfig, build_discrete_network, build_supernet
 
 from conftest import (
+    add_at_conv2d_weight_grad,
+    assert_same_bits,
     central_difference,
+    clear_conv_plans,
     conv2d,
+    conv_kernel_outputs,
     fitting_input_hw,
     materialize_conv_matrix,
     naive_conv2d,
@@ -261,6 +269,149 @@ def test_weight_grad_matches_matrix_form():
             num = central_difference(
                 lambda: float((conv2d_forward(x, spec) * gy).sum()), spec.weight, idx, 0.5)
             assert abs(gw[idx] - num) < 1e-10 * max(1.0, abs(num))
+
+
+def kind_corpus(kind: str, dtype) -> list[tuple]:
+    """15 specs of ``wide_conv_spec``'s kind in ``dtype``, each with an input
+    of batch 2 and a cotangent of its output's shape, both (C, H, N, W)."""
+    rng = np.random.default_rng(20 + WIDE_KINDS.index(kind))
+    corpus = []
+    for _ in range(15):
+        spec = wide_conv_spec(rng, kind)
+        spec = dataclasses.replace(spec, weight=spec.weight.astype(dtype))
+        h, w = wide_input_hw(spec, rng)
+        ho, wo = spec.out_hw(h, w)
+        x = rng.standard_normal((spec.in_channels, h, 2, w)).astype(dtype)
+        gy = rng.standard_normal((spec.out_channels, ho, 2, wo)).astype(dtype)
+        corpus.append((spec, x, gy))
+    return corpus
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_weight_grad_tap_sums_match_add_at_exactly(kind, dtype):
+    # A padding-0 1x1 conv's gradient is one channel-mix GEMM, with no taps.
+    for spec, x, gy in kind_corpus(kind, dtype):
+        if spec.is_pointwise:
+            continue
+        assert_same_bits(conv2d_weight_grad(x, gy, spec),
+                         add_at_conv2d_weight_grad(x, gy, spec))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weight_grad_tap_sums_match_add_at_on_workload_geometries(dtype):
+    # At 16 px a kernel column has up to 16 taps, past the 8 below which
+    # numpy's pairwise sums happen to add in order.
+    rng = np.random.default_rng(7)
+    for spec, (h, w) in workload_conv_geometries():
+        if spec.is_pointwise:
+            continue
+        spec = dataclasses.replace(spec, weight=spec.weight.astype(dtype))
+        ho, wo = spec.out_hw(h, w)
+        x = rng.standard_normal((spec.in_channels, h, 2, w)).astype(dtype)
+        gy = rng.standard_normal((spec.out_channels, ho, 2, wo)).astype(dtype)
+        assert_same_bits(conv2d_weight_grad(x, gy, spec),
+                         add_at_conv2d_weight_grad(x, gy, spec))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_cold_plans_give_the_warm_plans_outputs(kind, dtype, plan_builds):
+    for spec, x, gy in kind_corpus(kind, dtype):
+        clear_conv_plans()
+        plan_builds.clear()
+        cold = conv_kernel_outputs(spec, x, gy)
+        # One row plan and one column plan; a padding-0 1x1 conv needs none.
+        assert len(plan_builds) == (0 if spec.is_pointwise else 2)
+        warm = conv_kernel_outputs(spec, x, gy)
+        assert len(plan_builds) == (0 if spec.is_pointwise else 2)
+        for got, want in zip(warm, cold):
+            assert_same_bits(got, want)
+
+
+def conv_plans(spec: ConvSpec, hw: tuple[int, int], row_groups=None) -> tuple:
+    """The row and column plans that the kernels use for ``spec`` at input
+    extents ``hw``."""
+    (h, w), (ho, wo) = hw, spec.out_hw(*hw)
+    return convolution._rows(spec, h, ho, row_groups), convolution._columns(spec, w, wo)
+
+
+def test_plans_are_keyed_by_every_geometry_field():
+    rng = np.random.default_rng(4)
+
+    def conv(channels=4, groups=4, kernel=3, **geometry):
+        geometry = {"stride": 3, "padding": 1, **geometry}
+        return ConvSpec(channels, channels, kernel, kernel, groups=groups, **geometry,
+                        weight=rng.standard_normal((channels, channels // groups,
+                                                    kernel, kernel)))
+
+    # At stride 3 each variant below keeps the 2x2 output, so each field
+    # must key the plans by itself.
+    base, hw = conv(), (6, 6)
+    rows, cols = conv_plans(base, hw)
+    # Only the geometry keys a plan: not the weight, dtype or batch.
+    x = rng.standard_normal((4, 6, 3, 6)).astype(np.float32)
+    gy = rng.standard_normal((4, 2, 3, 2)).astype(np.float32)
+    conv_kernel_outputs(dataclasses.replace(base, weight=base.weight.astype(np.float32)),
+                        x, gy)
+    assert all(a is b for a, b in zip(conv_plans(conv(), hw), (rows, cols)))
+    # (spec, extents, row_groups, new row plan, new column plan): a column
+    # plan covers one group, so it serves every group count.
+    every_row = [slice(0, 4)] * 3
+    variants = [(conv(kernel=5), hw, None, True, True),
+                (conv(stride=4), hw, None, True, True),
+                (conv(padding=0), hw, None, True, True),
+                (conv(dilation=2), hw, None, True, True),
+                (base, (5, 6), None, True, False),
+                (base, (6, 5), None, False, True),
+                (conv(channels=6, groups=6), hw, None, True, False),
+                (conv(groups=2), hw, None, True, True),
+                (base, hw, every_row, True, False),
+                (base, hw, every_row[:2] + [slice(2, 4)], True, False)]
+    seen = {id(rows)}
+    for spec, extents, row_groups, new_rows, new_cols in variants:
+        assert spec.out_hw(*extents) == (2, 2)
+        other_rows, other_cols = conv_plans(spec, extents, row_groups)
+        assert (other_rows is not rows) == new_rows
+        assert (other_cols is not cols) == new_cols
+        if new_rows:
+            assert id(other_rows) not in seen
+            seen.add(id(other_rows))
+    with pytest.raises(ValueError):
+        cols.tap_index[0, 0, 0, 0] = 1
+
+
+def train_step(net, params, images: np.ndarray, labels: np.ndarray) -> None:
+    """One SGD step of ``net`` on one batch, with a supernet's spectral
+    adjust first."""
+    if hasattr(net, "adjust_all"):
+        net.begin_step()
+        net.adjust_all()
+    for param in params:
+        param.zero_grad()
+    cross_entropy(net(Tensor(images)), labels).backward()
+    sgd_momentum_step(params, 0.025, TrainHyper())
+
+
+def test_training_steps_build_plans_in_the_first_step_only(plan_builds):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(10, 10))
+    rows = [[("sep5", 0), ("dil3", 1)] for _ in intermediate_nodes(5)]
+    genotype = Genotype(mode="min", nodes=5, operators=OPERATOR_NAMES,
+                        normal=[list(r) for r in rows], reduce=[list(r) for r in rows])
+    rng = np.random.default_rng(5)
+    images = rng.standard_normal((8, 3, 10, 10)).astype(np.float32)
+    labels = rng.integers(0, 4, size=8)
+    for net in (build_supernet(cfg, SpectralConfig(), seed=0),
+                build_discrete_network(genotype, cfg, seed=1)):
+        params = net.parameters()
+        clear_conv_plans()
+        plan_builds.clear()
+        train_step(net, params, images, labels)
+        assert plan_builds
+        plan_builds.clear()
+        train_step(net, params, images, labels)
+        assert not plan_builds
 
 
 def workload_conv_geometries() -> list[tuple]:

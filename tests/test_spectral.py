@@ -24,6 +24,9 @@ from msrnas.spectral import (
 )
 
 from conftest import (
+    assert_same_bits,
+    clear_conv_plans,
+    conv_kernel_outputs,
     fitting_input_hw,
     materialize_conv_matrix,
     random_conv_spec,
@@ -512,6 +515,27 @@ def test_row_groups_skip_only_zero_band_rows(rng):
             conv2d_transpose_forward(y, spec, input_hw=hw, band=band, row_groups=row_groups),
             conv2d_transpose_forward(y, spec, input_hw=hw))
         np.testing.assert_array_equal(band, convolution.conv_bands(spec, hw, spec.weight.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_merged_stack_cold_plans_give_the_warm_plans_outputs(dtype):
+    # A merged stack's row_groups key row plans of their own; its kernels
+    # give the same bits on a cold plan cache as on a warm one.
+    rng = np.random.default_rng(6)
+    net = tiny_supernet(seed=5, dtype=dtype)
+    merged = [g for g in net.handle_groups
+              if len({(h.spec.kernel_h, h.spec.dilation) for h in g}) > 1]
+    assert merged
+    for group in merged:
+        spec, band, row_groups = spectral._stacked_conv(group)
+        (h, w), (ho, wo) = group[0].in_hw, spec.out_hw(*group[0].in_hw)
+        x = rng.standard_normal((spec.in_channels, h, 1, w)).astype(dtype)
+        gy = rng.standard_normal((spec.out_channels, ho, 1, wo)).astype(dtype)
+        clear_conv_plans()
+        cold = conv_kernel_outputs(spec, x, gy, band=band, row_groups=row_groups)
+        warm = conv_kernel_outputs(spec, x, gy, band=band, row_groups=row_groups)
+        for got, want in zip(warm, cold):
+            assert_same_bits(got, want)
 
 
 # The search-batch supernet (3/5/8/16, float32) ------------------------------
