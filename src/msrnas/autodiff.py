@@ -16,7 +16,6 @@ backward reads it. Each closure saves only that:
 - ``relu``: its own output, whose mask ``out > 0`` equals ``in > 0``
   (the network's ReLUs on cell states, stem and cell outputs; a
   separable conv's inner ReLU runs inside its BatchNorm node);
-- ``matmul`` and ``mul``: their operands; ``power``: its input;
 - ``BatchNorm2d``, one node with the chain(s) that feed it (every conv in
   the network runs inside one, and a chain may hold an inner BatchNorm +
   ReLU stage, as a separable conv's does): each chain's input, and μ and
@@ -24,9 +23,14 @@ backward reads it. Each closure saves only that:
   BN's training-mode one (an eval-mode BatchNorm records no node and
   raises ``StateError`` outside ``no_grad``), runs the chains again to
   rebuild each x̂, each conv's output and each inner stage's output;
+- ``Linear``, one node for ``x @ W + b``: x and W;
 - ``cross_entropy``: the shifted exponentials and their row sums;
-- ``add``, ``sub``, ``sum_``, ``mean``, ``reshape``, ``transpose``,
-  ``concat``, ``slice_`` and ``pad2d``: shapes only.
+- ``add`` (of two tensors of one shape), ``mean``, ``transpose``,
+  ``concat`` and ``shift_up_left`` (``FactorizedReduce``'s shifted grid):
+  shapes only.
+
+No other op records a graph node: the six ops of this module and the
+three nodes of ``layers`` are all the networks use.
 
 A closure references its input nodes, never its own output node, so the
 graph holds no reference cycles and is freed by reference counting as soon
@@ -45,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, StateError
+from .errors import DimensionError, StateError
 
 _grad_enabled = True
 
@@ -63,19 +67,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class _Node:
@@ -179,37 +170,8 @@ class Tensor:
                 node.grad = None
                 node.requires_grad = False
 
-    # Operator sugar -------------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if dtype is not None and arr.dtype != dtype:
-        arr = arr.astype(dtype)
-    return Tensor(arr)
 
 
 def _node(t: Tensor) -> _Node | None:
@@ -229,86 +191,27 @@ def _make(data: np.ndarray, parents: Sequence[_Node | None], backward) -> Tensor
     return out
 
 
-# Elementwise / broadcasting ops -----------------------------------------
 
 
-def _acc(node: _Node, g: np.ndarray) -> None:
-    """Accumulate with broadcast reduction; fresh arrays are handed over."""
-    if g.shape == node.shape:
-        node.accumulate(g)
-    else:
-        node.accumulate(_unbroadcast(g, node.shape), own=True)
-
-
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape (edge and node sums)."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(
+            f"add expects operands of one shape, got {a.data.shape} + {b.data.shape}")
     na, nb = _node(a), _node(b)
 
     def bw(g):
         if na is not None:
-            _acc(na, g)
+            na.accumulate(g)
         if nb is not None:
-            _acc(nb, g)
+            nb.accumulate(g)
 
     return _make(a.data + b.data, (na, nb), bw)
-
-
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
-    na, nb = _node(a), _node(b)
-
-    def bw(g):
-        if na is not None:
-            _acc(na, g)
-        if nb is not None:
-            if g.shape == nb.shape:
-                nb.accumulate(-g, own=True)
-            else:
-                nb.accumulate(-_unbroadcast(g, nb.shape), own=True)
-
-    return _make(a.data - b.data, (na, nb), bw)
-
-
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
-    na, nb = _node(a), _node(b)
-    a_data, b_data = a.data, b.data
-
-    def bw(g):
-        if na is not None:
-            ga = g * b_data
-            if ga.shape == na.shape:
-                na.accumulate(ga, own=True)
-            else:
-                _acc(na, ga)
-        if nb is not None:
-            gb = g * a_data
-            if gb.shape == nb.shape:
-                nb.accumulate(gb, own=True)
-            else:
-                _acc(nb, gb)
-
-    return _make(a_data * b_data, (na, nb), bw)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    exponent = float(exponent)
-    na, a_data = _node(a), a.data
-
-    def bw(g):
-        na.accumulate(g * (exponent * a_data ** (exponent - 1.0)), own=True)
-
-    return _make(a_data ** exponent, (na,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient mask is the indicator of x > 0, read
     off the output, which is positive exactly where x is."""
-    a = _as_tensor(a)
     na = _node(a)
     data = np.maximum(a.data, 0.0)
 
@@ -318,50 +221,7 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (na,), bw)
 
 
-# Linear algebra -----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
-        )
-    na, nb = _node(a), _node(b)
-    a_data, b_data = a.data, b.data
-
-    def bw(g):
-        if na is not None:
-            na.accumulate(g @ b_data.T, own=True)
-        if nb is not None:
-            nb.accumulate(a_data.T @ g, own=True)
-
-    return _make(a_data @ b_data, (na, nb), bw)
-
-
-# Reductions ---------------------------------------------------------------
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    na = _node(a)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        # Broadcasting += spreads the reduced gradient without a big temp.
-        na.accumulate(g)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (na,), bw)
-
-
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     na = _node(a)
     count = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
@@ -376,23 +236,9 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (na,), bw)
 
 
-# Shape manipulation -------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    na = _node(a)
-
-    def bw(g):
-        na.accumulate(g.reshape(na.shape))
-
-    return _make(a.data.reshape(shape), (na,), bw)
-
-
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes, as ``np.transpose`` does (reversed when ``axes`` is
     None); the result is a view."""
-    a = _as_tensor(a)
     na = _node(a)
     inverse = None if axes is None else tuple(np.argsort(axes))
 
@@ -403,7 +249,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = list(tensors)
     nodes = [_node(t) for t in ts]
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
 
@@ -417,34 +263,20 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in ts], axis=axis), nodes, bw)
 
 
-def slice_(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints, slices, None, Ellipsis). An index array or list
-    is refused: the backward's ``+=`` would drop repeated indices."""
-    if any(isinstance(k, (list, np.ndarray))
-           for k in (key if isinstance(key, tuple) else (key,))):
-        raise ArgumentError("slice_ takes basic indices only, not index arrays or lists")
-    a = _as_tensor(a)
+def shift_up_left(a: Tensor) -> Tensor:
+    """The grid of a (C, H, N, W) tensor moved up and left by one pixel:
+    ``out[:, r, :, c] = x[:, r + 1, :, c + 1]``, zeros in the last row and
+    column. Forward and backward equal zero-padding the bottom and right
+    edges and slicing off the first row and column, bit for bit."""
     na = _node(a)
+    data = np.zeros_like(a.data)
+    data[:, :-1, :, :-1] = a.data[:, 1:, :, 1:]
 
     def bw(g):
-        full = np.zeros(na.shape, na.dtype)
-        full[key] += g
-        na.accumulate(full, own=True)
-
-    return _make(a.data[key], (na,), bw)
-
-
-def pad2d(a: Tensor, pad: tuple) -> Tensor:
-    """Zero-pad the spatial axes, H and W, of a (C, H, N, W) tensor:
-    pad = (top, bottom, left, right)."""
-    a = _as_tensor(a)
-    na = _node(a)
-    top, bottom, left, right = pad
-    data = np.pad(a.data, [(0, 0), (top, bottom), (0, 0), (left, right)])
-    key = (slice(None), slice(top, data.shape[1] - bottom),
-           slice(None), slice(left, data.shape[3] - right))
-
-    def bw(g):
-        na.accumulate(g[key])
+        # Added to zeros, not assigned: a -0.0 gradient reads +0.0, as the
+        # padded grid's does.
+        gx = np.zeros(na.shape, na.dtype)
+        gx[:, 1:, :, 1:] += g[:, :-1, :, :-1]
+        na.accumulate(gx, own=True)
 
     return _make(data, (na,), bw)

@@ -8,6 +8,8 @@ A checkpoint holds the epoch counter and dtype, one ``meta/net/*`` or
 ``meta/spectral/*`` scalar per field of ``SupernetConfig`` and
 ``SpectralConfig`` (``input_hw`` as ``input_h`` and ``input_w``), enough to
 rebuild the network from the file alone, and then the network's arrays.
+On load each of those scalars must be finite, whole where its field is an
+int, and ``meta/dtype`` 0 or 1, or a ``FormatError`` names its record.
 One list names those arrays (``_state_records``): per parameter
 ``param/<name>`` and ``momentum/<name>``, then every ``buffer/<name>``
 (batchnorm running statistics), then ``pivec/<handle>`` for every handle
@@ -28,6 +30,7 @@ truncated one.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -112,17 +115,17 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
             offset += 8 * ndim
             dtype = _DTYPE_CODES[code]
-            count = int(np.prod(shape)) if ndim else 1
-            nbytes = count * dtype.itemsize
+            # Python ints: a product of u64 extents overflows int64.
+            count = math.prod(shape)
+            if count * dtype.itemsize > len(raw) - offset:
+                raise FormatError(f"{path}: truncated tensor data for '{name}'")
             data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-            offset += nbytes
+            tensors[name] = data.reshape(shape).copy()
         except (struct.error, KeyError, ValueError) as exc:
             raise FormatError(
                 f"{path}: corrupt record at byte offset {offset}: {exc}"
             ) from exc
-        if offset > len(raw):
-            raise FormatError(f"{path}: truncated tensor data for '{name}'")
-        tensors[name] = data.reshape(shape).copy()
+        offset += count * dtype.itemsize
     return tensors
 
 
@@ -181,23 +184,33 @@ def load_checkpoint(path):
     """Rebuild the supernet stored at `path`; returns (net, epoch)."""
     tensors = load_tensors(path)
 
-    def meta(name: str) -> float:
+    def meta(name: str, kind=float):
+        """The scalar record ``meta/<name>``, finite, and whole for an int."""
         key = f"meta/{name}"
         if key not in tensors:
             raise FormatError(f"{path}: checkpoint missing metadata '{key}'")
-        return float(tensors[key])
+        record = tensors[key]
+        value = float(record) if record.shape == () else math.nan
+        if not math.isfinite(value) or (kind is int and not value.is_integer()):
+            raise FormatError(f"{path}: metadata '{key}' is not a finite "
+                              f"{kind.__name__} scalar: {record}")
+        return kind(value)
 
     def config(section: str, cls):
         values = {}
         for f in fields(cls):
             if f.name in _ELEMENTS:
-                values[f.name] = tuple(int(meta(f"{section}/{name}"))
+                values[f.name] = tuple(meta(f"{section}/{name}", int)
                                        for name in _ELEMENTS[f.name])
             else:
-                values[f.name] = type(f.default)(meta(f"{section}/{f.name}"))
+                values[f.name] = meta(f"{section}/{f.name}", type(f.default))
         return cls(**values)
 
-    dtype = np.float32 if meta("dtype") == 0 else np.float64
+    epoch = meta("epoch", int)
+    dtype = {0: np.float32, 1: np.float64}.get(meta("dtype", int))
+    if dtype is None:
+        raise FormatError(f"{path}: metadata 'meta/dtype' is {tensors['meta/dtype']}, "
+                          "not 0 (float32) or 1 (float64)")
     net = build_supernet(config("net", SupernetConfig), config("spectral", SpectralConfig),
                          dtype=dtype, seed=0)
     for key, array in _state_records(net):
@@ -207,4 +220,4 @@ def load_checkpoint(path):
             raise FormatError(
                 f"{path}: record '{key}' shape {tensors[key].shape} != {array.shape}")
         array[...] = tensors[key]
-    return net, int(meta("epoch"))
+    return net, epoch

@@ -376,7 +376,20 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.weight) + self.bias
+        """``x @ W + b`` for (N, in) features ``x``, recorded as one graph
+        node that saves x and W."""
+        a, w = x.data, self.weight.data
+        nx, nw, nb = _node(x), _node(self.weight), _node(self.bias)
+
+        def bw(g):
+            if nx is not None:
+                nx.accumulate(g @ w.T, own=True)
+            if nw is not None:
+                nw.accumulate(a.T @ g, own=True)
+            if nb is not None:
+                nb.accumulate(g.sum(axis=0), own=True)
+
+        return _make(a @ w + self.bias.data, (nx, nw, nb), bw)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -129,6 +129,7 @@ class FactorizedReduce(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        # Second branch samples the grid shifted by one pixel.
-        shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
-        return self.bn(((self.conv_a,), x), ((self.conv_b,), shifted))
+        # The second branch samples the grid one pixel down and right, as
+        # a stride-2 conv of the input shifted up and left (zeros past its
+        # last row and column).
+        return self.bn(((self.conv_a,), x), ((self.conv_b,), ad.shift_up_left(x)))

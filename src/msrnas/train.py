@@ -162,7 +162,8 @@ class RunDir:
         exits. The pid written into the file is for people; nothing reads it."""
         os.makedirs(self.root, exist_ok=True)
         while True:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY)
+            # Mode 0o666, as open() uses, so the lock file is not executable.
+            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:

@@ -5,7 +5,12 @@ The conv oracles (``naive_conv2d``, the tap loop, ``materialize_conv_matrix``)
 take and return NCHW arrays; the program's conv routines work on
 channel-major (C, H, N, W) arrays, and ``to_chnw``/``to_nchw`` convert.
 ``conv2d`` is one conv as its own graph op: the unfused reference for the
-conv chains that the network runs inside its BatchNorm nodes.
+conv chains that the network runs inside its BatchNorm nodes. The graph ops
+the networks do not record (``broadcast_add``, ``sub``, ``mul``, ``power``,
+``sum_``, ``reshape``, ``matmul``, ``slice_`` and ``pad2d``) build the
+finite-difference losses and the composite references: ``matmul`` plus
+``broadcast_add`` for ``Linear``'s node, ``pad2d`` then ``slice_`` for
+``autodiff.shift_up_left``, elementary ops for BatchNorm's closed form.
 ``reference_power_iteration`` is the plain power iteration on a stack of
 spectral handles, the reference for the Krylov estimate, and
 ``add_at_conv2d_weight_grad`` the row-band weight gradient with its taps
@@ -52,6 +57,125 @@ def conv2d(x: Tensor, weight: Tensor, spec: ConvSpec) -> Tensor:
             nw.accumulate(conv2d_weight_grad(x_data, g, spec), own=True)
 
     return _make(conv2d_forward(x.data, spec), (nx, nw), bw)
+
+
+def _as_tensor(x, dtype=None) -> Tensor:
+    """``x`` as a tensor; an array or number becomes a constant of ``dtype``."""
+    if isinstance(x, Tensor):
+        return x
+    arr = np.asarray(x)
+    return Tensor(arr if dtype is None else arr.astype(dtype, copy=False))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _binary(a, b, data, grad_a, grad_b) -> Tensor:
+    """A broadcasting op of ``a`` and ``b`` (``b`` cast to ``a``'s dtype);
+    ``grad_a(g, a, b)`` and ``grad_b(g, a, b)`` are the gradients before
+    the broadcast is undone."""
+    a = _as_tensor(a)
+    b = _as_tensor(b, a.dtype)
+    na, nb = _node(a), _node(b)
+
+    def bw(g):
+        if na is not None:
+            na.accumulate(_unbroadcast(grad_a(g, a.data, b.data), na.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(grad_b(g, a.data, b.data), nb.shape))
+
+    return _make(data(a.data, b.data), (na, nb), bw)
+
+
+def broadcast_add(a, b) -> Tensor:
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def power(a: Tensor, exponent: float) -> Tensor:
+    exponent = float(exponent)
+    na = _node(a)
+
+    def bw(g):
+        na.accumulate(g * (exponent * a.data ** (exponent - 1.0)))
+
+    return _make(a.data ** exponent, (na,), bw)
+
+
+def sum_(a: Tensor) -> Tensor:
+    """The sum of every entry, a scalar."""
+    na = _node(a)
+    return _make(a.data.sum(), (na,), lambda g: na.accumulate(g))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    na = _node(a)
+    return _make(a.data.reshape(shape), (na,), lambda g: na.accumulate(g.reshape(na.shape)))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = _node(a), _node(b)
+
+    def bw(g):
+        if na is not None:
+            na.accumulate(g @ b.data.T)
+        if nb is not None:
+            nb.accumulate(a.data.T @ g)
+
+    return _make(a.data @ b.data, (na, nb), bw)
+
+
+def slice_(a: Tensor, key) -> Tensor:
+    """Basic indexing (slices, ints); an index array would lose repeated
+    entries' gradients in the backward's ``+=``."""
+    na = _node(a)
+
+    def bw(g):
+        full = np.zeros(na.shape, na.dtype)
+        full[key] += g
+        na.accumulate(full)
+
+    return _make(a.data[key], (na,), bw)
+
+
+def pad2d(a: Tensor, pad: tuple) -> Tensor:
+    """Zero-pad the spatial axes, H and W, of a (C, H, N, W) tensor:
+    pad = (top, bottom, left, right)."""
+    na = _node(a)
+    top, bottom, left, right = pad
+    data = np.pad(a.data, [(0, 0), (top, bottom), (0, 0), (left, right)])
+    key = (slice(None), slice(top, data.shape[1] - bottom),
+           slice(None), slice(left, data.shape[3] - right))
+    return _make(data, (na,), lambda g: na.accumulate(g[key]))
+
+
+def shift_by_padding(x: Tensor) -> Tensor:
+    """The composite reference for ``autodiff.shift_up_left``: zero-pad the
+    bottom row and right column, then slice off the first row and column."""
+    return slice_(pad2d(x, (0, 1, 0, 1)),
+                  (slice(None), slice(1, None), slice(None), slice(1, None)))
+
+
+def weighted_sum(t: Tensor, weights) -> Tensor:
+    """The scalar sum of ``t * weights``: a loss whose gradient is ``weights``."""
+    return sum_(mul(t, weights))
 
 
 def naive_conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Binary container format and network checkpoint round-trips."""
 
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from msrnas.autodiff import Tensor
 from msrnas.checkpoint import (
+    VERSION,
     MAGIC,
     _state_records,
     atomic_open,
@@ -15,6 +18,7 @@ from msrnas.checkpoint import (
     save_checkpoint,
     save_tensors,
 )
+from msrnas.cli import main
 from msrnas.derive import rank_table_to_text
 from msrnas.errors import FormatError
 from msrnas.layers import cross_entropy
@@ -81,6 +85,29 @@ def test_container_rejects_truncation(tmp_path, rng):
     path.write_bytes(raw[:-17])
     with pytest.raises(FormatError):
         load_tensors(path)
+
+
+def write_one_record(path, name: str, shape: tuple, data: bytes) -> None:
+    """A container holding one float32 record with the given extents,
+    followed by ``data``."""
+    encoded = name.encode()
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(encoded)) + encoded
+                     + struct.pack(f"<BI{len(shape)}Q", 0, len(shape), *shape) + data)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2**32, 2**32), "truncated tensor data for 'param/w'"),
+    ((2**63,), "truncated tensor data for 'param/w'"),
+    ((0, 2**64 - 1), "corrupt record"),
+], ids=["product-overflows-int64", "extent-overflows-int64", "empty-extent-too-large"])
+def test_container_rejects_extents_the_file_cannot_hold(tmp_path, capsys, shape, message):
+    path = tmp_path / "huge.msrn"
+    write_one_record(path, "param/w", shape, bytes(16))
+    with pytest.raises(FormatError, match=message):
+        load_tensors(path)
+    assert main(["ranks", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]:") and err.count("\n") == 1
 
 
 def test_checkpoint_restores_network_state(tmp_path, rng):
@@ -320,3 +347,28 @@ def test_checkpoint_omits_gradients_and_ignores_stored_ones(tmp_path):
     for name, param in restored.named_parameters():
         np.testing.assert_array_equal(param.data, originals[name].data)
         assert param.grad is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("meta/net/cells", math.nan),
+    ("meta/epoch", math.nan),
+    ("meta/spectral/iterations", math.inf),
+    ("meta/spectral/target_norm", math.nan),
+    ("meta/net/input_h", 2.5),
+    ("meta/dtype", 2.0),
+    ("meta/net/nodes", np.array([5.0])),
+])
+def test_checkpoint_bad_metadata_names_its_record(tmp_path, capsys, key, value):
+    cfg = SupernetConfig(cells=3, nodes=5, initial_channels=4, num_classes=4,
+                         input_hw=(8, 8))
+    net = build_supernet(cfg, SpectralConfig(), dtype=np.float32, seed=5)
+    path = tmp_path / "ck.msrn"
+    save_checkpoint(path, net, epoch=1)
+    tensors = load_tensors(path)
+    tensors[key] = np.asarray(value, dtype=np.float64)
+    save_tensors(path, tensors)
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load_checkpoint(path)
+    assert main(["ranks", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]:") and key in err

@@ -39,9 +39,12 @@ from conftest import (
     conv_kernel_outputs,
     fitting_input_hw,
     materialize_conv_matrix,
+    mul,
     naive_conv2d,
     random_conv_spec,
     relative_error,
+    sub,
+    sum_,
     tap_conv2d_forward,
     tap_conv2d_transpose,
     tap_conv2d_weight_grad,
@@ -189,8 +192,8 @@ def test_conv_gradients_match_finite_differences(rng):
 
     def loss_tensor():
         out = conv2d(x, weight, spec)
-        diff = out - target
-        return (diff * diff).sum()
+        diff = sub(out, target)
+        return sum_(mul(diff, diff))
 
     loss = loss_tensor()
     loss.backward()
@@ -529,8 +532,8 @@ def test_pointwise_gradients_match_finite_differences(rng, case):
     target = rng.standard_normal((o, (h - 1) // s + 1, 2, (w - 1) // s + 1))
 
     def loss_tensor():
-        diff = conv2d(x, weight, spec) - target
-        return (diff * diff).sum()
+        diff = sub(conv2d(x, weight, spec), target)
+        return sum_(mul(diff, diff))
 
     loss_tensor().backward()
     for t in (x, weight):

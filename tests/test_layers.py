@@ -19,7 +19,22 @@ from msrnas.layers import (
 from msrnas.operators import DilConv, FactorizedReduce, ReLUConvBN, SepConv
 from msrnas.supernet import Stem
 
-from conftest import central_difference, conv2d, relative_error, to_chnw, to_nchw
+from conftest import (
+    assert_same_bits,
+    broadcast_add,
+    central_difference,
+    conv2d,
+    matmul,
+    mul,
+    power,
+    relative_error,
+    reshape,
+    shift_by_padding,
+    sub,
+    to_chnw,
+    to_nchw,
+    weighted_sum,
+)
 
 
 def identity_conv(channels: int, dtype=np.float64) -> Conv2d:
@@ -183,9 +198,9 @@ def unfused(module: Module, x: Tensor, batchnorm) -> Tensor:
     """The module's convs as ``conv2d`` graph ops (concatenated for
     FactorizedReduce), each BatchNorm as ``batchnorm(bn, conv output)``."""
     if isinstance(module, FactorizedReduce):
-        shifted = ad.pad2d(x, (0, 1, 0, 1))[:, 1:, :, 1:]
-        z = ad.concat([chain((module.conv_a,), x), chain((module.conv_b,), shifted)],
-                      axis=0)
+        # Pad, then slice: the composite of the module's shift op.
+        z = ad.concat([chain((module.conv_a,), x),
+                       chain((module.conv_b,), shift_by_padding(x))], axis=0)
     elif isinstance(module, SepConv):
         out = batchnorm(module.bn1, chain((module.dw1, module.pw1), x))
         return batchnorm(module.bn2, chain((module.dw2, module.pw2), ad.relu(out)))
@@ -205,14 +220,15 @@ def composite_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
     shape = (bn.channels, 1, 1, 1)
     if bn.training:
         mu = ad.mean(x, axis=(1, 2, 3), keepdims=True)
-        centered = x - mu
-        var = ad.mean(centered * centered, axis=(1, 2, 3), keepdims=True)
+        centered = sub(x, mu)
+        var = ad.mean(mul(centered, centered), axis=(1, 2, 3), keepdims=True)
     else:
         mu = Tensor(bn.running_mean.reshape(shape))
         var = Tensor(bn.running_var.reshape(shape))
-        centered = x - mu
-    inv_std = (var + bn.eps) ** -0.5
-    return centered * inv_std * ad.reshape(bn.gamma, shape) + ad.reshape(bn.beta, shape)
+        centered = sub(x, mu)
+    inv_std = power(broadcast_add(var, bn.eps), -0.5)
+    return broadcast_add(mul(mul(centered, inv_std), reshape(bn.gamma, shape)),
+                         reshape(bn.beta, shape))
 
 
 def closed_form_batchnorm(bn: BatchNorm2d, x: Tensor) -> Tensor:
@@ -258,7 +274,7 @@ def run_with_grads(module: Module, forward, x: np.ndarray, weights: np.ndarray):
         p.zero_grad()
     xt = Tensor(x.copy(), requires_grad=True)
     out = forward(xt)
-    (out * weights).sum().backward()
+    weighted_sum(out, weights).backward()
     return out.data, [xt.grad] + [p.grad for p in params]
 
 
@@ -316,7 +332,7 @@ def _fd_check_fused(kind: str, rng) -> None:
     weights = rng.standard_normal(module(x).data.shape)
 
     def loss():
-        return (module(x) * weights).sum()
+        return weighted_sum(module(x), weights)
 
     loss().backward()
     for t in [x] + module.parameters():
@@ -421,6 +437,50 @@ def test_linear_forward(rng):
     np.testing.assert_allclose(
         lin(Tensor(x)).data, x @ lin.weight.data + lin.bias.data, atol=1e-12
     )
+
+
+def _linear_with_grads(lin: Linear, forward, x: np.ndarray, weights: np.ndarray):
+    """``forward(xt)`` and the gradients of x, W and b under the loss
+    ``sum(out * weights)``."""
+    lin.weight.zero_grad()
+    lin.bias.zero_grad()
+    xt = Tensor(x.copy(), requires_grad=True)
+    out = forward(xt)
+    weighted_sum(out, weights).backward()
+    return [out.data, xt.grad, lin.weight.grad, lin.bias.grad]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_node_is_bit_identical_to_matmul_plus_bias(rng, dtype):
+    lin = Linear(6, 4, rng=rng, dtype=dtype)
+    lin.bias.data[:] = rng.standard_normal(4)
+    x = rng.standard_normal((5, 6)).astype(dtype)
+    weights = rng.standard_normal((5, 4)).astype(dtype)
+    got = _linear_with_grads(lin, lin, x, weights)
+    want = _linear_with_grads(
+        lin, lambda xt: broadcast_add(matmul(xt, lin.weight), lin.bias), x, weights)
+    for g, ref in zip(got, want):
+        assert_same_bits(g, ref)
+    xt = Tensor(x)
+    out = lin(xt)
+    assert out._node.parents == (lin.weight._node, lin.bias._node)
+
+
+def test_linear_gradients_finite_difference(rng):
+    lin = Linear(5, 3, rng=rng, dtype=np.float64)
+    lin.bias.data[:] = rng.standard_normal(3)
+    x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    weights = rng.standard_normal((4, 3))
+
+    def loss():
+        return weighted_sum(lin(x), weights)
+
+    loss().backward()
+    for t in (x, lin.weight, lin.bias):
+        for c in rng.choice(t.data.size, size=min(6, t.data.size), replace=False):
+            idx = np.unravel_index(c, t.data.shape)
+            num = central_difference(lambda: float(loss().data), t.data, idx, 1e-6)
+            assert relative_error(t.grad[idx], num) < 1e-7, idx
 
 
 def test_parameters_collection(rng):

@@ -216,6 +216,18 @@ def test_lock_excludes_concurrent_runs(tmp_path):
     other.release_lock()
 
 
+def test_lock_file_is_not_executable(tmp_path):
+    run = RunDir(str(tmp_path / "r"))
+    umask = os.umask(0o022)
+    try:
+        run.acquire_lock()
+    finally:
+        os.umask(umask)
+    mode = os.stat(run.lock_path).st_mode & 0o777
+    run.release_lock()
+    assert mode == 0o644
+
+
 def dead_pid() -> int:
     child = subprocess.Popen([sys.executable, "-c", ""])
     child.wait()
